@@ -29,7 +29,6 @@ from .groups import (
     irr_count,
     level_group_order,
     levi_data,
-    sl_order,
     sp_order,
     unitary_order,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "irr_count",
     "level_group_order",
     "levi_data",
-    "sl_order",
     "sp_order",
     "unitary_order",
     "FieldSpec",

@@ -8,6 +8,7 @@ Everything is computed over ``fractions.Fraction``; no floating point.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING
@@ -16,6 +17,7 @@ if TYPE_CHECKING:
     from .numberfield import FieldSpec
 
 __all__ = [
+    "InternalCheckError",
     "bernoulli",
     "bernoulli_polynomial",
     "kronecker",
@@ -25,6 +27,11 @@ __all__ = [
     "is_squarefree",
     "is_fundamental_discriminant",
 ]
+
+
+class InternalCheckError(RuntimeError):
+    """An exact identity the formulas guarantee failed to hold: the
+    implementation (not the input) is at fault."""
 
 
 # Bernoulli cache (first convention, B_1 = -1/2).  Only even indices ever
@@ -122,22 +129,18 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
+@dataclass(frozen=True)
 class QuadraticCharacter:
     """The real character chi_D(n) = (D/n) attached to a fundamental
     discriminant D > 1, or the trivial character (D = 1).
     """
 
-    __slots__ = ("discriminant",)
+    discriminant: int
 
-    def __init__(self, discriminant: int):
-        if discriminant < 1 or not is_fundamental_discriminant(discriminant):
-            raise ValueError(
-                f"{discriminant} is not a positive fundamental discriminant"
-            )
-        object.__setattr__(self, "discriminant", discriminant)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("QuadraticCharacter is immutable")
+    def __post_init__(self):
+        d = self.discriminant
+        if d < 1 or not is_fundamental_discriminant(d):
+            raise ValueError(f"{d} is not a positive fundamental discriminant")
 
     @classmethod
     def trivial(cls) -> "QuadraticCharacter":
@@ -155,15 +158,6 @@ class QuadraticCharacter:
         if self.is_trivial:
             return 1
         return kronecker(self.discriminant, n)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuadraticCharacter)
-            and self.discriminant == other.discriminant
-        )
-
-    def __hash__(self) -> int:
-        return hash(("QuadraticCharacter", self.discriminant))
 
     def __repr__(self) -> str:
         return f"QuadraticCharacter({self.discriminant})"
@@ -195,7 +189,8 @@ def zeta_special_value(field: "FieldSpec", j: int) -> Fraction:
 
     Over the rationals this is -B_{2j}/(2j); for real quadratic F with
     character chi_D it is the product zeta(1-2j) * L(1-2j, chi_D).  The
-    result is nonzero of sign (-1)^(d*j), which is asserted.
+    result is nonzero of sign (-1)^(d*j); a violation raises
+    InternalCheckError.
     """
     if j < 1:
         raise ValueError("zeta argument index j must be >= 1")
@@ -206,9 +201,10 @@ def zeta_special_value(field: "FieldSpec", j: int) -> Fraction:
     if d == 2:
         value *= _dirichlet_l_negative(2 * j, field.quadratic_character)
     expected_sign = -1 if (d * j) % 2 else 1
-    assert value != 0 and (value > 0) == (expected_sign > 0), (
-        f"zeta_F(1-2j) sign violated for disc={field.discriminant}, j={j}"
-    )
+    if value == 0 or (value > 0) != (expected_sign > 0):
+        raise InternalCheckError(
+            f"zeta_F(1-2j) sign violated for disc={field.discriminant}, j={j}"
+        )
     return value
 
 

@@ -3,7 +3,7 @@ the final upper bound on the number of prime-to-p Hecke eigensystems,
 plus the Siegel-case specialization and growth-in-p diagnostics.
 
 All assembly is exact; integrality of the mass and the factorization
-identity final = mass * irr * dim are asserted, and a violation is an
+identity final = mass * irr * dim are checked, and a violation is an
 implementation fault, never an input error.
 """
 
@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import bernoulli, euler_phi, factorize, is_prime, zeta_special_value
+from .arith import (
+    InternalCheckError,
+    bernoulli,
+    euler_phi,
+    factorize,
+    is_prime,
+    zeta_special_value,
+)
 from .groups import dim_bound, irr_count, level_group_order, sp_order
 from .numberfield import SettingError, ShimuraSetting
 
@@ -27,11 +34,6 @@ __all__ = [
     "asymptotic_check",
     "detect_p_degree",
 ]
-
-
-class InternalCheckError(RuntimeError):
-    """An exact identity the formulas guarantee failed to hold: the
-    implementation (not the input) is at fault."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
             * prod_{i=1}^{m} zeta_F(1-2i) * prod_{v ramified, v away from p} (q_v^i + (-1)^i).
 
     Positive for every valid setting (the zeta signs cancel the leading
-    sign), which is asserted.
+    sign), which is checked.
     """
     value = _sign_factor(setting)
     for i in range(1, setting.m + 1):

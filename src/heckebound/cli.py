@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -332,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run_oracle_subcommand(argv: list[str]) -> int:
     # unadvertised helper for ad-hoc verification of the enumeration side
     parser = argparse.ArgumentParser(prog="heckebound oracle")
-    parser.add_argument("kind", choices=("GL", "SL", "U", "Sp", "GSp_modN"))
+    parser.add_argument("kind", choices=("GL", "U", "Sp", "GSp_modN"))
     parser.add_argument("m", type=int)
     parser.add_argument("q", type=int, help="field size, or the level for GSp_modN")
     parser.add_argument("--classes-mod", type=int, default=None, metavar="P",
@@ -349,6 +350,22 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
         )
     print(json.dumps(out, indent=2))
     return EXIT_OK
+
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int<->str digit limit (3.10.7 and later) for the
+    block: a bound can have far more than the default 4300 digits."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as exc:  # bad UTF-8, or an over-long integer literal
+        print(f"error: cannot parse config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = parse_config(
@@ -382,17 +402,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        records, status = compute_records(config)
-    except InternalCheckError as exc:
-        print(f"internal fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-
-    text = (
-        render_json(records)
-        if config.output_format == "json"
-        else render_csv(records)
-    )
+    with _unlimited_int_digits():
+        try:
+            records, status = compute_records(config)
+        except InternalCheckError as exc:
+            print(f"internal fault: {exc}", file=sys.stderr)
+            return EXIT_FAULT
+        text = (
+            render_json(records)
+            if config.output_format == "json"
+            else render_csv(records)
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -13,7 +13,6 @@ from .numberfield import ShimuraSetting, split_prime
 
 __all__ = [
     "gl_order",
-    "sl_order",
     "unitary_order",
     "sp_order",
     "level_group_order",
@@ -32,13 +31,6 @@ def gl_order(m: int, q: int) -> int:
     for j in range(1, m + 1):
         order *= q**j - 1
     return order
-
-
-def sl_order(m: int, q: int) -> int:
-    """|SL_m(F_q)| = |GL_m(F_q)| / (q - 1)."""
-    order = gl_order(m, q)
-    assert order % (q - 1) == 0
-    return order // (q - 1)
 
 
 def unitary_order(m: int, q: int) -> int:
@@ -92,7 +84,6 @@ class LeviData:
     """Structure constants of the reductive group whose F_p-points form
     the residual automorphism group at a superspecial point."""
 
-    setting: ShimuraSetting
     semisimple_rank: int
     center_order: int
     sylow_exponent: int
@@ -107,7 +98,6 @@ def levi_data(setting: ShimuraSetting) -> LeviData:
     for v in inside:
         center *= v.residue_cardinality + 1
     return LeviData(
-        setting=setting,
         semisimple_rank=d * (m - 1),
         center_order=center,
         sylow_exponent=d * m * (m - 1) // 2,

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from math import gcd
 
-from .arith import factorize, is_prime
+from .arith import InternalCheckError, factorize, is_prime
 from .groups import dim_bound, irr_count
 from .numberfield import ShimuraSetting
 
@@ -25,7 +25,6 @@ __all__ = [
     "FqMatrixGroup",
     "enumerate_group",
     "enumerate_gl",
-    "enumerate_sl",
     "enumerate_unitary",
     "enumerate_sp",
     "enumerate_gsp_modn",
@@ -36,7 +35,13 @@ __all__ = [
     "verify_setting_with_oracle",
 ]
 
+# Budgets, read at call time: candidates charged per enumeration, group
+# elements stored by enumerate_sp, the largest group verify_setting_with_oracle
+# checks, and the size up to which verify_closure tries every pair.
 DEFAULT_CAP = 10_000_000
+MATERIALIZE_LIMIT = 200_000
+MAX_VERIFIED_ORDER = 100_000
+EXHAUSTIVE_CLOSURE_LIMIT = 1500
 
 MAX_FIELD_ORDER = 49
 MAX_FIELD_CHAR = 7
@@ -84,7 +89,7 @@ def _find_irreducible(p, e):
         poly = list(tail) + [1]
         if _is_irreducible(poly, p):
             return poly
-    raise AssertionError(f"no irreducible polynomial of degree {e} over F_{p}")
+    raise InternalCheckError(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 class SmallField:
@@ -172,29 +177,45 @@ class SmallField:
         q = self.order
         add, mul = self.add, self.mul
         rng = range(q)
+
+        def fail(axiom):
+            raise InternalCheckError(f"{self!r}: {axiom} fails")
+
         for a in rng:
-            assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+            if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
+                fail("identity law")
             for b in rng:
-                assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
+                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
+                    fail("commutativity")
         for a in rng:
             for b in rng:
                 ab, mab = add[a][b], mul[a][b]
                 for c in rng:
-                    assert add[ab][c] == add[a][add[b][c]]
-                    assert mul[mab][c] == mul[a][mul[b][c]]
-                    assert mul[a][add[b][c]] == add[mab][mul[a][c]]
+                    if (
+                        add[ab][c] != add[a][add[b][c]]
+                        or mul[mab][c] != mul[a][mul[b][c]]
+                        or mul[a][add[b][c]] != add[mab][mul[a][c]]
+                    ):
+                        fail("associativity or distributivity")
         for a in range(1, q):
-            assert mul[a][self.inv[a]] == 1
+            if mul[a][self.inv[a]] != 1:
+                fail("inverse law")
         if self.frob is not None:
+            frob = self.frob
             fixed = 0
             for a in rng:
-                assert self.frob[self.frob[a]] == a
-                if self.frob[a] == a:
+                if frob[frob[a]] != a:
+                    fail("involutivity of the automorphism")
+                if frob[a] == a:
                     fixed += 1
                 for b in rng:
-                    assert self.frob[add[a][b]] == add[self.frob[a]][self.frob[b]]
-                    assert self.frob[mul[a][b]] == mul[self.frob[a]][self.frob[b]]
-            assert fixed == self.p ** (self.e // 2)
+                    if (
+                        frob[add[a][b]] != add[frob[a]][frob[b]]
+                        or frob[mul[a][b]] != mul[frob[a]][frob[b]]
+                    ):
+                        fail("additivity or multiplicativity of the automorphism")
+            if fixed != self.p ** (self.e // 2):
+                fail("fixed-field size")
 
     def __repr__(self):
         return f"SmallField({self.p}^{self.e})"
@@ -277,18 +298,14 @@ def _hermitian_dot(f: SmallField, u: tuple, v: tuple) -> int:
 # enumerated groups
 # ---------------------------------------------------------------------------
 
-_DIRECT_ORBIT_LIMIT = 1024
-
-
 class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of tuples of
     matrices with a shared similitude unit).
 
-    Conjugacy classes are computed by explicit orbit partition; above
-    _DIRECT_ORBIT_LIMIT elements the orbits are grown from a generating
-    set instead, which produces the identical partition at a fraction of
-    the products (the generating set is certified by closing it and
-    comparing against the full element list).
+    Conjugacy classes are orbits grown from a generating set under
+    conjugation by the generators and their inverses.  The generating
+    set is certified by closing it and comparing against the full
+    element list.
     """
 
     def __init__(self, descriptor: str, elements, mul, identity):
@@ -298,9 +315,9 @@ class FqMatrixGroup:
         self.identity = identity
         self._elements_set = set(self.elements)
         if len(self._elements_set) != len(self.elements):
-            raise AssertionError(f"{descriptor}: duplicate elements enumerated")
+            raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
         if identity not in self._elements_set:
-            raise AssertionError(f"{descriptor}: identity not in element set")
+            raise InternalCheckError(f"{descriptor}: identity not in element set")
         self._order_cache: dict = {}
         self._classes = None
 
@@ -321,7 +338,7 @@ class FqMatrixGroup:
             y = self._mul(y, x)
             n += 1
             if n > len(self.elements):
-                raise AssertionError(f"{self.descriptor}: element has no finite order")
+                raise InternalCheckError(f"{self.descriptor}: element has no finite order")
         self._order_cache[x] = n
         return n
 
@@ -332,11 +349,12 @@ class FqMatrixGroup:
             y = self._mul(y, x)
         return y
 
-    def verify_closure(self, exhaustive_limit: int = 1500) -> None:
+    def verify_closure(self) -> None:
         """Check the group axioms on the enumerated set, exhaustively up
-        to exhaustive_limit elements and on a deterministic slice above."""
+        to EXHAUSTIVE_CLOSURE_LIMIT elements and on a deterministic slice
+        above."""
         elems = self.elements
-        if len(elems) <= exhaustive_limit:
+        if len(elems) <= EXHAUSTIVE_CLOSURE_LIMIT:
             pairs = itertools.product(elems, elems)
         else:
             step = len(elems) // 200 or 1
@@ -344,10 +362,10 @@ class FqMatrixGroup:
             pairs = itertools.product(sample, sample)
         for a, b in pairs:
             if self._mul(a, b) not in self._elements_set:
-                raise AssertionError(f"{self.descriptor}: not closed under product")
-        for a in elems[:exhaustive_limit]:
+                raise InternalCheckError(f"{self.descriptor}: not closed under product")
+        for a in elems[:EXHAUSTIVE_CLOSURE_LIMIT]:
             if self.inverse(a) not in self._elements_set:
-                raise AssertionError(f"{self.descriptor}: not closed under inverse")
+                raise InternalCheckError(f"{self.descriptor}: not closed under inverse")
 
     def _generating_set(self) -> list:
         gens: list = []
@@ -370,7 +388,7 @@ class FqMatrixGroup:
                         queue.append(b)
                 processed[a] = len(gens)
         if closure_set != self._elements_set:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"{self.descriptor}: generated closure does not match the "
                 "enumerated element set"
             )
@@ -379,43 +397,32 @@ class FqMatrixGroup:
     def conjugacy_classes(self) -> list[list]:
         if self._classes is not None:
             return self._classes
-        if self.order <= _DIRECT_ORBIT_LIMIT:
-            inverses = {g: self.inverse(g) for g in self.elements}
-            assigned = set()
-            classes = []
-            for x in self.elements:
-                if x in assigned:
-                    continue
-                orbit = {
-                    self._mul(self._mul(g, x), inverses[g]) for g in self.elements
-                }
-                assigned |= orbit
-                classes.append(sorted(orbit))
-        else:
-            gens = self._generating_set()
-            conjugators = [(g, self.inverse(g)) for g in gens]
-            conjugators += [(gi, g) for g, gi in conjugators[: len(gens)]]
-            assigned = set()
-            classes = []
-            for x in self.elements:
-                if x in assigned:
-                    continue
-                orbit = {x}
-                frontier = [x]
-                while frontier:
-                    y = frontier.pop()
-                    for g, gi in conjugators:
-                        z = self._mul(self._mul(g, y), gi)
-                        if z not in orbit:
-                            orbit.add(z)
-                            frontier.append(z)
-                assigned |= orbit
-                classes.append(sorted(orbit))
+        gens = self._generating_set()
+        conjugators = [(g, self.inverse(g)) for g in gens]
+        conjugators += [(gi, g) for g, gi in conjugators]
+        assigned = set()
+        classes = []
+        for x in self.elements:
+            if x in assigned:
+                continue
+            orbit = {x}
+            frontier = [x]
+            while frontier:
+                y = frontier.pop()
+                for g, gi in conjugators:
+                    z = self._mul(self._mul(g, y), gi)
+                    if z not in orbit:
+                        orbit.add(z)
+                        frontier.append(z)
+            assigned |= orbit
+            classes.append(sorted(orbit))
         self._classes = classes
         return classes
 
 
-def _charge(counter: list, amount: int, cap: int, what: str):
+def _charge(counter: list, amount: int, what: str, cap: int | None = None):
+    if cap is None:
+        cap = DEFAULT_CAP
     counter[0] += amount
     if counter[0] > cap:
         raise StateSpaceError(
@@ -423,36 +430,30 @@ def _charge(counter: list, amount: int, cap: int, what: str):
         )
 
 
-def enumerate_gl(m: int, q: int, cap: int = DEFAULT_CAP) -> FqMatrixGroup:
-    f = field_of_order(q)
-    counter = [0]
-    _charge(counter, q ** (m * m), cap, f"GL_{m}(F_{q})")
-    elems = []
-    for entries in itertools.product(range(q), repeat=m * m):
+def _invertible_matrices(f: SmallField, m: int) -> list[tuple]:
+    """Every m x m matrix over f with nonzero determinant; the caller
+    charges the f.order^(m*m) candidates."""
+    out = []
+    for entries in itertools.product(range(f.order), repeat=m * m):
         a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
         if mat_det(f, a) != 0:
-            elems.append(a)
-    return FqMatrixGroup(
-        f"GL_{m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(m)
-    )
+            out.append(a)
+    return out
 
 
-def enumerate_sl(m: int, q: int, cap: int = DEFAULT_CAP) -> FqMatrixGroup:
+def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     f = field_of_order(q)
-    counter = [0]
-    _charge(counter, q ** (m * m), cap, f"SL_{m}(F_{q})")
-    elems = []
-    for entries in itertools.product(range(q), repeat=m * m):
-        a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
-        if mat_det(f, a) == 1:
-            elems.append(a)
+    _charge([0], q ** (m * m), f"GL_{m}(F_{q})")
     return FqMatrixGroup(
-        f"SL_{m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(m)
+        f"GL_{m}(F_{q})",
+        _invertible_matrices(f, m),
+        lambda a, b: mat_mul(f, a, b),
+        mat_identity(m),
     )
 
 
 def _hermitian_matrices(
-    f: SmallField, m: int, targets: list[int], cap: int, what: str
+    f: SmallField, m: int, targets: list[int], what: str
 ) -> dict[int, list[tuple]]:
     """All A with A^t conj(A) = t*I for each t in targets, via depth-first
     search over column tuples: every column has hermitian norm t and the
@@ -460,7 +461,7 @@ def _hermitian_matrices(
     from det(A) conj(det(A)) = t^m != 0."""
     q2 = f.order
     counter = [0]
-    _charge(counter, q2**m, cap, what)
+    _charge(counter, q2**m, what)
     columns = list(itertools.product(range(q2), repeat=m))
     by_norm: dict[int, list[tuple]] = {}
     for c in columns:
@@ -476,7 +477,7 @@ def _hermitian_matrices(
                 solutions.append(tuple(zip(*chosen)))  # columns -> rows
                 return
             for c in pool:
-                _charge(counter, 1, cap, what)
+                _charge(counter, 1, what)
                 if all(_hermitian_dot(f, c, prev) == 0 for prev in chosen):
                     extend(chosen + [c])
 
@@ -485,14 +486,14 @@ def _hermitian_matrices(
     return out
 
 
-def enumerate_unitary(m: int, q: int, cap: int = DEFAULT_CAP) -> FqMatrixGroup:
+def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
     """The isometry group of the standard hermitian form on F_{q^2}^m."""
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, e = fac[0]
     f = small_field(p, 2 * e)
-    elems = _hermitian_matrices(f, m, [f.one], cap, f"U_{m}(F_{q})")[f.one]
+    elems = _hermitian_matrices(f, m, [f.one], f"U_{m}(F_{q})")[f.one]
     return FqMatrixGroup(
         f"U_{m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(m)
     )
@@ -501,7 +502,7 @@ def enumerate_unitary(m: int, q: int, cap: int = DEFAULT_CAP) -> FqMatrixGroup:
 # --- symplectic groups ------------------------------------------------------
 
 
-def _symplectic_masks(f: SmallField, m: int, cap: int):
+def _symplectic_masks(f: SmallField, m: int):
     """For every vector of F_q^(2m), bitmasks of the vectors pairing to
     0 and to 1 under the standard alternating form
     <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k})."""
@@ -509,7 +510,7 @@ def _symplectic_masks(f: SmallField, m: int, cap: int):
     n = 2 * m
     big_q = q**n
     counter = [0]
-    _charge(counter, big_q * big_q, cap, f"Sp_{n}(F_{q})")
+    _charge(counter, big_q * big_q, f"Sp_{n}(F_{q})")
     vectors = list(itertools.product(range(q), repeat=n))
     mul, add, neg = f.mul, f.add, f.neg
     # J-twisted partner: <u, v> = (Ju) . v as a plain dot product
@@ -547,13 +548,13 @@ def _iter_bits(mask: int):
         mask ^= lsb
 
 
-def count_symplectic_matrices(m: int, q: int, cap: int = DEFAULT_CAP) -> int:
+def count_symplectic_matrices(m: int, q: int) -> int:
     """|Sp_2m(F_q)| by exhaustive depth-first enumeration of ordered
     symplectic bases (each basis is the column list of exactly one
     group element, so leaves of the search tree biject with matrices).
     Nothing is stored; the candidate budget counts the leaves."""
     f = field_of_order(q)
-    _, zero_masks, one_masks = _symplectic_masks(f, m, cap)
+    _, zero_masks, one_masks = _symplectic_masks(f, m)
     big_q = q ** (2 * m)
     counter = [0]
 
@@ -562,7 +563,7 @@ def count_symplectic_matrices(m: int, q: int, cap: int = DEFAULT_CAP) -> int:
             total = 0
             for i in _iter_bits(avail):
                 total += (one_masks[i] & avail).bit_count()
-            _charge(counter, total, cap, f"Sp_{2*m}(F_{q})")
+            _charge(counter, total, f"Sp_{2*m}(F_{q})")
             return total
         total = 0
         for i in _iter_bits(avail):
@@ -574,24 +575,19 @@ def count_symplectic_matrices(m: int, q: int, cap: int = DEFAULT_CAP) -> int:
     return count((1 << big_q) - 1, m)
 
 
-MATERIALIZE_LIMIT = 200_000
-
-
-def enumerate_sp(
-    m: int, q: int, cap: int = DEFAULT_CAP, materialize_limit: int = MATERIALIZE_LIMIT
-) -> FqMatrixGroup:
-    """Sp_2m(F_q) with elements materialized; use
-    count_symplectic_matrices for orders too large to store."""
+def enumerate_sp(m: int, q: int) -> FqMatrixGroup:
+    """Sp_2m(F_q) with at most MATERIALIZE_LIMIT elements materialized;
+    use count_symplectic_matrices for orders too large to store."""
     f = field_of_order(q)
-    vectors, zero_masks, one_masks = _symplectic_masks(f, m, cap)
+    vectors, zero_masks, one_masks = _symplectic_masks(f, m)
     big_q = q ** (2 * m)
     counter = [0]
-    store_cap = min(cap, materialize_limit)
+    store_cap = min(DEFAULT_CAP, MATERIALIZE_LIMIT)
     elems: list[tuple] = []
 
     def extend(avail: int, chosen: list):
         if len(chosen) == 2 * m:
-            _charge(counter, 1, store_cap, f"Sp_{2*m}(F_{q})")
+            _charge(counter, 1, f"Sp_{2*m}(F_{q})", store_cap)
             elems.append(tuple(zip(*chosen)))
             return
         for i in _iter_bits(avail):
@@ -617,12 +613,11 @@ def _zmod_mat_mul(n: int, a: tuple, b: tuple) -> tuple:
     )
 
 
-def enumerate_gsp_modn(m: int, level: int, cap: int = DEFAULT_CAP) -> FqMatrixGroup:
+def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     """Symplectic similitude matrices over Z/NZ: g^t J g = c J for a
     unit c, with J the block-diagonal alternating form."""
     n = 2 * m
-    counter = [0]
-    _charge(counter, level ** (n * n), cap, f"GSp_{n}(Z/{level})")
+    _charge([0], level ** (n * n), f"GSp_{n}(Z/{level})")
     jmat = [[0] * n for _ in range(n)]
     for k in range(m):
         jmat[2 * k][2 * k + 1] = 1
@@ -649,9 +644,7 @@ def enumerate_gsp_modn(m: int, level: int, cap: int = DEFAULT_CAP) -> FqMatrixGr
 # --- the residual automorphism group of a validated setting -----------------
 
 
-def enumerate_similitude_product(
-    setting: ShimuraSetting, cap: int = DEFAULT_CAP
-) -> FqMatrixGroup:
+def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     """The finite group attached to a superspecial point of a validated
     setting: tuples ((A_v)_v, r) with r a unit mod p, A_v unrestricted
     invertible at places of even residue degree, and A_v^t conj(A_v) = r*I
@@ -673,18 +666,11 @@ def enumerate_similitude_product(
     for v in setting.places_over_p:
         if v in inside:
             pools.append(
-                _hermitian_matrices(
-                    f, m, units, cap, f"similitude factor over {v!r}"
-                )
+                _hermitian_matrices(f, m, units, f"similitude factor over {v!r}")
             )
         else:
-            q2 = f.order
-            _charge(counter, q2 ** (m * m), cap, f"linear factor over {v!r}")
-            full = []
-            for entries in itertools.product(range(q2), repeat=m * m):
-                a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
-                if mat_det(f, a) != 0:
-                    full.append(a)
+            _charge(counter, f.order ** (m * m), f"linear factor over {v!r}")
+            full = _invertible_matrices(f, m)
             pools.append({r: full for r in units})
 
     elems = []
@@ -693,7 +679,7 @@ def enumerate_similitude_product(
         size = 1
         for block in per_place:
             size *= len(block)
-        _charge(counter, size, cap, "similitude product assembly")
+        _charge(counter, size, "similitude product assembly")
         for combo in itertools.product(*per_place):
             elems.append((combo, r))
 
@@ -717,23 +703,20 @@ def enumerate_similitude_product(
 # ---------------------------------------------------------------------------
 
 _DESCRIPTORS = {
-    "GL": lambda cap, m, q: enumerate_gl(m, q, cap),
-    "SL": lambda cap, m, q: enumerate_sl(m, q, cap),
-    "U": lambda cap, m, q: enumerate_unitary(m, q, cap),
-    "Sp": lambda cap, m, q: enumerate_sp(m, q, cap),
-    "GSp_modN": lambda cap, m, level: enumerate_gsp_modn(m, level, cap),
-    "similitude_product": lambda cap, setting: enumerate_similitude_product(
-        setting, cap
-    ),
+    "GL": enumerate_gl,
+    "U": enumerate_unitary,
+    "Sp": enumerate_sp,
+    "GSp_modN": enumerate_gsp_modn,
+    "similitude_product": enumerate_similitude_product,
 }
 
 
-def enumerate_group(descriptor: str, *, cap: int = DEFAULT_CAP, **params):
-    """Enumerate a group by descriptor: GL, SL, U, Sp (with m and q),
+def enumerate_group(descriptor: str, **params):
+    """Enumerate a group by descriptor: GL, U, Sp (with m and q),
     GSp_modN (with m and level), or similitude_product (with setting)."""
     if descriptor not in _DESCRIPTORS:
         raise ValueError(f"unknown descriptor {descriptor!r}")
-    return _DESCRIPTORS[descriptor](cap, **params)
+    return _DESCRIPTORS[descriptor](**params)
 
 
 def p_regular_class_count(group: FqMatrixGroup, p: int) -> int:
@@ -756,11 +739,7 @@ def sylow_p_order(group: FqMatrixGroup, p: int) -> int:
     return result
 
 
-def verify_setting_with_oracle(
-    setting: ShimuraSetting,
-    cap: int = DEFAULT_CAP,
-    max_group_order: int = 100_000,
-) -> dict:
+def verify_setting_with_oracle(setting: ShimuraSetting) -> dict:
     """Cross-check the closed-form irreducible count and Sylow dimension
     bound against the enumerated residual group of the setting.
 
@@ -768,14 +747,14 @@ def verify_setting_with_oracle(
     {"verified": False, "skipped": reason} when the instance does not
     fit the enumeration budget."""
     try:
-        group = enumerate_similitude_product(setting, cap=cap)
+        group = enumerate_similitude_product(setting)
     except StateSpaceError as exc:
         return {"verified": False, "skipped": str(exc)}
-    if group.order > max_group_order:
+    if group.order > MAX_VERIFIED_ORDER:
         return {
             "verified": False,
             "skipped": f"residual group order {group.order} exceeds "
-            f"{max_group_order}",
+            f"{MAX_VERIFIED_ORDER}",
         }
     ok = (
         p_regular_class_count(group, setting.p) == irr_count(setting)

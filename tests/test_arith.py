@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
+import heckebound.arith as arith
 from heckebound.arith import (
+    InternalCheckError,
     QuadraticCharacter,
     bernoulli,
     bernoulli_polynomial,
@@ -115,6 +117,14 @@ def test_character_validation():
     assert QuadraticCharacter.trivial().is_trivial
 
 
+def test_character_is_an_immutable_value():
+    chi = QuadraticCharacter(5)
+    assert chi == QuadraticCharacter(5) != QuadraticCharacter(8)
+    assert len({chi, QuadraticCharacter(5), QuadraticCharacter(8)}) == 2
+    with pytest.raises(AttributeError):
+        chi.discriminant = 8
+
+
 def test_generalized_bernoulli_values():
     chi5 = QuadraticCharacter(5)
     assert generalized_bernoulli(2, chi5) == Fraction(4, 5)
@@ -186,6 +196,15 @@ def test_zeta_sign_law():
             value = zeta_special_value(fld, j)
             assert value != 0
             assert (value > 0) == ((d * j) % 2 == 0), (fld, j)
+
+
+def test_zeta_sign_violation_raises_internal_check_error(monkeypatch):
+    # B_4 with the wrong sign makes zeta(-3) negative; the check must
+    # raise a real exception, which python -O cannot strip
+    monkeypatch.setattr(arith, "bernoulli", lambda n: Fraction(1, 30))
+    with pytest.raises(InternalCheckError, match="sign violated") as info:
+        zeta_special_value(FieldSpec.rationals(), 2)
+    assert not isinstance(info.value, AssertionError)
 
 
 def test_zeta_rejects_bad_index():

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+import heckebound.oracle as oracle_mod
 from heckebound.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
+    EXIT_FAULT,
     EXIT_OK,
     ConfigError,
     compute_records,
@@ -164,6 +167,50 @@ def test_oracle_check_inline(tmp_path):
     rec = json.loads(text)[0]
     assert rec["oracle"]["verified"] is False
     assert "skipped" in rec["oracle"]
+
+
+def test_oracle_fault_exits_with_fault_code(tmp_path, monkeypatch, capsys):
+    # a zero "identity" is not a group element: the oracle's own check fires
+    monkeypatch.setattr(oracle_mod, "mat_identity", lambda m: ((0,) * m,) * m)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SIEGEL_DOC))
+    assert main([str(cfg), "--oracle-check"]) == EXIT_FAULT
+    assert "identity not in element set" in capsys.readouterr().err
+
+
+def test_integer_literal_past_digit_limit_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        '{"field": {"kind": "rational"}, "m": 1, "N": 3, "p": 1' + "0" * 4999 + "}"
+    )
+    assert main([str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    assert main([str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bound_past_digit_limit_renders(tmp_path):
+    doc = {"field": {"kind": "rational"}, "m": 30, "N": 3, "p": 1000000007}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    status, text = run_cli(tmp_path, doc)
+    assert status == EXIT_OK
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    rec = json.loads(text)[0]
+    assert len(rec["final_bound"]) > 4300
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        product = int(rec["mass"]) * int(rec["irr_count"]) * int(rec["dim_bound"])
+        assert int(rec["final_bound"]) == product
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_quadratic_field_config(tmp_path):

@@ -8,7 +8,6 @@ from heckebound.groups import (
     irr_count,
     level_group_order,
     levi_data,
-    sl_order,
     sp_order,
     unitary_order,
 )
@@ -31,12 +30,6 @@ def test_gl_order_values():
         assert gl_order(1, q) == q - 1
 
 
-def test_sl_order_values():
-    assert sl_order(2, 2) == 6
-    assert sl_order(2, 3) == 24
-    assert sl_order(2, 9) == 720
-
-
 def test_unitary_order_values():
     assert unitary_order(1, 3) == 4
     assert unitary_order(2, 2) == 18
@@ -51,7 +44,7 @@ def test_sp_order_values():
     assert sp_order(2, 2) == 720
     # Sp_2 = SL_2
     for q in (2, 3, 4, 5, 7, 9):
-        assert sp_order(1, q) == sl_order(2, q)
+        assert sp_order(1, q) == gl_order(2, q) // (q - 1)
 
 
 def test_order_preconditions():

@@ -1,11 +1,12 @@
 import pytest
 
+import heckebound.oracle as oracle_mod
+from heckebound.arith import InternalCheckError
 from heckebound.groups import (
     dim_bound,
     gl_order,
     irr_count,
     level_group_order,
-    sl_order,
     sp_order,
     unitary_order,
 )
@@ -18,7 +19,6 @@ from heckebound.oracle import (
     enumerate_group,
     enumerate_gsp_modn,
     enumerate_similitude_product,
-    enumerate_sl,
     enumerate_sp,
     enumerate_unitary,
     p_regular_class_count,
@@ -70,11 +70,6 @@ def test_gl_enumeration_matches_formula(m, q):
     assert enumerate_gl(m, q).order == gl_order(m, q)
 
 
-@pytest.mark.parametrize("m,q", [(2, 2), (2, 3)])
-def test_sl_enumeration_matches_formula(m, q):
-    assert enumerate_sl(m, q).order == sl_order(m, q)
-
-
 @pytest.mark.parametrize("m,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2),
                                  (2, 3), (3, 2)])
 def test_unitary_enumeration_matches_formula(m, q):
@@ -107,18 +102,21 @@ def test_enumerate_group_dispatch():
     assert g.order == 8
     with pytest.raises(ValueError):
         enumerate_group("nope", m=1, q=2)
+    with pytest.raises(ValueError):
+        enumerate_group("SL", m=2, q=2)
 
 
 # --- guards ------------------------------------------------------------------
 
 
-def test_state_space_guard():
+def test_state_space_guard(monkeypatch):
     with pytest.raises(StateSpaceError):
         enumerate_gl(3, 7)  # 7^9 candidates
     with pytest.raises(StateSpaceError):
         count_symplectic_matrices(3, 3)  # |Sp_6(F_3)| ~ 9e9 leaves
-    with pytest.raises(StateSpaceError):
-        enumerate_sp(2, 3, materialize_limit=1000)
+    monkeypatch.setattr(oracle_mod, "MATERIALIZE_LIMIT", 1000)
+    with pytest.raises(StateSpaceError, match="1000 budget"):
+        enumerate_sp(2, 3)  # 51840 elements to store
     with pytest.raises(StateSpaceError):
         enumerate_similitude_product(setting(Q, 1, 3, 11))  # char > 7
 
@@ -146,6 +144,14 @@ def test_conjugacy_partition_sanity():
         assert sum(sizes) == group.order
         for size in sizes:
             assert group.order % size == 0
+
+
+def test_group_faults_raise_internal_check_error():
+    identity = ((1,),)
+    with pytest.raises(InternalCheckError, match="duplicate"):
+        FqMatrixGroup("doubled", [identity, identity], lambda a, b: a, identity)
+    with pytest.raises(InternalCheckError, match="identity"):
+        FqMatrixGroup("no identity", [((2,),)], lambda a, b: a, identity)
 
 
 def test_trivial_group_class_count():
@@ -206,19 +212,30 @@ def test_irr_and_sylow_cross_checks(fld, m, level, p):
     assert sylow_p_order(group, p) == dim_bound(s)
 
 
-def test_generating_set_path_matches_direct_orbits():
-    # same group through both conjugacy strategies
-    s = setting(Q, 2, 4, 3)
-    direct = enumerate_similitude_product(s)
-    assert direct.order == 192
-    via_gens = enumerate_similitude_product(s)
-    import heckebound.oracle as oracle_mod
+def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
+    """Reference partition: the orbit of x is {g x g^-1 : g in G}, with
+    every element of G as a conjugator (O(|G|^2) products)."""
+    inverses = {g: group.inverse(g) for g in group.elements}
+    assigned = set()
+    classes = []
+    for x in group.elements:
+        if x in assigned:
+            continue
+        orbit = {group.mul(group.mul(g, x), inverses[g]) for g in group.elements}
+        assigned |= orbit
+        classes.append(sorted(orbit))
+    return classes
 
-    old = oracle_mod._DIRECT_ORBIT_LIMIT
-    oracle_mod._DIRECT_ORBIT_LIMIT = 1
-    try:
-        gen_classes = via_gens.conjugacy_classes()
-    finally:
-        oracle_mod._DIRECT_ORBIT_LIMIT = old
-    direct_classes = direct.conjugacy_classes()
-    assert sorted(map(tuple, gen_classes)) == sorted(map(tuple, direct_classes))
+
+def test_generating_set_path_matches_direct_orbits():
+    for fld, m, level, p, order in (
+        (Q, 1, 3, 5, 24),
+        (Q, 2, 3, 2, 18),
+        (Q, 2, 4, 3, 192),
+        (R5, 2, 3, 2, 180),
+    ):
+        group = enumerate_similitude_product(setting(fld, m, level, p))
+        assert group.order == order
+        via_gens = group.conjugacy_classes()
+        direct = direct_conjugacy_classes(group)
+        assert sorted(map(tuple, via_gens)) == sorted(map(tuple, direct)), order
