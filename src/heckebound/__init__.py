@@ -23,12 +23,10 @@ from .bounds import (
     superspecial_mass,
 )
 from .groups import (
-    LeviData,
     dim_bound,
     gl_order,
     irr_count,
     level_group_order,
-    levi_data,
     sp_order,
     unitary_order,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "final_bound",
     "siegel_bound",
     "superspecial_mass",
-    "LeviData",
     "dim_bound",
     "gl_order",
     "irr_count",
     "level_group_order",
-    "levi_data",
     "sp_order",
     "unitary_order",
     "FieldSpec",

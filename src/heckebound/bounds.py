@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (
-    InternalCheckError,
-    bernoulli,
-    euler_phi,
-    factorize,
-    is_prime,
-    zeta_special_value,
-)
+from .arith import InternalCheckError, bernoulli, factorize, is_prime
 from .groups import dim_bound, irr_count, level_group_order, sp_order
 from .numberfield import SettingError, ShimuraSetting
 
@@ -72,8 +65,7 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
     sign), which is checked.
     """
     value = _sign_factor(setting)
-    for i in range(1, setting.m + 1):
-        term = zeta_special_value(setting.field, i)
+    for i, term in enumerate(setting.quaternion.zeta_values, start=1):
         for v in setting.delta_prime_away:
             term *= v.residue_cardinality**i + (-1) ** i
         value *= term
@@ -85,8 +77,7 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
 def _mass_rational(setting: ShimuraSetting) -> Fraction:
     inside, outside = setting.split_places_over_p()
     value = Fraction(level_group_order(setting)) * _sign_factor(setting)
-    for j in range(1, setting.m + 1):
-        term = zeta_special_value(setting.field, j)
+    for j, term in enumerate(setting.quaternion.zeta_values, start=1):
         # the divisor part runs over the whole derived discriminant,
         # both over p and away from p
         for v in list(inside) + list(setting.delta_prime_away):
@@ -155,9 +146,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
         )
     return BoundReport(
         setting=setting,
-        zeta_values=tuple(
-            zeta_special_value(setting.field, j) for j in range(1, m + 1)
-        ),
+        zeta_values=setting.quaternion.zeta_values,
         constant=constant,
         level_group_order=group_order,
         mass=mass,
@@ -193,7 +182,7 @@ def siegel_bound(m: int, level: int, p: int) -> int:
     gsp = 1
     for ell, a in factorize(level):
         gsp *= (
-            euler_phi(ell**a)
+            ell ** (a - 1) * (ell - 1)
             * sp_order(m, ell)
             * ell ** ((a - 1) * (2 * m * m + m))
         )

@@ -211,22 +211,30 @@ def compute_records(config: RunConfig) -> tuple[list[dict], int]:
     records = []
     successes = 0
     fault = False
+    # the quaternion datum and its zeta tuple do not depend on p; an error
+    # in the datum is recorded for every prime, ahead of the per-p checks
+    quaternion, quaternion_error = None, None
+    try:
+        quaternion = QuaternionData(
+            field=config.field,
+            ramified_places=resolve_ramification(config.field, config.ramification),
+            m=config.m,
+        )
+    except SettingError as exc:
+        quaternion_error = exc
     for p in config.primes():
         if config.verbose:
             print(f"computing p = {p} ...", file=sys.stderr)
-        try:
-            quaternion = QuaternionData(
-                field=config.field,
-                ramified_places=resolve_ramification(
-                    config.field, config.ramification
-                ),
-                m=config.m,
-            )
-            setting = validate_setting(quaternion, config.level, p)
-        except SettingError as exc:
+        error = quaternion_error
+        if error is None:
+            try:
+                setting = validate_setting(quaternion, config.level, p)
+            except SettingError as exc:
+                error = exc
+        if error is not None:
             if config.verbose:
-                print(f"  skipped: {exc}", file=sys.stderr)
-            records.append(_error_record(config, p, exc))
+                print(f"  skipped: {error}", file=sys.stderr)
+            records.append(_error_record(config, p, error))
             continue
         record = _report_record(config, final_bound(setting))
         oracle_result = record.get("oracle")
@@ -339,15 +347,19 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
     parser.add_argument("--classes-mod", type=int, default=None, metavar="P",
                         help="also report the number of P-regular classes")
     args = parser.parse_args(argv)
-    if args.kind == "GSp_modN":
-        group = oracle_mod.enumerate_group(args.kind, m=args.m, level=args.q)
-    else:
-        group = oracle_mod.enumerate_group(args.kind, m=args.m, q=args.q)
-    out = {"descriptor": group.descriptor, "order": group.order}
-    if args.classes_mod:
-        out["p_regular_classes"] = oracle_mod.p_regular_class_count(
-            group, args.classes_mod
-        )
+    try:
+        if args.kind == "GSp_modN":
+            group = oracle_mod.enumerate_group(args.kind, m=args.m, level=args.q)
+        else:
+            group = oracle_mod.enumerate_group(args.kind, m=args.m, q=args.q)
+        out = {"descriptor": group.descriptor, "order": group.order}
+        if args.classes_mod:
+            out["p_regular_classes"] = oracle_mod.p_regular_class_count(
+                group, args.classes_mod
+            )
+    except (ValueError, oracle_mod.StateSpaceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

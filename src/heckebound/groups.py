@@ -6,9 +6,7 @@ Sylow dimension bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import euler_phi, factorize
+from .arith import factorize
 from .numberfield import ShimuraSetting, split_prime
 
 __all__ = [
@@ -16,8 +14,6 @@ __all__ = [
     "unitary_order",
     "sp_order",
     "level_group_order",
-    "LeviData",
-    "levi_data",
     "irr_count",
     "dim_bound",
 ]
@@ -71,37 +67,12 @@ def level_group_order(setting: ShimuraSetting) -> int:
     lift_dim = 2 * m * m + m
     order = 1
     for ell, a in factorize(setting.level):
-        local = euler_phi(ell**a)
+        local = ell ** (a - 1) * (ell - 1)
         for w in split_prime(setting.field, ell):
             qw = w.residue_cardinality
             local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
         order *= local
     return order
-
-
-@dataclass(frozen=True)
-class LeviData:
-    """Structure constants of the reductive group whose F_p-points form
-    the residual automorphism group at a superspecial point."""
-
-    semisimple_rank: int
-    center_order: int
-    sylow_exponent: int
-
-
-def levi_data(setting: ShimuraSetting) -> LeviData:
-    d, m, p = setting.degree, setting.m, setting.p
-    inside, outside = setting.split_places_over_p()
-    center = p - 1
-    for v in outside:
-        center *= v.residue_cardinality - 1
-    for v in inside:
-        center *= v.residue_cardinality + 1
-    return LeviData(
-        semisimple_rank=d * (m - 1),
-        center_order=center,
-        sylow_exponent=d * m * (m - 1) // 2,
-    )
 
 
 def irr_count(setting: ShimuraSetting) -> int:
@@ -115,13 +86,19 @@ def irr_count(setting: ShimuraSetting) -> int:
     number of p-regular conjugacy classes (the enumeration oracle
     verifies that on every small instance).
     """
-    data = levi_data(setting)
-    return setting.p**data.semisimple_rank * data.center_order
+    d, m, p = setting.degree, setting.m, setting.p
+    inside, outside = setting.split_places_over_p()
+    center = p - 1
+    for v in outside:
+        center *= v.residue_cardinality - 1
+    for v in inside:
+        center *= v.residue_cardinality + 1
+    return p ** (d * (m - 1)) * center
 
 
 def dim_bound(setting: ShimuraSetting) -> int:
     """p^(dm(m-1)/2): the p-Sylow order of the residual automorphism
     group, an upper bound for the dimension of any of its simple
     modules in characteristic p."""
-    data = levi_data(setting)
-    return setting.p**data.sylow_exponent
+    d, m = setting.degree, setting.m
+    return setting.p ** (d * m * (m - 1) // 2)

@@ -8,9 +8,17 @@ downstream formulas consume just the residue cardinalities q_v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .arith import QuadraticCharacter, is_fundamental_discriminant, is_prime, kronecker
+from .arith import (
+    QuadraticCharacter,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    zeta_special_value,
+)
 
 __all__ = [
     "SettingError",
@@ -137,6 +145,12 @@ class QuaternionData:
             )
         if len(set(self.ramified_places)) != len(self.ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
+
+    @cached_property
+    def zeta_values(self) -> tuple[Fraction, ...]:
+        """(zeta_F(-1), zeta_F(-3), ..., zeta_F(1-2m)), computed on first
+        use and shared by every prime p of a run."""
+        return tuple(zeta_special_value(self.field, j) for j in range(1, self.m + 1))
 
 
 def resolve_ramification(

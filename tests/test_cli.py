@@ -4,8 +4,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heckebound.arith as arith_mod
 import heckebound.oracle as oracle_mod
+from heckebound.arith import is_prime
+from heckebound.bounds import final_bound
 from heckebound.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -17,6 +22,14 @@ from heckebound.cli import (
     parse_config,
     render_csv,
     render_json,
+)
+from heckebound.numberfield import (
+    FieldSpec,
+    QuaternionData,
+    SettingError,
+    resolve_ramification,
+    split_prime,
+    validate_setting,
 )
 
 SIEGEL_DOC = {
@@ -241,3 +254,122 @@ def test_render_helpers_round_trip():
     assert json.loads(render_json(records)) == records
     rows = list(csv.DictReader(io.StringIO(render_csv(records))))
     assert rows[0]["final_bound"] == "192"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["GL", "2", "6"],  # 6 is not a prime power
+        ["U", "2", "11"],  # characteristic above the oracle's field tables
+        ["GL", "3", "7"],  # candidate space past the enumeration budget
+    ],
+)
+def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
+    assert main(["oracle", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_p_independent_work_happens_once_per_run(monkeypatch):
+    calls = []
+    real = arith_mod.generalized_bernoulli
+
+    def counted(n, chi):
+        calls.append(n)
+        return real(n, chi)
+
+    monkeypatch.setattr(arith_mod, "generalized_bernoulli", counted)
+    doc = {
+        "field": {"kind": "real_quadratic", "disc": 5},
+        "m": 2,
+        "N": 3,
+        "p_sweep": {"from": 2, "to": 50},
+    }
+    records, status = compute_records(parse_config(doc))
+    assert status == EXIT_OK
+    assert sum("error" not in r for r in records) == 13
+    assert sorted(calls) == [2, 4]
+
+
+def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):
+    doc = dict(
+        SWEEP_DOC,
+        quaternion_ramification=[{"prime": 4, "residue_degree": 1},
+                                 {"prime": 7, "residue_degree": 1}],
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg), "-v"]) == EXIT_ALL_FAILED
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert [r["input"]["p"] for r in records] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert {r["error"]["code"] for r in records} == {"ramified_prime_not_prime"}
+    skipped = [line for line in captured.err.splitlines() if "skipped" in line]
+    assert len(skipped) == len(records)
+
+
+_FIELDS = (1, 5, 8, 13)
+
+
+@st.composite
+def _sweep_configs(draw):
+    disc = draw(st.sampled_from(_FIELDS))
+    fld = FieldSpec(disc)
+    places = [v for ell in (2, 3, 5, 7, 11, 13) for v in split_prime(fld, ell)]
+    ram = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.sampled_from(places), min_size=2, max_size=2, unique=True),
+        )
+    )
+    lo = draw(st.integers(2, 200))
+    doc = {
+        "field": (
+            {"kind": "rational"}
+            if disc == 1
+            else {"kind": "real_quadratic", "disc": disc}
+        ),
+        "quaternion_ramification": [
+            {"prime": v.residue_prime, "residue_degree": v.residue_degree}
+            for v in ram
+        ],
+        "m": draw(st.integers(1, 3)),
+        "N": draw(st.integers(3, 12)),
+        "p_sweep": {"from": lo, "to": lo + draw(st.integers(0, 39))},
+    }
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sweep_configs())
+def test_shared_datum_matches_fresh_per_prime_records(doc):
+    config = parse_config(doc)
+    records, _ = compute_records(config)
+    lo, hi = config.sweep
+    assert [r["input"]["p"] for r in records] == [
+        p for p in range(lo, hi + 1) if is_prime(p)
+    ]
+    for record in records:
+        p = record["input"]["p"]
+        try:
+            quaternion = QuaternionData(
+                config.field,
+                resolve_ramification(config.field, config.ramification),
+                config.m,
+            )
+            report = final_bound(validate_setting(quaternion, config.level, p))
+        except SettingError as exc:
+            assert record["error"]["code"] == exc.code
+            continue
+        assert "error" not in record
+        assert record["zeta_F"] == [
+            f"{z.numerator}/{z.denominator}" for z in report.zeta_values
+        ]
+        assert record["C_B"] == (
+            f"{report.constant.numerator}/{report.constant.denominator}"
+        )
+        for key in ("level_group_order", "mass", "irr_count", "dim_bound",
+                    "final_bound"):
+            assert record[key] == str(getattr(report, key))

@@ -7,7 +7,6 @@ from heckebound.groups import (
     gl_order,
     irr_count,
     level_group_order,
-    levi_data,
     sp_order,
     unitary_order,
 )
@@ -94,9 +93,12 @@ def test_irr_count_is_rank_power_times_center():
                 if gcd(level, fld.discriminant) != 1:
                     continue
                 s = setting(fld, m, level, p)
-                data = levi_data(s)
-                assert data.semisimple_rank == fld.degree * (m - 1)
-                assert irr_count(s) == p**data.semisimple_rank * data.center_order
+                # center: (p-1) * prod_{v|p, f_v even} (q_v - 1) * prod_{f_v odd} (q_v + 1)
+                center = p - 1
+                for v in s.places_over_p:
+                    q = v.residue_cardinality
+                    center *= q + 1 if v.residue_degree % 2 else q - 1
+                assert irr_count(s) == p ** (fld.degree * (m - 1)) * center
 
 
 def test_dim_bound_examples():
