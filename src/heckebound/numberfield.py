@@ -145,6 +145,13 @@ class QuaternionData:
             )
         if len(set(self.ramified_places)) != len(self.ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
+        for v in self.ramified_places:
+            # re-derive the splitting so stale residue degrees cannot slip in
+            if v not in split_prime(self.field, v.residue_prime):
+                _fail(
+                    "residue_degree_mismatch",
+                    f"{v!r} is not a place of the field",
+                )
 
     @cached_property
     def zeta_values(self) -> tuple[Fraction, ...]:
@@ -224,7 +231,10 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
 
     Violations raise SettingError with one of the codes: level_too_small,
     p_not_prime, p_divides_level, p_ramified_in_field, p_in_ramification_set,
-    level_not_coprime (plus the QuaternionData / resolve_ramification codes).
+    level_not_coprime.  The p-independent checks, including that every
+    ramified place is a place of the field, ran once when the
+    QuaternionData was built (codes m_not_positive, odd_ramification_set,
+    duplicate_place, residue_degree_mismatch).
     """
     fld = quaternion.field
     if level < 3:
@@ -243,12 +253,6 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
             _fail(
                 "p_in_ramification_set",
                 f"p = {p} lies under a ramified place of the quaternion algebra",
-            )
-        # re-derive the splitting so stale residue degrees cannot slip in
-        if v not in split_prime(fld, v.residue_prime):
-            _fail(
-                "residue_degree_mismatch",
-                f"{v!r} is not a place of the field",
             )
     bad = fld.discriminant
     for v in quaternion.ramified_places:

@@ -3,15 +3,16 @@
 Finite fields of order at most 49 are realized as exhaustively verified
 lookup tables; matrix groups are enumerated straight from their defining
 conditions; conjugacy classes come from explicit orbit computation.
-Everything is guarded by a candidate budget so a typo in a descriptor
-cannot start a runaway enumeration.
+Every enumeration is guarded by a candidate budget, charged before the
+work it stands for, and every stored collection by an element limit, so
+a typo in a descriptor cannot start a runaway enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from math import gcd
+from math import gcd, prod
 
 from .arith import InternalCheckError, factorize, is_prime
 from .groups import dim_bound, irr_count
@@ -35,20 +36,19 @@ __all__ = [
     "verify_setting_with_oracle",
 ]
 
-# Budgets, read at call time: candidates charged per enumeration, group
-# elements stored by enumerate_sp, the largest group verify_setting_with_oracle
-# checks, and the size up to which verify_closure tries every pair.
+# Budgets, read at call time: candidates charged per enumeration before
+# the work they stand for, and elements held by any one stored collection
+# (a matrix pool, the Sp leaves, the GSp elements, an assembled group).
 DEFAULT_CAP = 10_000_000
-MATERIALIZE_LIMIT = 200_000
-MAX_VERIFIED_ORDER = 100_000
-EXHAUSTIVE_CLOSURE_LIMIT = 1500
+ELEMENT_LIMIT = 100_000
 
 MAX_FIELD_ORDER = 49
 MAX_FIELD_CHAR = 7
 
 
 class StateSpaceError(RuntimeError):
-    """The requested enumeration exceeds the candidate budget."""
+    """The requested enumeration exceeds the candidate budget or the
+    element limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +349,6 @@ class FqMatrixGroup:
             y = self._mul(y, x)
         return y
 
-    def verify_closure(self) -> None:
-        """Check the group axioms on the enumerated set, exhaustively up
-        to EXHAUSTIVE_CLOSURE_LIMIT elements and on a deterministic slice
-        above."""
-        elems = self.elements
-        if len(elems) <= EXHAUSTIVE_CLOSURE_LIMIT:
-            pairs = itertools.product(elems, elems)
-        else:
-            step = len(elems) // 200 or 1
-            sample = elems[::step]
-            pairs = itertools.product(sample, sample)
-        for a, b in pairs:
-            if self._mul(a, b) not in self._elements_set:
-                raise InternalCheckError(f"{self.descriptor}: not closed under product")
-        for a in elems[:EXHAUSTIVE_CLOSURE_LIMIT]:
-            if self.inverse(a) not in self._elements_set:
-                raise InternalCheckError(f"{self.descriptor}: not closed under inverse")
-
     def _generating_set(self) -> list:
         gens: list = []
         closure = [self.identity]
@@ -420,33 +402,45 @@ class FqMatrixGroup:
         return classes
 
 
-def _charge(counter: list, amount: int, what: str, cap: int | None = None):
-    if cap is None:
-        cap = DEFAULT_CAP
+def _charge(counter: list, amount: int, what: str):
     counter[0] += amount
-    if counter[0] > cap:
+    if counter[0] > DEFAULT_CAP:
         raise StateSpaceError(
-            f"{what}: candidate space exceeds the {cap} budget"
+            f"{what}: candidate space exceeds the {DEFAULT_CAP} budget"
         )
 
 
-def _invertible_matrices(f: SmallField, m: int) -> list[tuple]:
-    """Every m x m matrix over f with nonzero determinant; the caller
-    charges the f.order^(m*m) candidates."""
+def _check_elements(count: int, what: str):
+    if count > ELEMENT_LIMIT:
+        raise StateSpaceError(
+            f"{what}: more than the {ELEMENT_LIMIT} element limit to store"
+        )
+
+
+def _check_rank(m: int):
+    if m < 1:
+        raise ValueError(f"matrix size m must be >= 1, got {m}")
+
+
+def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
+    """Every m x m matrix over f with nonzero determinant."""
+    _check_rank(m)
+    _charge([0], f.order ** (m * m), what)
     out = []
     for entries in itertools.product(range(f.order), repeat=m * m):
         a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
         if mat_det(f, a) != 0:
             out.append(a)
+            _check_elements(len(out), what)
     return out
 
 
 def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     f = field_of_order(q)
-    _charge([0], q ** (m * m), f"GL_{m}(F_{q})")
+    what = f"GL_{m}(F_{q})"
     return FqMatrixGroup(
-        f"GL_{m}(F_{q})",
-        _invertible_matrices(f, m),
+        what,
+        _invertible_matrices(f, m, what),
         lambda a, b: mat_mul(f, a, b),
         mat_identity(m),
     )
@@ -458,7 +452,9 @@ def _hermitian_matrices(
     """All A with A^t conj(A) = t*I for each t in targets, via depth-first
     search over column tuples: every column has hermitian norm t and the
     columns are pairwise hermitian-orthogonal.  Invertibility follows
-    from det(A) conj(det(A)) = t^m != 0."""
+    from det(A) conj(det(A)) = t^m != 0.  Each inner node scans the pool;
+    a node charges its inner children's scans before descending."""
+    _check_rank(m)
     q2 = f.order
     counter = [0]
     _charge(counter, q2**m, what)
@@ -475,12 +471,18 @@ def _hermitian_matrices(
         def extend(chosen):
             if len(chosen) == m:
                 solutions.append(tuple(zip(*chosen)))  # columns -> rows
+                _check_elements(len(solutions), what)
                 return
-            for c in pool:
-                _charge(counter, 1, what)
-                if all(_hermitian_dot(f, c, prev) == 0 for prev in chosen):
-                    extend(chosen + [c])
+            children = [
+                c for c in pool
+                if all(_hermitian_dot(f, c, prev) == 0 for prev in chosen)
+            ]
+            if len(chosen) + 1 < m:
+                _charge(counter, len(children) * len(pool), what)
+            for c in children:
+                extend(chosen + [c])
 
+        _charge(counter, len(pool), what)  # the root's scan
         extend([])
         out[t] = solutions
     return out
@@ -488,11 +490,8 @@ def _hermitian_matrices(
 
 def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
     """The isometry group of the standard hermitian form on F_{q^2}^m."""
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = fac[0]
-    f = small_field(p, 2 * e)
+    base = field_of_order(q)
+    f = small_field(base.p, 2 * base.e)
     elems = _hermitian_matrices(f, m, [f.one], f"U_{m}(F_{q})")[f.one]
     return FqMatrixGroup(
         f"U_{m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(m)
@@ -505,12 +504,15 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
 def _symplectic_masks(f: SmallField, m: int):
     """For every vector of F_q^(2m), bitmasks of the vectors pairing to
     0 and to 1 under the standard alternating form
-    <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k})."""
+    <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}).  Charged first:
+    the basis tree's q^(2m^2+m) leaf bound (the j-th last pair (e, f) has
+    at most q^(2j) * q^(2j-1) choices), then the q^(4m) table entries."""
+    _check_rank(m)
     q = f.order
     n = 2 * m
+    _charge([0], q ** (2 * m * m + m), f"Sp_{n}(F_{q}) basis tree")
     big_q = q**n
-    counter = [0]
-    _charge(counter, big_q * big_q, f"Sp_{n}(F_{q})")
+    _charge([0], big_q * big_q, f"Sp_{n}(F_{q}) pairing tables")
     vectors = list(itertools.product(range(q), repeat=n))
     mul, add, neg = f.mul, f.add, f.neg
     # J-twisted partner: <u, v> = (Ju) . v as a plain dot product
@@ -552,18 +554,15 @@ def count_symplectic_matrices(m: int, q: int) -> int:
     """|Sp_2m(F_q)| by exhaustive depth-first enumeration of ordered
     symplectic bases (each basis is the column list of exactly one
     group element, so leaves of the search tree biject with matrices).
-    Nothing is stored; the candidate budget counts the leaves."""
+    Nothing is stored."""
     f = field_of_order(q)
     _, zero_masks, one_masks = _symplectic_masks(f, m)
-    big_q = q ** (2 * m)
-    counter = [0]
 
     def count(avail: int, depth: int) -> int:
         if depth == 1:
             total = 0
             for i in _iter_bits(avail):
                 total += (one_masks[i] & avail).bit_count()
-            _charge(counter, total, f"Sp_{2*m}(F_{q})")
             return total
         total = 0
         for i in _iter_bits(avail):
@@ -572,23 +571,21 @@ def count_symplectic_matrices(m: int, q: int) -> int:
                 total += count(avail & rest & zero_masks[j], depth - 1)
         return total
 
-    return count((1 << big_q) - 1, m)
+    return count((1 << len(zero_masks)) - 1, m)
 
 
 def enumerate_sp(m: int, q: int) -> FqMatrixGroup:
-    """Sp_2m(F_q) with at most MATERIALIZE_LIMIT elements materialized;
+    """Sp_2m(F_q) with at most ELEMENT_LIMIT elements materialized;
     use count_symplectic_matrices for orders too large to store."""
     f = field_of_order(q)
     vectors, zero_masks, one_masks = _symplectic_masks(f, m)
-    big_q = q ** (2 * m)
-    counter = [0]
-    store_cap = min(DEFAULT_CAP, MATERIALIZE_LIMIT)
+    what = f"Sp_{2*m}(F_{q})"
     elems: list[tuple] = []
 
     def extend(avail: int, chosen: list):
         if len(chosen) == 2 * m:
-            _charge(counter, 1, f"Sp_{2*m}(F_{q})", store_cap)
             elems.append(tuple(zip(*chosen)))
+            _check_elements(len(elems), what)
             return
         for i in _iter_bits(avail):
             for j in _iter_bits(one_masks[i] & avail):
@@ -597,9 +594,9 @@ def enumerate_sp(m: int, q: int) -> FqMatrixGroup:
                     chosen + [vectors[i], vectors[j]],
                 )
 
-    extend((1 << big_q) - 1, [])
+    extend((1 << len(vectors)) - 1, [])
     return FqMatrixGroup(
-        f"Sp_{2*m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(2 * m)
+        what, elems, lambda a, b: mat_mul(f, a, b), mat_identity(2 * m)
     )
 
 
@@ -616,8 +613,11 @@ def _zmod_mat_mul(n: int, a: tuple, b: tuple) -> tuple:
 def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     """Symplectic similitude matrices over Z/NZ: g^t J g = c J for a
     unit c, with J the block-diagonal alternating form."""
+    if m < 1 or level < 2:
+        raise ValueError(f"GSp needs m >= 1 and level >= 2, got {m}, {level}")
     n = 2 * m
-    _charge([0], level ** (n * n), f"GSp_{n}(Z/{level})")
+    what = f"GSp_{n}(Z/{level})"
+    _charge([0], level ** (n * n), what)
     jmat = [[0] * n for _ in range(n)]
     for k in range(m):
         jmat[2 * k][2 * k + 1] = 1
@@ -633,8 +633,9 @@ def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
             continue
         if w == tuple(tuple(c * x % level for x in row) for row in jmat):
             elems.append(g)
+            _check_elements(len(elems), what)
     return FqMatrixGroup(
-        f"GSp_{n}(Z/{level})",
+        what,
         elems,
         lambda a, b: _zmod_mat_mul(level, a, b),
         mat_identity(n),
@@ -659,28 +660,27 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
         )
     f = small_field(p, 2)
     units = list(range(1, p))
-    inside = set(setting.delta_prime_at_p)
-    counter = [0]
+    inside = setting.delta_prime_at_p
+    if inside:  # one pool serves every place of odd residue degree
+        hermitian = _hermitian_matrices(
+            f, m, units, f"similitude factor over {inside!r}"
+        )
 
     pools: list[dict[int, list[tuple]]] = []
     for v in setting.places_over_p:
         if v in inside:
-            pools.append(
-                _hermitian_matrices(f, m, units, f"similitude factor over {v!r}")
-            )
+            pools.append(hermitian)
         else:
-            _charge(counter, f.order ** (m * m), f"linear factor over {v!r}")
-            full = _invertible_matrices(f, m)
+            full = _invertible_matrices(f, m, f"linear factor over {v!r}")
             pools.append({r: full for r in units})
 
+    _check_elements(
+        sum(prod(len(pool[r]) for pool in pools) for r in units),
+        "similitude product assembly",
+    )
     elems = []
     for r in units:
-        per_place = [pool[r] for pool in pools]
-        size = 1
-        for block in per_place:
-            size *= len(block)
-        _charge(counter, size, "similitude product assembly")
-        for combo in itertools.product(*per_place):
+        for combo in itertools.product(*(pool[r] for pool in pools)):
             elems.append((combo, r))
 
     def mul(a, b):
@@ -745,17 +745,11 @@ def verify_setting_with_oracle(setting: ShimuraSetting) -> dict:
 
     Returns {"verified": bool} on a completed check, or
     {"verified": False, "skipped": reason} when the instance does not
-    fit the enumeration budget."""
+    fit the candidate budget or the element limit."""
     try:
         group = enumerate_similitude_product(setting)
     except StateSpaceError as exc:
         return {"verified": False, "skipped": str(exc)}
-    if group.order > MAX_VERIFIED_ORDER:
-        return {
-            "verified": False,
-            "skipped": f"residual group order {group.order} exceeds "
-            f"{MAX_VERIFIED_ORDER}",
-        }
     ok = (
         p_regular_class_count(group, setting.p) == irr_count(setting)
         and sylow_p_order(group, setting.p) == dim_bound(setting)

@@ -262,6 +262,12 @@ def test_render_helpers_round_trip():
         ["GL", "2", "6"],  # 6 is not a prime power
         ["U", "2", "11"],  # characteristic above the oracle's field tables
         ["GL", "3", "7"],  # candidate space past the enumeration budget
+        ["GSp_modN", "1", "1"],  # level below 2
+        ["GSp_modN", "0", "3"],  # empty matrices
+        ["GL", "-1", "2"],
+        ["GL", "0", "2"],
+        ["U", "0", "2"],
+        ["Sp", "0", "3"],
     ],
 )
 def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):

@@ -101,7 +101,6 @@ def test_validate_split_quadratic():
         (simple_quaternion(R5), 5, 2, "level_not_coprime"),
         (simple_quaternion(Q, ram=[Place(3, 1), Place(7, 1)]), 21, 5, "level_not_coprime"),
         (simple_quaternion(Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
-        (simple_quaternion(Q, ram=[Place(3, 2), Place(7, 1)]), 5, 11, "residue_degree_mismatch"),
     ],
 )
 def test_validate_distinct_error_codes(quaternion, level, p, code):
@@ -120,6 +119,10 @@ def test_quaternion_invariants():
     with pytest.raises(SettingError) as err:
         QuaternionData(Q, (), 0)
     assert err.value.code == "m_not_positive"
+    # every ramified place must be a place of the field, checked once here
+    with pytest.raises(SettingError) as err:
+        QuaternionData(Q, (Place(3, 2), Place(7, 1)), 1)
+    assert err.value.code == "residue_degree_mismatch"
 
 
 def test_resolve_ramification_recomputes_splitting():

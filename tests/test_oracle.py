@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import heckebound.oracle as oracle_mod
@@ -112,10 +114,12 @@ def test_enumerate_group_dispatch():
 def test_state_space_guard(monkeypatch):
     with pytest.raises(StateSpaceError):
         enumerate_gl(3, 7)  # 7^9 candidates
+    t0 = time.monotonic()
     with pytest.raises(StateSpaceError):
         count_symplectic_matrices(3, 3)  # |Sp_6(F_3)| ~ 9e9 leaves
-    monkeypatch.setattr(oracle_mod, "MATERIALIZE_LIMIT", 1000)
-    with pytest.raises(StateSpaceError, match="1000 budget"):
+    assert time.monotonic() - t0 < 0.5  # charged before the walk
+    monkeypatch.setattr(oracle_mod, "ELEMENT_LIMIT", 1000)
+    with pytest.raises(StateSpaceError, match="1000 element limit"):
         enumerate_sp(2, 3)  # 51840 elements to store
     with pytest.raises(StateSpaceError):
         enumerate_similitude_product(setting(Q, 1, 3, 11))  # char > 7
@@ -127,13 +131,26 @@ def test_oracle_verification_helper():
     assert skipped["verified"] is False and "skipped" in skipped
 
 
+@pytest.mark.parametrize("fld", [R5, R8])  # p = 7 inert, split
+def test_oversized_residual_group_skips_fast(fld):
+    # |GL_2(F_49)| * 6 and |U_2(F_7)|^2 * 6 both exceed the element limit
+    t0 = time.monotonic()
+    result = verify_setting_with_oracle(setting(fld, 2, 3, 7))
+    assert time.monotonic() - t0 < 5.0
+    assert result["verified"] is False
+    assert "element limit" in result["skipped"]
+
+
 # --- group structure queries -------------------------------------------------
 
 
 def test_group_closure_checks():
+    # conjugacy_classes certifies closure: the generating set must close
+    # up to exactly the enumerated element set
     for group in (enumerate_gl(2, 3), enumerate_unitary(2, 2),
                   enumerate_gsp_modn(1, 4)):
-        group.verify_closure()
+        classes = group.conjugacy_classes()
+        assert sum(len(c) for c in classes) == group.order
 
 
 def test_conjugacy_partition_sanity():
@@ -152,6 +169,13 @@ def test_group_faults_raise_internal_check_error():
         FqMatrixGroup("doubled", [identity, identity], lambda a, b: a, identity)
     with pytest.raises(InternalCheckError, match="identity"):
         FqMatrixGroup("no identity", [((2,),)], lambda a, b: a, identity)
+    # {1, 2} in (Z/5)^*: 2 * 2 = 4 leaves the set
+    not_closed = FqMatrixGroup(
+        "not closed", [identity, ((2,),)],
+        lambda a, b: ((a[0][0] * b[0][0] % 5,),), identity,
+    )
+    with pytest.raises(InternalCheckError, match="closure"):
+        not_closed.conjugacy_classes()
 
 
 def test_trivial_group_class_count():
