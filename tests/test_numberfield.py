@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from heckebound.arith import is_prime, kronecker
@@ -94,18 +96,21 @@ def test_validate_split_quadratic():
 @pytest.mark.parametrize(
     "quaternion,level,p,code",
     [
-        (simple_quaternion(Q), 2, 5, "level_too_small"),
-        (simple_quaternion(Q), 3, 4, "p_not_prime"),
-        (simple_quaternion(Q), 10, 5, "p_divides_level"),
-        (simple_quaternion(R5), 3, 5, "p_ramified_in_field"),
-        (simple_quaternion(R5), 5, 2, "level_not_coprime"),
-        (simple_quaternion(Q, ram=[Place(3, 1), Place(7, 1)]), 21, 5, "level_not_coprime"),
-        (simple_quaternion(Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
+        (partial(simple_quaternion, Q), 2, 5, "level_too_small"),
+        (partial(simple_quaternion, Q), 3, 4, "p_not_prime"),
+        (partial(simple_quaternion, Q), 10, 5, "p_divides_level"),
+        (partial(simple_quaternion, R5), 3, 5, "p_ramified_in_field"),
+        (partial(simple_quaternion, R5), 5, 2, "level_not_coprime"),
+        (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 21, 5, "level_not_coprime"),
+        (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
+        (partial(simple_quaternion, Q, ram=[Place(3, 2), Place(7, 1)]), 5, 11, "residue_degree_mismatch"),
     ],
 )
 def test_validate_distinct_error_codes(quaternion, level, p, code):
+    # the quaternion is built inside the check: some codes are raised by
+    # QuaternionData itself, before validate_setting sees the setting
     with pytest.raises(SettingError) as err:
-        validate_setting(quaternion, level, p)
+        validate_setting(quaternion(), level, p)
     assert err.value.code == code
 
 
