@@ -122,31 +122,16 @@ def is_fundamental_discriminant(d: int) -> bool:
 @dataclass(frozen=True)
 class QuadraticCharacter:
     """The real character chi_D(n) = (D/n) attached to a fundamental
-    discriminant D > 1, or the trivial character (D = 1).
-    """
+    discriminant D > 1."""
 
     discriminant: int
 
     def __post_init__(self):
         d = self.discriminant
-        if d < 1 or not is_fundamental_discriminant(d):
-            raise ValueError(f"{d} is not a positive fundamental discriminant")
-
-    @classmethod
-    def trivial(cls) -> "QuadraticCharacter":
-        return cls(1)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.discriminant == 1
-
-    @property
-    def modulus(self) -> int:
-        return self.discriminant
+        if d < 2 or not is_fundamental_discriminant(d):
+            raise ValueError(f"{d} is not a fundamental discriminant > 1")
 
     def __call__(self, n: int) -> int:
-        if self.is_trivial:
-            return 1
         return kronecker(self.discriminant, n)
 
     def __repr__(self) -> str:
@@ -154,15 +139,11 @@ class QuadraticCharacter:
 
 
 def generalized_bernoulli(n: int, chi: QuadraticCharacter) -> Fraction:
-    """B_{n,chi} = D^(n-1) sum_{a=1}^{D} chi(a) B_n(a/D) for the modulus
-    D of chi.  The trivial character is rejected: callers must take the
-    plain Bernoulli path for it.
-    """
+    """B_{n,chi} = D^(n-1) sum_{a=1}^{D} chi(a) B_n(a/D) for the
+    discriminant D of chi."""
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
-    if chi.is_trivial:
-        raise ValueError("trivial character: use bernoulli() instead")
-    d = chi.modulus
+    d = chi.discriminant
     total = sum(
         chi(a) * bernoulli_polynomial(n, Fraction(a, d)) for a in range(1, d + 1)
     )

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .arith import InternalCheckError, bernoulli, factorize, is_prime
 from .groups import dim_bound, irr_count, level_group_order, sp_order
-from .numberfield import SettingError, ShimuraSetting
+from .numberfield import QuaternionData, SettingError, ShimuraSetting
 
 __all__ = [
     "InternalCheckError",
@@ -49,24 +50,27 @@ def asymptotic_exponent(degree: int, m: int) -> int:
     return degree * m * m + degree * m + 1
 
 
-def _sign_factor(setting: ShimuraSetting) -> Fraction:
-    d, m = setting.degree, setting.m
-    sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
-    return Fraction(sign, 2 ** (m * d))
-
-
 def bound_constant(setting: ShimuraSetting) -> Fraction:
     """The p-independent rational constant of the final bound:
 
         (-1)^(dm(m+1)/2) / 2^(md)
-            * prod_{i=1}^{m} zeta_F(1-2i) * prod_{v ramified, v away from p} (q_v^i + (-1)^i).
+            * prod_{i=1}^{m} zeta_F(1-2i) * prod_{v ramified} (q_v^i + (-1)^i),
 
-    Positive for every valid setting (the zeta signs cancel the leading
-    sign), which is checked.
+    where every ramified place lies away from p by validation.  Positive
+    for every valid setting (the zeta signs cancel the leading sign),
+    which is checked.  It depends only on the quaternion datum, so it is
+    computed once per datum.
     """
-    value = _sign_factor(setting)
-    for i, term in enumerate(setting.quaternion.zeta_values, start=1):
-        for v in setting.delta_prime_away:
+    return _bound_constant(setting.quaternion)
+
+
+@cache
+def _bound_constant(quaternion: QuaternionData) -> Fraction:
+    d, m = quaternion.field.degree, quaternion.m
+    sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
+    value = Fraction(sign, 2 ** (m * d))
+    for i, term in enumerate(quaternion.zeta_values, start=1):
+        for v in quaternion.ramified_places:
             term *= v.residue_cardinality**i + (-1) ** i
         value *= term
     if value <= 0:
@@ -74,28 +78,24 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
     return value
 
 
-def _mass_rational(setting: ShimuraSetting) -> Fraction:
-    inside, outside = setting.split_places_over_p()
-    value = Fraction(level_group_order(setting)) * _sign_factor(setting)
-    for j, term in enumerate(setting.quaternion.zeta_values, start=1):
-        # the divisor part runs over the whole derived discriminant,
-        # both over p and away from p
-        for v in list(inside) + list(setting.delta_prime_away):
-            term *= v.residue_cardinality**j + (-1) ** j
-        for v in outside:
-            term *= v.residue_cardinality**j + 1
-        value *= term
-    return value
-
-
 def superspecial_mass(setting: ShimuraSetting) -> int:
-    """Cardinality of the superspecial locus at the given level.
+    """Cardinality of the superspecial locus at the given level:
 
-    The closed form is a signed product of zeta values and local
-    factors; being a cardinality it must come out a positive integer,
-    and anything else raises InternalCheckError.
+        C * |G(Z/NZ)| * prod_{j=1}^{m} prod_{v | p, f_v odd} (q_v^j + (-1)^j)
+                                        * prod_{v | p, f_v even} (q_v^j + 1).
+
+    The divisor part of the derived discriminant away from p sits in C.
+    Being a cardinality the mass must come out a positive integer, and
+    anything else raises InternalCheckError.
     """
-    value = _mass_rational(setting)
+    inside, outside = setting.split_places_over_p()
+    factor = 1
+    for j in range(1, setting.m + 1):
+        for v in inside:
+            factor *= v.residue_cardinality**j + (-1) ** j
+        for v in outside:
+            factor *= v.residue_cardinality**j + 1
+    value = bound_constant(setting) * (level_group_order(setting) * factor)
     if value.denominator != 1 or value <= 0:
         raise InternalCheckError(
             f"superspecial mass came out {value}, not a positive integer"
@@ -110,7 +110,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
         C * |G(Z/NZ)| * p^(d(m+2)(m-1)/2) * (p-1)
           * prod (q_v -+ 1) * prod_j prod_v (q_v^j +- 1)
     and must agree exactly with mass * irr_count * dim_bound; the two
-    routes are computed independently and compared.
+    p-factors are computed independently and compared.
     """
     d, m, p = setting.degree, setting.m, setting.p
     inside, outside = setting.split_places_over_p()
@@ -118,18 +118,17 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     constant = bound_constant(setting)
     group_order = level_group_order(setting)
 
-    value = constant * group_order
-    value *= Fraction(p) ** (d * (m + 2) * (m - 1) // 2)
-    value *= p - 1
+    factor = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1)
     for v in outside:
-        value *= v.residue_cardinality - 1
+        factor *= v.residue_cardinality - 1
     for v in inside:
-        value *= v.residue_cardinality + 1
+        factor *= v.residue_cardinality + 1
     for j in range(1, m + 1):
         for v in outside:
-            value *= v.residue_cardinality**j + 1
+            factor *= v.residue_cardinality**j + 1
         for v in inside:
-            value *= v.residue_cardinality**j + (-1) ** j
+            factor *= v.residue_cardinality**j + (-1) ** j
+    value = constant * (group_order * factor)
     if value.denominator != 1 or value <= 0:
         raise InternalCheckError(
             f"final bound came out {value}, not a positive integer"
@@ -170,6 +169,10 @@ def siegel_bound(m: int, level: int, p: int) -> int:
         raise SettingError("m_not_positive", f"genus m must be >= 1, got {m}")
     if level < 3:
         raise SettingError("level_too_small", f"level must be >= 3, got {level}")
+    if level > 10**12:
+        raise SettingError(
+            "level_too_large", f"level must be <= 10^12, got {level}"
+        )
     if not is_prime(p):
         raise SettingError("p_not_prime", f"p must be prime, got {p}")
     if level % p == 0:
@@ -263,26 +266,11 @@ def detect_p_degree(settings: list[ShimuraSetting]) -> int:
     xs = [Fraction(s.p) for s in settings]
     ys = [Fraction(final_bound(s).final_bound) for s in settings]
 
-    # divided-difference coefficients of the Newton form
+    # divided-difference coefficients of the Newton form; the k-th Newton
+    # basis polynomial prod_{i<k} (x - x_i) has exact degree k
     coeffs = list(ys)
     n = len(xs)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-
-    # expand to monomial coefficients: prod (x - x_k) accumulated exactly
-    poly = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for k in range(n):
-        for idx, c in enumerate(basis):
-            poly[idx] += coeffs[k] * c
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for idx, c in enumerate(basis):
-            new_basis[idx] -= xs[k] * c
-            new_basis[idx + 1] += c
-        basis = new_basis
-    degree = 0
-    for idx, c in enumerate(poly):
-        if c != 0:
-            degree = idx
-    return degree
+    return max((k for k, c in enumerate(coeffs) if c), default=0)

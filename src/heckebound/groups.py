@@ -6,8 +6,10 @@ Sylow dimension bound.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .arith import factorize
-from .numberfield import ShimuraSetting, split_prime
+from .numberfield import FieldSpec, ShimuraSetting, split_prime
 
 __all__ = [
     "gl_order",
@@ -61,14 +63,19 @@ def level_group_order(setting: ShimuraSetting) -> int:
     one similitude unit shared by all places over ell.  The lift exponent
     per extra power of ell is the relative dimension 2m^2 + m of the
     symplectic factor, which is smooth at primes coprime to the
-    discriminant data (enforced by validation).
+    discriminant data (enforced by validation).  The order does not
+    depend on p, so it is computed once per (field, m, N).
     """
-    m = setting.m
+    return _level_group_order(setting.field, setting.m, setting.level)
+
+
+@cache
+def _level_group_order(fld: FieldSpec, m: int, level: int) -> int:
     lift_dim = 2 * m * m + m
     order = 1
-    for ell, a in factorize(setting.level):
+    for ell, a in factorize(level):
         local = ell ** (a - 1) * (ell - 1)
-        for w in split_prime(setting.field, ell):
+        for w in split_prime(fld, ell):
             qw = w.residue_cardinality
             local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
         order *= local

@@ -146,6 +146,11 @@ class QuaternionData:
         if len(set(self.ramified_places)) != len(self.ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
         for v in self.ramified_places:
+            if not is_prime(v.residue_prime):
+                _fail(
+                    "ramified_prime_not_prime",
+                    f"{v.residue_prime} is not prime",
+                )
             # re-derive the splitting so stale residue degrees cannot slip in
             if v not in split_prime(self.field, v.residue_prime):
                 _fail(
@@ -230,15 +235,18 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     """Check every invariant of the input tuple and derive the rest.
 
     Violations raise SettingError with one of the codes: level_too_small,
-    p_not_prime, p_divides_level, p_ramified_in_field, p_in_ramification_set,
+    level_too_large, p_not_prime, p_divides_level, p_ramified_in_field, p_in_ramification_set,
     level_not_coprime.  The p-independent checks, including that every
     ramified place is a place of the field, ran once when the
     QuaternionData was built (codes m_not_positive, odd_ramification_set,
-    duplicate_place, residue_degree_mismatch).
+    duplicate_place, ramified_prime_not_prime, residue_degree_mismatch).
     """
     fld = quaternion.field
     if level < 3:
         _fail("level_too_small", f"level must be >= 3, got {level}")
+    if level > 10**12:
+        # trial division factorizes the level; 10^12 keeps that under a second
+        _fail("level_too_large", f"level must be <= 10^12, got {level}")
     if not is_prime(p):
         _fail("p_not_prime", f"p must be prime, got {p}")
     if level % p == 0:

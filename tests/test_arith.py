@@ -114,7 +114,8 @@ def test_character_validation():
         QuadraticCharacter(9)
     with pytest.raises(ValueError):
         QuadraticCharacter(-4)
-    assert QuadraticCharacter.trivial().is_trivial
+    with pytest.raises(ValueError):
+        QuadraticCharacter(1)  # the rationals never build a character
 
 
 def test_character_is_an_immutable_value():
@@ -132,10 +133,6 @@ def test_generalized_bernoulli_values():
     assert generalized_bernoulli(1, chi5) == 0  # even character
     assert generalized_bernoulli(2, QuadraticCharacter(8)) == 2
 
-
-def test_generalized_bernoulli_rejects_trivial():
-    with pytest.raises(ValueError):
-        generalized_bernoulli(2, QuadraticCharacter.trivial())
 
 
 ZETA_Q = {

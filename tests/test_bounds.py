@@ -133,6 +133,9 @@ def test_siegel_validation():
         siegel_bound(1, 3, 6)
     with pytest.raises(SettingError):
         siegel_bound(1, 10, 5)
+    with pytest.raises(SettingError) as err:
+        siegel_bound(1, 10**18 + 3, 5)
+    assert err.value.code == "level_too_large"
 
 
 def test_asymptotic_check_true_cases():

@@ -1,16 +1,23 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heckebound
 import heckebound.arith as arith_mod
+import heckebound.bounds as bounds_mod
+import heckebound.groups as groups_mod
 import heckebound.oracle as oracle_mod
 from heckebound.arith import is_prime
-from heckebound.bounds import final_bound
+from heckebound.bounds import bound_constant, final_bound
 from heckebound.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -280,13 +287,21 @@ def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
 
 def test_p_independent_work_happens_once_per_run(monkeypatch):
     calls = []
+    sp_calls = []
     real = arith_mod.generalized_bernoulli
+    real_sp = groups_mod.sp_order
 
     def counted(n, chi):
         calls.append(n)
         return real(n, chi)
 
+    def counted_sp(m, q):
+        sp_calls.append((m, q))
+        return real_sp(m, q)
+
     monkeypatch.setattr(arith_mod, "generalized_bernoulli", counted)
+    monkeypatch.setattr(groups_mod, "sp_order", counted_sp)
+    groups_mod._level_group_order.cache_clear()
     doc = {
         "field": {"kind": "real_quadratic", "disc": 5},
         "m": 2,
@@ -297,6 +312,32 @@ def test_p_independent_work_happens_once_per_run(monkeypatch):
     assert status == EXIT_OK
     assert sum("error" not in r for r in records) == 13
     assert sorted(calls) == [2, 4]
+    # |G(Z/3Z)| once per run: 3 is inert in Q(sqrt5), one place over 3
+    assert sp_calls == [(2, 9)]
+
+    # C_B once per quaternion datum, whatever the prime
+    quaternion = QuaternionData(FieldSpec(5), (), 2)
+    s1 = validate_setting(quaternion, 3, 7)
+    s2 = validate_setting(quaternion, 3, 11)
+    assert bound_constant(s1) is bound_constant(s2)
+
+
+def test_level_past_limit_is_a_coded_error_not_a_hang(tmp_path):
+    doc = dict(SWEEP_DOC, N=1000000000000000003)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "heckebound.cli", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_ALL_FAILED
+    assert elapsed < 2
+    records = json.loads(done.stdout)
+    assert [r["input"]["p"] for r in records] == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert {r["error"]["code"] for r in records} == {"level_too_large"}
 
 
 def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):
@@ -359,6 +400,9 @@ def test_shared_datum_matches_fresh_per_prime_records(doc):
     ]
     for record in records:
         p = record["input"]["p"]
+        # a fresh reference: nothing cached by the run above is reused
+        groups_mod._level_group_order.cache_clear()
+        bounds_mod._bound_constant.cache_clear()
         try:
             quaternion = QuaternionData(
                 config.field,

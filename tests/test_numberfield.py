@@ -97,6 +97,7 @@ def test_validate_split_quadratic():
     "quaternion,level,p,code",
     [
         (partial(simple_quaternion, Q), 2, 5, "level_too_small"),
+        (partial(simple_quaternion, Q), 10**12 + 1, 5, "level_too_large"),
         (partial(simple_quaternion, Q), 3, 4, "p_not_prime"),
         (partial(simple_quaternion, Q), 10, 5, "p_divides_level"),
         (partial(simple_quaternion, R5), 3, 5, "p_ramified_in_field"),
@@ -128,6 +129,9 @@ def test_quaternion_invariants():
     with pytest.raises(SettingError) as err:
         QuaternionData(Q, (Place(3, 2), Place(7, 1)), 1)
     assert err.value.code == "residue_degree_mismatch"
+    with pytest.raises(SettingError) as err:
+        QuaternionData(Q, (Place(4, 1), Place(9, 1)), 1)
+    assert err.value.code == "ramified_prime_not_prime"
 
 
 def test_resolve_ramification_recomputes_splitting():
