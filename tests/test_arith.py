@@ -134,6 +134,13 @@ def test_generalized_bernoulli_values():
     assert generalized_bernoulli(2, QuadraticCharacter(8)) == 2
 
 
+def test_generalized_bernoulli_rejects_trivial():
+    # the trivial character cannot be built, so it never reaches B_{n,chi}
+    with pytest.raises(ValueError):
+        generalized_bernoulli(2, QuadraticCharacter(1))
+    with pytest.raises(ValueError):
+        generalized_bernoulli(0, QuadraticCharacter(5))
+
 
 ZETA_Q = {
     1: Fraction(-1, 12),

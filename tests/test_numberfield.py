@@ -97,7 +97,6 @@ def test_validate_split_quadratic():
     "quaternion,level,p,code",
     [
         (partial(simple_quaternion, Q), 2, 5, "level_too_small"),
-        (partial(simple_quaternion, Q), 10**12 + 1, 5, "level_too_large"),
         (partial(simple_quaternion, Q), 3, 4, "p_not_prime"),
         (partial(simple_quaternion, Q), 10, 5, "p_divides_level"),
         (partial(simple_quaternion, R5), 3, 5, "p_ramified_in_field"),
@@ -105,6 +104,7 @@ def test_validate_split_quadratic():
         (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 21, 5, "level_not_coprime"),
         (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
         (partial(simple_quaternion, Q, ram=[Place(3, 2), Place(7, 1)]), 5, 11, "residue_degree_mismatch"),
+        (partial(simple_quaternion, Q), 10**12 + 1, 5, "level_too_large"),
     ],
 )
 def test_validate_distinct_error_codes(quaternion, level, p, code):
