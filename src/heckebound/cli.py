@@ -2,8 +2,11 @@
 report per prime, and emit deterministic JSON or CSV.
 
 Exit codes: 0 at least one record succeeded and no internal fault;
-1 every record failed validation; 2 the configuration did not parse;
-3 an exact internal identity was violated (implementation fault).
+1 every record failed validation; 2 the configuration did not parse,
+the --output path could not be written, or `heckebound oracle` got
+input it cannot enumerate (including a --classes-mod that is not a
+prime); 3 an exact internal identity was violated (implementation
+fault).
 """
 
 from __future__ import annotations
@@ -340,20 +343,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_oracle_subcommand(argv: list[str]) -> int:
     # unadvertised helper for ad-hoc verification of the enumeration side
+    enumerators = {"GL": oracle_mod.enumerate_gl, "U": oracle_mod.enumerate_unitary,
+                   "Sp": oracle_mod.enumerate_sp,
+                   "GSp_modN": oracle_mod.enumerate_gsp_modn}
     parser = argparse.ArgumentParser(prog="heckebound oracle")
-    parser.add_argument("kind", choices=("GL", "U", "Sp", "GSp_modN"))
+    parser.add_argument("kind", choices=enumerators)
     parser.add_argument("m", type=int)
     parser.add_argument("q", type=int, help="field size, or the level for GSp_modN")
     parser.add_argument("--classes-mod", type=int, default=None, metavar="P",
                         help="also report the number of P-regular classes")
     args = parser.parse_args(argv)
+    if args.classes_mod is not None and not is_prime(args.classes_mod):
+        print(f"error: --classes-mod must be a prime, got {args.classes_mod}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        if args.kind == "GSp_modN":
-            group = oracle_mod.enumerate_group(args.kind, m=args.m, level=args.q)
-        else:
-            group = oracle_mod.enumerate_group(args.kind, m=args.m, q=args.q)
+        group = enumerators[args.kind](args.m, args.q)
         out = {"descriptor": group.descriptor, "order": group.order}
-        if args.classes_mod:
+        if args.classes_mod is not None:
             out["p_regular_classes"] = oracle_mod.p_regular_class_count(
                 group, args.classes_mod
             )
@@ -426,8 +433,12 @@ def main(argv: list[str] | None = None) -> int:
             else render_csv(records)
         )
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return status

@@ -10,6 +10,7 @@ a typo in a descriptor cannot start a runaway enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from math import gcd, prod
@@ -24,7 +25,6 @@ __all__ = [
     "SmallField",
     "small_field",
     "FqMatrixGroup",
-    "enumerate_group",
     "enumerate_gl",
     "enumerate_unitary",
     "enumerate_sp",
@@ -56,20 +56,18 @@ class StateSpaceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_divmod(num, den, p):
+def _poly_mod(num, den, p):
+    # remainder of num modulo the monic den, coefficients in [0, p)
     num = list(num)
     deg_d = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    quot = [0] * max(len(num) - deg_d, 0)
     for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] * inv_lead % p
-        quot[i - deg_d] = c
+        c = num[i]
         if c:
             for k in range(deg_d + 1):
                 num[i - deg_d + k] = (num[i - deg_d + k] - c * den[k]) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def _is_irreducible(poly, p):
@@ -77,7 +75,7 @@ def _is_irreducible(poly, p):
     for deg in range(1, e // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
             den = list(tail) + [1]
-            _, rem = _poly_divmod(poly, den, p)
+            rem = _poly_mod(poly, den, p)
             if rem == [0]:
                 return False
     return True
@@ -111,7 +109,6 @@ class SmallField:
         self.p = p
         self.e = e
         self.order = q = p**e
-        self.zero = 0
         self.one = 1
 
         def decode(code):
@@ -128,7 +125,6 @@ class SmallField:
             return code
 
         modpoly = _find_irreducible(p, e) if e > 1 else [0, 1]
-        self.modulus = tuple(modpoly)
 
         self.add = [[0] * q for _ in range(q)]
         self.mul = [[0] * q for _ in range(q)]
@@ -144,7 +140,7 @@ class SmallField:
                         for j, y in enumerate(coeffs[b]):
                             prod[i + j] += x * y
                 if e > 1:
-                    _, rem = _poly_divmod([c % p for c in prod], modpoly, p)
+                    rem = _poly_mod([c % p for c in prod], modpoly, p)
                     rem += [0] * (e - len(rem))
                     self.mul[a][b] = encode(rem)
                 else:
@@ -221,14 +217,9 @@ class SmallField:
         return f"SmallField({self.p}^{self.e})"
 
 
-_FIELD_CACHE: dict[tuple[int, int], SmallField] = {}
-
-
+@functools.cache
 def small_field(p: int, e: int = 1) -> SmallField:
-    key = (p, e)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = SmallField(p, e)
-    return _FIELD_CACHE[key]
+    return SmallField(p, e)
 
 
 def field_of_order(q: int) -> SmallField:
@@ -300,54 +291,46 @@ def _hermitian_dot(f: SmallField, u: tuple, v: tuple) -> int:
 
 class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of tuples of
-    matrices with a shared similitude unit).
+    matrices with a shared similitude unit), with its product as `mul`.
 
     Conjugacy classes are orbits grown from a generating set under
-    conjugation by the generators and their inverses.  The generating
-    set is certified by closing it and comparing against the full
-    element list.
+    x -> g x g^-1 for the generators g only.  Each such map permutes the
+    finite element set, so it has finite order and its inverse is one of
+    its own powers: an orbit closed under the forward maps is closed
+    under their inverses too.  The generating set is certified by
+    closing it and comparing against the full element list.
     """
 
     def __init__(self, descriptor: str, elements, mul, identity):
         self.descriptor = descriptor
         self.elements = list(elements)
-        self._mul = mul
+        self.mul = mul
         self.identity = identity
         self._elements_set = set(self.elements)
         if len(self._elements_set) != len(self.elements):
             raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
         if identity not in self._elements_set:
             raise InternalCheckError(f"{descriptor}: identity not in element set")
-        self._order_cache: dict = {}
-        self._classes = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, a, b):
-        return self._mul(a, b)
-
-    def element_order(self, x) -> int:
-        cached = self._order_cache.get(x)
-        if cached is not None:
-            return cached
-        n = 1
-        y = x
+    def _power_cycle(self, x) -> tuple[int, object]:
+        """The order n of x and x^(n-1), its inverse, by walking its powers."""
+        n, last, y = 1, self.identity, x
         while y != self.identity:
-            y = self._mul(y, x)
+            last, y = y, self.mul(y, x)
             n += 1
             if n > len(self.elements):
                 raise InternalCheckError(f"{self.descriptor}: element has no finite order")
-        self._order_cache[x] = n
-        return n
+        return n, last
+
+    def element_order(self, x) -> int:
+        return self._power_cycle(x)[0]
 
     def inverse(self, x):
-        n = self.element_order(x)
-        y = self.identity
-        for _ in range(n - 1):
-            y = self._mul(y, x)
-        return y
+        return self._power_cycle(x)[1]
 
     def _generating_set(self) -> list:
         gens: list = []
@@ -362,7 +345,7 @@ class FqMatrixGroup:
             while queue:
                 a = queue.popleft()
                 for g in gens[processed[a]:]:
-                    b = self._mul(a, g)
+                    b = self.mul(a, g)
                     if b not in closure_set:
                         closure_set.add(b)
                         closure.append(b)
@@ -377,11 +360,8 @@ class FqMatrixGroup:
         return gens
 
     def conjugacy_classes(self) -> list[list]:
-        if self._classes is not None:
-            return self._classes
-        gens = self._generating_set()
-        conjugators = [(g, self.inverse(g)) for g in gens]
-        conjugators += [(gi, g) for g, gi in conjugators]
+        mul = self.mul
+        conjugators = [(g, self.inverse(g)) for g in self._generating_set()]
         assigned = set()
         classes = []
         for x in self.elements:
@@ -392,13 +372,12 @@ class FqMatrixGroup:
             while frontier:
                 y = frontier.pop()
                 for g, gi in conjugators:
-                    z = self._mul(self._mul(g, y), gi)
+                    z = mul(mul(g, y), gi)
                     if z not in orbit:
                         orbit.add(z)
                         frontier.append(z)
             assigned |= orbit
             classes.append(sorted(orbit))
-        self._classes = classes
         return classes
 
 
@@ -699,24 +678,8 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
 
 
 # ---------------------------------------------------------------------------
-# dispatch and class-level queries
+# class-level queries
 # ---------------------------------------------------------------------------
-
-_DESCRIPTORS = {
-    "GL": enumerate_gl,
-    "U": enumerate_unitary,
-    "Sp": enumerate_sp,
-    "GSp_modN": enumerate_gsp_modn,
-    "similitude_product": enumerate_similitude_product,
-}
-
-
-def enumerate_group(descriptor: str, **params):
-    """Enumerate a group by descriptor: GL, U, Sp (with m and q),
-    GSp_modN (with m and level), or similitude_product (with setting)."""
-    if descriptor not in _DESCRIPTORS:
-        raise ValueError(f"unknown descriptor {descriptor!r}")
-    return _DESCRIPTORS[descriptor](**params)
 
 
 def p_regular_class_count(group: FqMatrixGroup, p: int) -> int:

@@ -275,6 +275,9 @@ def test_render_helpers_round_trip():
         ["GL", "0", "2"],
         ["U", "0", "2"],
         ["Sp", "0", "3"],
+        ["GL", "2", "3", "--classes-mod", "0"],  # --classes-mod takes a prime
+        ["GL", "2", "3", "--classes-mod", "-3"],
+        ["GL", "2", "3", "--classes-mod", "4"],
     ],
 )
 def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
@@ -283,6 +286,27 @@ def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])
+def test_oracle_subcommand_unknown_kind_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", *argv])
+    assert exc.value.code == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SIEGEL_DOC))
+    # a path in a missing directory, then a directory itself
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main([str(cfg), "--output", str(target)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write output: ")
 
 
 def test_p_independent_work_happens_once_per_run(monkeypatch):

@@ -18,7 +18,6 @@ from heckebound.oracle import (
     StateSpaceError,
     count_symplectic_matrices,
     enumerate_gl,
-    enumerate_group,
     enumerate_gsp_modn,
     enumerate_similitude_product,
     enumerate_sp,
@@ -93,19 +92,6 @@ def test_gsp_enumeration_matches_level_group_order(level):
     p = 7 if level != 7 else 11
     s = setting(Q, 1, level, p)
     assert enumerate_gsp_modn(1, level).order == level_group_order(s)
-
-
-def test_enumerate_group_dispatch():
-    assert enumerate_group("GL", m=2, q=2).order == 6
-    assert enumerate_group("U", m=2, q=2).order == 18
-    assert enumerate_group("Sp", m=1, q=3).order == 24
-    assert enumerate_group("GSp_modN", m=1, level=3).order == 48
-    g = enumerate_group("similitude_product", setting=setting(Q, 1, 4, 3))
-    assert g.order == 8
-    with pytest.raises(ValueError):
-        enumerate_group("nope", m=1, q=2)
-    with pytest.raises(ValueError):
-        enumerate_group("SL", m=2, q=2)
 
 
 # --- guards ------------------------------------------------------------------
@@ -238,8 +224,12 @@ def test_irr_and_sylow_cross_checks(fld, m, level, p):
 
 def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
     """Reference partition: the orbit of x is {g x g^-1 : g in G}, with
-    every element of G as a conjugator (O(|G|^2) products)."""
-    inverses = {g: group.inverse(g) for g in group.elements}
+    every element of G as a conjugator and its inverse found by search
+    (O(|G|^2) products)."""
+    inverses = {
+        g: next(h for h in group.elements if group.mul(g, h) == group.identity)
+        for g in group.elements
+    }
     assigned = set()
     classes = []
     for x in group.elements:
@@ -252,13 +242,15 @@ def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
 
 
 def test_generating_set_path_matches_direct_orbits():
-    for fld, m, level, p, order in (
-        (Q, 1, 3, 5, 24),
-        (Q, 2, 3, 2, 18),
-        (Q, 2, 4, 3, 192),
-        (R5, 2, 3, 2, 180),
-    ):
-        group = enumerate_similitude_product(setting(fld, m, level, p))
+    # residual groups of settings, then four standalone groups that are not
+    residual = [
+        enumerate_similitude_product(setting(fld, m, level, p))
+        for fld, m, level, p in ((Q, 1, 3, 5), (Q, 2, 3, 2), (Q, 2, 4, 3), (R5, 2, 3, 2))
+    ]
+    standalone = [enumerate_gl(2, 3), enumerate_unitary(2, 3), enumerate_sp(1, 5),
+                  enumerate_gsp_modn(1, 4)]
+    orders = (24, 18, 192, 180, 48, 96, 120, 96)
+    for group, order in zip(residual + standalone, orders, strict=True):
         assert group.order == order
         via_gens = group.conjugacy_classes()
         direct = direct_conjugacy_classes(group)
