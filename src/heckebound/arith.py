@@ -2,14 +2,17 @@
 quadratic Dirichlet characters, and zeta special values at negative
 odd integers (degree <= 2 totally real fields).
 
-Everything is computed over ``fractions.Fraction``; no floating point.
+The zeta kernel is integer-only: Bernoulli numbers come from tangent
+numbers and generalized Bernoulli numbers from integer power sums of the
+character, so ``fractions.Fraction`` appears only in the final few terms.
+No floating point.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -19,7 +22,6 @@ if TYPE_CHECKING:
 __all__ = [
     "InternalCheckError",
     "bernoulli",
-    "bernoulli_polynomial",
     "kronecker",
     "QuadraticCharacter",
     "generalized_bernoulli",
@@ -34,36 +36,46 @@ class InternalCheckError(RuntimeError):
     implementation (not the input) is at fault."""
 
 
-# Bernoulli cache (first convention, B_1 = -1/2).  Only even indices ever
-# reach the zeta path, but the recurrence needs every index anyway.
-_bern_lock = threading.Lock()
-_bern: list[Fraction] = [Fraction(1)]
+# _bern_even[k] = B_{2k}.  The table is replaced, never mutated, so a
+# reader holding the old tuple still sees consistent values.
+_bern_even: tuple[Fraction, ...] = (Fraction(1),)
+
+
+def _even_bernoulli_table(size: int) -> tuple[Fraction, ...]:
+    """(B_0, B_2, ..., B_{2(size-1)}) from the tangent numbers T_1..T_{size-1}.
+
+    Brent and Harvey, arXiv:1108.0286, Algorithm TangentNumbers: O(size^2)
+    integer operations, then B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    """
+    t = [0, 1]
+    for k in range(2, size):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, size):
+        for j in range(k, size):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return (Fraction(1),) + tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+        for k in range(1, size)
+    )
 
 
 def bernoulli(n: int) -> Fraction:
     """B_n with the convention B_1 = -1/2.
 
-    Uses the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 and
-    memoizes all values up to the largest index requested.
+    B_n = 0 for odd n >= 3; even indices are read from a table of tangent
+    numbers, rebuilt in one pass to at least twice its size whenever a
+    larger index is requested.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    with _bern_lock:
-        while len(_bern) <= n:
-            m = len(_bern)
-            s = sum(comb(m + 1, k) * _bern[k] for k in range(m))
-            _bern.append(Fraction(-s, m + 1))
-        return _bern[n]
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_k C(n, k) B_k x^(n-k), evaluated exactly."""
-    if n < 0:
-        raise ValueError("Bernoulli polynomial degree must be >= 0")
-    x = Fraction(x)
-    return sum(
-        comb(n, k) * bernoulli(k) * x ** (n - k) for k in range(n + 1)
-    )
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    global _bern_even
+    table = _bern_even
+    k = n // 2
+    if k >= len(table):
+        table = _bern_even = _even_bernoulli_table(max(k + 1, 2 * len(table)))
+    return table[k]
 
 
 # (a/2) as a function of a mod 8
@@ -138,16 +150,31 @@ class QuadraticCharacter:
         return f"QuadraticCharacter({self.discriminant})"
 
 
+@cache
+def _character_support(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (a, chi_D(a)) with 1 <= a <= D and chi_D(a) != 0."""
+    return tuple((a, c) for a in range(1, d + 1) if (c := kronecker(d, a)))
+
+
 def generalized_bernoulli(n: int, chi: QuadraticCharacter) -> Fraction:
     """B_{n,chi} = D^(n-1) sum_{a=1}^{D} chi(a) B_n(a/D) for the
-    discriminant D of chi."""
+    discriminant D of chi.
+
+    Expanding B_n(x) gives sum_k C(n, k) B_k D^(k-1) S_{n-k} with the
+    integer power sums S_j = sum_a chi(a) a^j; only the terms with
+    B_k != 0 are formed.
+    """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
     d = chi.discriminant
-    total = sum(
-        chi(a) * bernoulli_polynomial(n, Fraction(a, d)) for a in range(1, d + 1)
-    )
-    return d ** (n - 1) * total
+    support = _character_support(d)
+    total = Fraction(0)
+    for k in range(n + 1):
+        b = bernoulli(k)
+        if b:
+            power_sum = sum(c * a ** (n - k) for a, c in support)
+            total += comb(n, k) * d**k * power_sum * b
+    return total / d
 
 
 def _dirichlet_l_negative(n: int, chi: QuadraticCharacter) -> Fraction:

@@ -54,6 +54,13 @@ class FieldSpec:
     def __post_init__(self):
         if self.discriminant == 1:
             return
+        if self.discriminant > 200_000:
+            # the zeta kernel is linear in the discriminant; 200 000 keeps
+            # one record with m <= 4 under about two seconds
+            _fail(
+                "disc_too_large",
+                f"discriminant must be <= 200000, got {self.discriminant}",
+            )
         if self.discriminant < 1 or not is_fundamental_discriminant(self.discriminant):
             _fail(
                 "bad_discriminant",

@@ -1,15 +1,18 @@
 import random
+import time
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import comb, gcd, isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heckebound.arith as arith
 from heckebound.arith import (
     InternalCheckError,
     QuadraticCharacter,
     bernoulli,
-    bernoulli_polynomial,
     generalized_bernoulli,
     is_fundamental_discriminant,
     is_prime,
@@ -18,6 +21,61 @@ from heckebound.arith import (
     zeta_special_value,
 )
 from heckebound.numberfield import FieldSpec
+
+# Reference routes for the differential tests: the defining O(n^2)
+# Bernoulli recurrence, and B_{n,chi} as a sum of Bernoulli-polynomial
+# values, one per residue a (the kernel sums power sums, one per index k).
+REFERENCE_LIMIT = 300
+
+
+@cache
+def _recurrence_table() -> tuple[Fraction, ...]:
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1
+    table = [Fraction(1)]
+    for n in range(1, REFERENCE_LIMIT + 1):
+        s = sum(comb(n + 1, k) * table[k] for k in range(n))
+        table.append(Fraction(-s, n + 1))
+    return tuple(table)
+
+
+def reference_bernoulli(n: int) -> Fraction:
+    return _recurrence_table()[n]
+
+
+@cache
+def _cleared_polynomial(n: int) -> tuple[int, tuple[int, ...]]:
+    # (L, e) with L * C(n, k) * B_k = e_k an integer for every k
+    coefficients = [comb(n, k) * reference_bernoulli(k) for k in range(n + 1)]
+    scale = lcm(*(c.denominator for c in coefficients))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in coefficients)
+
+
+def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
+    """B_n(x) = sum_k C(n, k) B_k x^(n-k), evaluated exactly.
+
+    For x = p/q the sum is formed over the integer coefficients e_k and
+    the denominator L * q^n, so it costs one Fraction, not n + 1.
+    """
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    scale, cleared = _cleared_polynomial(n)
+    total = sum(e * p ** (n - k) * q**k for k, e in enumerate(cleared))
+    return Fraction(total, scale * q**n)
+
+
+def reference_generalized_bernoulli(n: int, d: int) -> Fraction:
+    """B_{n,chi_D} = D^(n-1) sum_{a=1}^{D} chi_D(a) B_n(a/D)."""
+    total = sum(
+        c * bernoulli_polynomial(n, Fraction(a, d))
+        for a in range(1, d + 1)
+        if (c := kronecker(d, a))
+    )
+    return d ** (n - 1) * total
+
+
+FUNDAMENTAL_BELOW_3000 = [
+    d for d in range(2, 3001) if is_fundamental_discriminant(d)
+]
 
 
 def test_bernoulli_small_values():
@@ -34,8 +92,8 @@ def test_bernoulli_odd_vanishing():
 
 
 def test_bernoulli_von_staudt_clausen():
-    # independent handle on the recurrence: denominators of even-index
-    # values are the product of primes p with (p-1) | n
+    # independent handle on the tangent-number table: denominators of
+    # even-index values are the product of primes p with (p-1) | n
     for n in range(2, 41, 2):
         assert bernoulli(n).denominator == von_staudt_clausen_denominator(n)
 
@@ -52,6 +110,23 @@ def test_bernoulli_polynomial_values():
     # B_n(0) = B_n
     for n in range(8):
         assert bernoulli_polynomial(n, Fraction(0)) == bernoulli(n)
+
+
+def test_bernoulli_matches_recurrence(monkeypatch):
+    # start from an empty table so every doubling of it is exercised
+    monkeypatch.setattr(arith, "_bern_even", (Fraction(1),))
+    for n in range(REFERENCE_LIMIT + 1):
+        assert bernoulli(n) == reference_bernoulli(n), n
+
+
+def test_bernoulli_table_from_cold_is_fast(monkeypatch):
+    # the recurrence took about a minute here; tangent numbers take < 1 s
+    monkeypatch.setattr(arith, "_bern_even", (Fraction(1),))
+    start = time.perf_counter()
+    value = bernoulli(1600)
+    assert time.perf_counter() - start < 5
+    assert value.denominator == von_staudt_clausen_denominator(1600)
+    assert value < 0  # sign (-1)^(k-1) at k = 800
 
 
 def test_kronecker_examples():
@@ -134,6 +209,24 @@ def test_generalized_bernoulli_values():
     assert generalized_bernoulli(2, QuadraticCharacter(8)) == 2
 
 
+def test_generalized_bernoulli_matches_polynomial_sum():
+    for d in [d for d in FUNDAMENTAL_BELOW_3000 if d < 300]:
+        chi = QuadraticCharacter(d)
+        for n in range(1, 9):
+            expected = reference_generalized_bernoulli(n, d)
+            assert generalized_bernoulli(n, chi) == expected, (d, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.sampled_from(FUNDAMENTAL_BELOW_3000),
+    n=st.integers(min_value=1, max_value=12),
+)
+def test_generalized_bernoulli_random_against_polynomial_sum(d, n):
+    expected = reference_generalized_bernoulli(n, d)
+    assert generalized_bernoulli(n, QuadraticCharacter(d)) == expected
+
+
 def test_generalized_bernoulli_rejects_trivial():
     # the trivial character cannot be built, so it never reaches B_{n,chi}
     with pytest.raises(ValueError):
@@ -167,24 +260,53 @@ def test_zeta_real_quadratic_values():
     assert zeta_special_value(FieldSpec.real_quadratic(8), 1) == Fraction(1, 12)
 
 
-def _divisor_sum_zeta_minus_one(d: int) -> Fraction:
-    # Siegel's formula: zeta_F(-1) = (1/60) sum sigma_1((d - b^2)/4)
-    # over integers b with b^2 < d and b^2 = d mod 4
-    from math import isqrt
-
+def _sigma(k: int, n: int) -> int:
     total = 0
-    for b in range(-isqrt(d), isqrt(d) + 1):
-        if d - b * b > 0 and (d - b * b) % 4 == 0:
-            n = (d - b * b) // 4
-            total += sum(k for k in range(1, n + 1) if n % k == 0)
-    return Fraction(total, 60)
+    for e in range(1, isqrt(n) + 1):
+        if n % e == 0:
+            total += e**k + ((n // e) ** k if e * e != n else 0)
+    return total
+
+
+# j -> (k, c): zeta_F(1-2j) = (1/c) sum sigma_k((d - x^2)/4)
+_SIEGEL_COEFFICIENTS = {1: (1, 60), 2: (3, 120)}
+
+
+def _siegel_zeta(d: int, j: int) -> Fraction:
+    # Siegel's formula (dim M_{4j} = 1 for j = 1, 2), summed over integers
+    # x with x^2 < d and x = d mod 2, i.e. x^2 = d mod 4
+    k, c = _SIEGEL_COEFFICIENTS[j]
+    total = sum(
+        _sigma(k, (d - x * x) // 4)
+        for x in range(-isqrt(d - 1), isqrt(d - 1) + 1)
+        if (d - x * x) % 4 == 0
+    )
+    return Fraction(total, c)
+
+
+SIEGEL_DISCRIMINANTS = [d for d in FUNDAMENTAL_BELOW_3000 if d < 400]
 
 
 def test_zeta_minus_one_against_divisor_sums():
     # a second, character-free route to the same special value
-    for d in (5, 8, 12, 13, 17, 21, 24, 28, 29, 33):
+    for d in SIEGEL_DISCRIMINANTS:
         fld = FieldSpec.real_quadratic(d)
-        assert zeta_special_value(fld, 1) == _divisor_sum_zeta_minus_one(d), d
+        assert zeta_special_value(fld, 1) == _siegel_zeta(d, 1), d
+
+
+def test_zeta_minus_three_against_divisor_sums():
+    for d in SIEGEL_DISCRIMINANTS:
+        fld = FieldSpec.real_quadratic(d)
+        assert zeta_special_value(fld, 2) == _siegel_zeta(d, 2), d
+
+
+def test_zeta_at_large_discriminant_is_fast():
+    # the Bernoulli-polynomial route took about 4.5 s here
+    arith._character_support.cache_clear()
+    start = time.perf_counter()
+    value = zeta_special_value(FieldSpec.real_quadratic(100001), 1)
+    assert time.perf_counter() - start < 3
+    assert value == _siegel_zeta(100001, 1)
 
 
 def test_zeta_sign_law():

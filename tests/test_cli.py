@@ -364,6 +364,34 @@ def test_level_past_limit_is_a_coded_error_not_a_hang(tmp_path):
     assert {r["error"]["code"] for r in records} == {"level_too_large"}
 
 
+def test_disc_past_limit_is_a_coded_error_not_a_hang(tmp_path):
+    doc = {
+        "field": {"kind": "real_quadratic", "disc": 1000000000000000009},
+        "m": 1,
+        "N": 3,
+        "p": 5,
+    }
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.__cause__.code == "disc_too_large"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "heckebound.cli", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_CONFIG
+    assert elapsed < 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error: field.disc: discriminant must be <= 200000, "
+        "got 1000000000000000009"
+    ]
+
+
 def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):
     doc = dict(
         SWEEP_DOC,

@@ -177,3 +177,10 @@ def test_field_spec_validation():
         FieldSpec.real_quadratic(1)
     assert FieldSpec.real_quadratic(8).degree == 2
     assert Q.degree == 1
+    assert FieldSpec.real_quadratic(199_997).degree == 2
+    # the limit is checked before the squarefree test, whose trial
+    # division would not finish on an 18-digit prime
+    for disc in (200_001, 10**18 + 9):
+        with pytest.raises(SettingError) as err:
+            FieldSpec.real_quadratic(disc)
+        assert err.value.code == "disc_too_large"
