@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from collections import deque
 from math import gcd, prod
 
@@ -293,12 +294,19 @@ class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of tuples of
     matrices with a shared similitude unit), with its product as `mul`.
 
-    Conjugacy classes are orbits grown from a generating set under
-    x -> g x g^-1 for the generators g only.  Each such map permutes the
-    finite element set, so it has finite order and its inverse is one of
-    its own powers: an orbit closed under the forward maps is closed
-    under their inverses too.  The generating set is certified by
-    closing it and comparing against the full element list.
+    The elements are numbered once, and every group operation after
+    that is an index lookup.  One closure walk is the only place that
+    multiplies: generators are drawn from a `random.Random(0)` shuffle
+    of the element indices and added until their closure under right
+    multiplication is the whole element set, which certifies the
+    generating set.  The walk keeps each right action x -> x g as an
+    index list, and its spanning tree records every element as
+    parent * generator.  The inverse of an element is its tree word
+    read backwards through the inverted right actions.  Conjugacy
+    classes are orbits under x -> g^-1 x g = R_g(I(R_g(I(x)))) for the
+    generators g only: each such map permutes the finite element set,
+    so its inverse is one of its own powers, and an orbit closed under
+    the maps is closed under conjugation by the generators themselves.
     """
 
     def __init__(self, descriptor: str, elements, mul, identity):
@@ -306,78 +314,111 @@ class FqMatrixGroup:
         self.elements = list(elements)
         self.mul = mul
         self.identity = identity
-        self._elements_set = set(self.elements)
-        if len(self._elements_set) != len(self.elements):
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        if len(self._index) != len(self.elements):
             raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
-        if identity not in self._elements_set:
+        if identity not in self._index:
             raise InternalCheckError(f"{descriptor}: identity not in element set")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _power_cycle(self, x) -> tuple[int, object]:
-        """The order n of x and x^(n-1), its inverse, by walking its powers."""
-        n, last, y = 1, self.identity, x
+    def element_order(self, x) -> int:
+        n, y = 1, x
         while y != self.identity:
-            last, y = y, self.mul(y, x)
+            y = self.mul(y, x)
             n += 1
             if n > len(self.elements):
                 raise InternalCheckError(f"{self.descriptor}: element has no finite order")
-        return n, last
+        return n
 
-    def element_order(self, x) -> int:
-        return self._power_cycle(x)[0]
-
-    def inverse(self, x):
-        return self._power_cycle(x)[1]
-
-    def _generating_set(self) -> list:
-        gens: list = []
-        closure = [self.identity]
-        closure_set = {self.identity}
-        processed = {self.identity: 0}
-        for x in self.elements:
-            if x in closure_set:
+    def _closure_walk(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """The right actions of a certified generating set as index
+        lists, and the walk's spanning tree: element i is
+        parent[i] * generator letter[i], with the identity as root."""
+        elements, index, mul = self.elements, self._index, self.mul
+        n = len(elements)
+        root = index[self.identity]
+        parent = [-1] * n
+        letter = [-1] * n
+        applied = [0] * n  # generators already applied to each reached element
+        reached = bytearray(n)
+        reached[root] = 1
+        closure = [root]
+        generators: list = []
+        actions: list[list[int]] = []
+        candidates = list(range(n))
+        random.Random(0).shuffle(candidates)
+        for c in candidates:
+            if len(closure) == n:
+                break
+            if reached[c]:
                 continue
-            gens.append(x)
+            generators.append(elements[c])
+            actions.append([-1] * n)
             queue = deque(closure)
             while queue:
                 a = queue.popleft()
-                for g in gens[processed[a]:]:
-                    b = self.mul(a, g)
-                    if b not in closure_set:
-                        closure_set.add(b)
+                x = elements[a]
+                for k in range(applied[a], len(generators)):
+                    b = index.get(mul(x, generators[k]))
+                    if b is None:
+                        raise InternalCheckError(
+                            f"{self.descriptor}: generated closure does not match "
+                            "the enumerated element set"
+                        )
+                    actions[k][a] = b
+                    if not reached[b]:
+                        reached[b] = 1
+                        parent[b], letter[b] = a, k
                         closure.append(b)
-                        processed[b] = 0
                         queue.append(b)
-                processed[a] = len(gens)
-        if closure_set != self._elements_set:
-            raise InternalCheckError(
-                f"{self.descriptor}: generated closure does not match the "
-                "enumerated element set"
-            )
-        return gens
+                applied[a] = len(generators)
+        return actions, parent, letter
+
+    def _inverse_table(self, actions, parent, letter) -> list[int]:
+        """inv[i] is the index of the inverse of element i: for
+        i = g_1 ... g_k along the tree, i^-1 = e g_k^-1 ... g_1^-1."""
+        n = len(self.elements)
+        undo = []
+        for act in actions:
+            back = [-1] * n
+            for x, y in enumerate(act):
+                back[y] = x
+            if -1 in back:
+                raise InternalCheckError(
+                    f"{self.descriptor}: a generator does not permute the elements"
+                )
+            undo.append(back)
+        root = self._index[self.identity]
+        inv = [0] * n
+        for x in range(n):
+            y, z = root, x
+            while z != root:
+                y = undo[letter[z]][y]
+                z = parent[z]
+            inv[x] = y
+        return inv
 
     def conjugacy_classes(self) -> list[list]:
-        mul = self.mul
-        conjugators = [(g, self.inverse(g)) for g in self._generating_set()]
-        assigned = set()
+        actions, parent, letter = self._closure_walk()
+        inv = self._inverse_table(actions, parent, letter)
+        conjugations = [[r[inv[r[inv[x]]]] for x in range(len(r))] for r in actions]
+        assigned = bytearray(len(self.elements))
         classes = []
-        for x in self.elements:
-            if x in assigned:
+        for x in range(len(self.elements)):
+            if assigned[x]:
                 continue
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g, gi in conjugators:
-                    z = mul(mul(g, y), gi)
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            assigned |= orbit
-            classes.append(sorted(orbit))
+            assigned[x] = 1
+            orbit = [x]
+            for y in orbit:  # the list grows while it is walked
+                for conj in conjugations:
+                    z = conj[y]
+                    if not assigned[z]:
+                        assigned[z] = 1
+                        orbit.append(z)
+            classes.append(sorted(self.elements[i] for i in orbit))
         return classes
 
 
@@ -431,38 +472,60 @@ def _hermitian_matrices(
     """All A with A^t conj(A) = t*I for each t in targets, via depth-first
     search over column tuples: every column has hermitian norm t and the
     columns are pairwise hermitian-orthogonal.  Invertibility follows
-    from det(A) conj(det(A)) = t^m != 0.  Each inner node scans the pool;
-    a node charges its inner children's scans before descending."""
+    from det(A) conj(det(A)) = t^m != 0.
+
+    Each pool vector gets the bitmask of the pool vectors orthogonal to
+    it, so a node's children are the AND of its columns' masks.  The
+    search is charged in pool scans, before the work they stand for:
+    the root's scan, then each inner node's children's scans.  The
+    root's children's charge, made before the mask table is built,
+    covers the table; each depth-1 node is charged as its mask row is
+    completed."""
     _check_rank(m)
     q2 = f.order
     counter = [0]
     _charge(counter, q2**m, what)
-    columns = list(itertools.product(range(q2), repeat=m))
     by_norm: dict[int, list[tuple]] = {}
-    for c in columns:
+    for c in itertools.product(range(q2), repeat=m):
         by_norm.setdefault(_hermitian_dot(f, c, c), []).append(c)
+    mul, add, frob = f.mul, f.add, f.frob
 
     out: dict[int, list[tuple]] = {}
     for t in targets:
         pool = by_norm.get(t, [])
+        size = len(pool)
+        _charge(counter, size, what)  # the root's scan
+        masks = [0] * size
+        if m >= 2:
+            _charge(counter, size * size, what)  # the root's children's scans
+            # <u, v> = conj(<v, u>), so pair (i, j) sets both masks; row i
+            # is complete once its pairs with every j > i are done
+            conj = [[frob[y] for y in v] for v in pool]
+            for i, u in enumerate(pool):
+                row, bit = masks[i], 1 << i
+                for j in range(i + 1, size):
+                    s = 0
+                    for x, y in zip(u, conj[j]):
+                        s = add[s][mul[x][y]]
+                    if s == 0:
+                        row |= 1 << j
+                        masks[j] |= bit
+                masks[i] = row
+                if m >= 3:  # depth-1 node i, whose children are row's bits
+                    _charge(counter, row.bit_count() * size, what)
         solutions: list[tuple] = []
 
-        def extend(chosen):
+        def extend(avail: int, chosen: list):
             if len(chosen) == m:
                 solutions.append(tuple(zip(*chosen)))  # columns -> rows
                 _check_elements(len(solutions), what)
                 return
-            children = [
-                c for c in pool
-                if all(_hermitian_dot(f, c, prev) == 0 for prev in chosen)
-            ]
-            if len(chosen) + 1 < m:
-                _charge(counter, len(children) * len(pool), what)
-            for c in children:
-                extend(chosen + [c])
+            if 2 <= len(chosen) < m - 1:
+                _charge(counter, avail.bit_count() * size, what)
+            for i in _iter_bits(avail):
+                extend(avail & masks[i], chosen + [pool[i]])
 
-        _charge(counter, len(pool), what)  # the root's scan
-        extend([])
+        extend((1 << size) - 1, [])
         out[t] = solutions
     return out
 

@@ -1,0 +1,37 @@
+"""The session setup in conftest.py, run in a separate pytest process."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ONE_FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_hypothesis_test_is_reported_without_internal_error(tmp_path):
+    # this suite's ini options and conftest around one failing hypothesis
+    # test: its report must not abort the run
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "tests")
+    (tmp_path / "tests" / "test_property.py").write_text(ONE_FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -16,12 +17,14 @@ from heckebound.numberfield import FieldSpec, QuaternionData, validate_setting
 from heckebound.oracle import (
     FqMatrixGroup,
     StateSpaceError,
+    _hermitian_matrices,
     count_symplectic_matrices,
     enumerate_gl,
     enumerate_gsp_modn,
     enumerate_similitude_product,
     enumerate_sp,
     enumerate_unitary,
+    mat_mul,
     p_regular_class_count,
     small_field,
     sylow_p_order,
@@ -31,6 +34,7 @@ from heckebound.oracle import (
 Q = FieldSpec.rationals()
 R5 = FieldSpec.real_quadratic(5)
 R8 = FieldSpec.real_quadratic(8)
+R13 = FieldSpec.real_quadratic(13)
 
 
 def setting(fld, m, level, p):
@@ -127,6 +131,48 @@ def test_oversized_residual_group_skips_fast(fld):
     assert "element limit" in result["skipped"]
 
 
+@pytest.mark.parametrize("fld,m,level,p,reason", [
+    (Q, 3, 3, 5, "budget"),  # pool of 3150 vectors: the mask table alone is 9.9M entries
+    (R13, 3, 4, 3, "element limit"),  # two U_3(F_3) pools of 24 192 before assembly
+])
+def test_hermitian_search_skips_before_its_work(fld, m, level, p, reason):
+    t0 = time.monotonic()
+    result = verify_setting_with_oracle(setting(fld, m, level, p))
+    assert time.monotonic() - t0 < 1.0
+    assert result["verified"] is False
+    assert reason in result["skipped"]
+
+
+def brute_force_hermitian(f, m: int) -> dict[int, list[tuple]]:
+    """Reference for the mask search: every m x m matrix A over f, kept
+    under t when A^t conj(A) = t*I for a nonzero t."""
+    rows = list(itertools.product(range(f.order), repeat=m))
+    conj = {r: tuple(f.frob[x] for x in r) for r in rows}
+    scalar = {
+        tuple(tuple(t if i == j else 0 for j in range(m)) for i in range(m)): t
+        for t in range(1, f.order)
+    }
+    out: dict[int, list[tuple]] = {}
+    for a in itertools.product(rows, repeat=m):
+        t = scalar.get(mat_mul(f, tuple(zip(*a)), tuple(conj[r] for r in a)))
+        if t is not None:
+            out.setdefault(t, []).append(a)
+    return out
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2),
+                                   (2, 4, 1), (2, 4, 2), (2, 2, 3)])
+def test_hermitian_search_matches_brute_force(p, e, m):
+    f = small_field(p, e)
+    targets = list(range(1, f.order))  # targets off the fixed field have no solution
+    found = _hermitian_matrices(f, m, targets, "test")
+    expected = brute_force_hermitian(f, m)
+    assert expected  # at least t = 1 has solutions
+    for t in targets:
+        assert len(set(found[t])) == len(found[t]), t
+        assert set(found[t]) == set(expected.get(t, [])), t
+
+
 # --- group structure queries -------------------------------------------------
 
 
@@ -162,6 +208,17 @@ def test_group_faults_raise_internal_check_error():
     )
     with pytest.raises(InternalCheckError, match="closure"):
         not_closed.conjugacy_classes()
+
+
+def test_non_group_closure_raises_internal_check_error():
+    # {1, 0} in Z/5 is closed under products, but x -> x * 0 is no permutation
+    identity = ((1,),)
+    monoid = FqMatrixGroup(
+        "monoid", [identity, ((0,),)],
+        lambda a, b: ((a[0][0] * b[0][0] % 5,),), identity,
+    )
+    with pytest.raises(InternalCheckError, match="permute"):
+        monoid.conjugacy_classes()
 
 
 def test_trivial_group_class_count():
@@ -220,6 +277,16 @@ def test_irr_and_sylow_cross_checks(fld, m, level, p):
     assert group.order <= 100_000
     assert p_regular_class_count(group, p) == irr_count(s)
     assert sylow_p_order(group, p) == dim_bound(s)
+
+
+def test_m3_residual_group_verifies():
+    # the similitude unitary group of U_3(F_3); N does not enter it, so
+    # N = 5 gives the same group
+    s = setting(Q, 3, 4, 3)
+    group = enumerate_similitude_product(s)
+    assert group.order == 48_384
+    assert p_regular_class_count(group, 3) == irr_count(s)
+    assert verify_setting_with_oracle(s) == {"verified": True}
 
 
 def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
