@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .arith import InternalCheckError, bernoulli, factorize, is_prime
+from .arith import InternalCheckError, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
-from .numberfield import QuaternionData, SettingError, ShimuraSetting
+from .numberfield import (QuaternionData, SettingError, ShimuraSetting,
+                          check_level_and_prime)
 
 __all__ = [
     "InternalCheckError",
@@ -43,6 +44,14 @@ class BoundReport:
     dim_bound: int
     final_bound: int
     asymptotic_exponent: int
+
+
+def _positive_integer(value: Fraction, what: str) -> int:
+    """A count the construction guarantees to be a positive integer;
+    anything else is an implementation fault."""
+    if value.denominator != 1 or value <= 0:
+        raise InternalCheckError(f"{what} came out {value}, not a positive integer")
+    return int(value)
 
 
 def asymptotic_exponent(degree: int, m: int) -> int:
@@ -88,19 +97,16 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
     Being a cardinality the mass must come out a positive integer, and
     anything else raises InternalCheckError.
     """
-    inside, outside = setting.split_places_over_p()
     factor = 1
     for j in range(1, setting.m + 1):
-        for v in inside:
+        for v in setting.delta_prime_at_p:
             factor *= v.residue_cardinality**j + (-1) ** j
-        for v in outside:
+        for v in setting.even_places_at_p:
             factor *= v.residue_cardinality**j + 1
-    value = bound_constant(setting) * (level_group_order(setting) * factor)
-    if value.denominator != 1 or value <= 0:
-        raise InternalCheckError(
-            f"superspecial mass came out {value}, not a positive integer"
-        )
-    return int(value)
+    return _positive_integer(
+        bound_constant(setting) * (level_group_order(setting) * factor),
+        "superspecial mass",
+    )
 
 
 def final_bound(setting: ShimuraSetting) -> BoundReport:
@@ -113,7 +119,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     p-factors are computed independently and compared.
     """
     d, m, p = setting.degree, setting.m, setting.p
-    inside, outside = setting.split_places_over_p()
+    inside, outside = setting.delta_prime_at_p, setting.even_places_at_p
 
     constant = bound_constant(setting)
     group_order = level_group_order(setting)
@@ -128,12 +134,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             factor *= v.residue_cardinality**j + 1
         for v in inside:
             factor *= v.residue_cardinality**j + (-1) ** j
-    value = constant * (group_order * factor)
-    if value.denominator != 1 or value <= 0:
-        raise InternalCheckError(
-            f"final bound came out {value}, not a positive integer"
-        )
-    bound = int(value)
+    bound = _positive_integer(constant * (group_order * factor), "final bound")
 
     mass = superspecial_mass(setting)
     irr = irr_count(setting)
@@ -167,16 +168,7 @@ def siegel_bound(m: int, level: int, p: int) -> int:
     """
     if m < 1:
         raise SettingError("m_not_positive", f"genus m must be >= 1, got {m}")
-    if level < 3:
-        raise SettingError("level_too_small", f"level must be >= 3, got {level}")
-    if level > 10**12:
-        raise SettingError(
-            "level_too_large", f"level must be <= 10^12, got {level}"
-        )
-    if not is_prime(p):
-        raise SettingError("p_not_prime", f"p must be prime, got {p}")
-    if level % p == 0:
-        raise SettingError("p_divides_level", f"p = {p} divides the level {level}")
+    check_level_and_prime(level, p)
 
     constant = Fraction((-1) ** (m * (m + 1) // 2), 2**m)
     for i in range(1, m + 1):
@@ -195,11 +187,7 @@ def siegel_bound(m: int, level: int, p: int) -> int:
     value *= (p - 1) * (p + 1)
     for j in range(1, m + 1):
         value *= p**j + (-1) ** j
-    if value.denominator != 1 or value <= 0:
-        raise InternalCheckError(
-            f"Siegel bound came out {value}, not a positive integer"
-        )
-    return int(value)
+    return _positive_integer(value, "Siegel bound")
 
 
 def _check_shared_inputs(settings: list[ShimuraSetting]) -> None:

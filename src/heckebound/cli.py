@@ -50,9 +50,6 @@ class RunConfig:
     level: int
     single_p: int | None
     sweep: tuple[int, int] | None
-    output_format: str = "json"
-    oracle_check: bool = False
-    verbose: bool = False
 
     def primes(self) -> list[int]:
         if self.single_p is not None:
@@ -72,12 +69,7 @@ def _require(doc: dict, key: str, kind, where: str = "config"):
     return value
 
 
-def parse_config(
-    doc,
-    output_format: str = "json",
-    oracle_check: bool = False,
-    verbose: bool = False,
-) -> RunConfig:
+def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
 
@@ -141,9 +133,6 @@ def parse_config(
         level=level,
         single_p=single_p,
         sweep=sweep,
-        output_format=output_format,
-        oracle_check=oracle_check,
-        verbose=verbose,
     )
 
 
@@ -178,7 +167,7 @@ def _input_echo(config: RunConfig, p: int) -> dict:
 
 def _report_record(config: RunConfig, report: BoundReport) -> dict:
     setting = report.setting
-    record = {
+    return {
         "input": _input_echo(config, setting.p),
         "zeta_F": [_frac_str(z) for z in report.zeta_values],
         "C_B": _frac_str(report.constant),
@@ -193,9 +182,6 @@ def _report_record(config: RunConfig, report: BoundReport) -> dict:
             "away": [_place_doc(v) for v in setting.delta_prime_away],
         },
     }
-    if config.oracle_check:
-        record["oracle"] = oracle_mod.verify_setting_with_oracle(setting)
-    return record
 
 
 def _error_record(config: RunConfig, p: int, exc: SettingError) -> dict:
@@ -205,8 +191,11 @@ def _error_record(config: RunConfig, p: int, exc: SettingError) -> dict:
     }
 
 
-def compute_records(config: RunConfig) -> tuple[list[dict], int]:
-    """All records in ascending p, plus the process exit status.
+def compute_records(
+    config: RunConfig, oracle_check: bool = False, verbose: bool = False
+) -> tuple[list[dict], int]:
+    """All records in ascending p, plus the process exit status; with
+    oracle_check a completed oracle check that disagrees is a fault.
 
     Records are independent of one another, so a sweep could be computed
     concurrently; they are emitted in ascending p either way.
@@ -226,7 +215,7 @@ def compute_records(config: RunConfig) -> tuple[list[dict], int]:
     except SettingError as exc:
         quaternion_error = exc
     for p in config.primes():
-        if config.verbose:
+        if verbose:
             print(f"computing p = {p} ...", file=sys.stderr)
         error = quaternion_error
         if error is None:
@@ -235,15 +224,15 @@ def compute_records(config: RunConfig) -> tuple[list[dict], int]:
             except SettingError as exc:
                 error = exc
         if error is not None:
-            if config.verbose:
+            if verbose:
                 print(f"  skipped: {error}", file=sys.stderr)
             records.append(_error_record(config, p, error))
             continue
         record = _report_record(config, final_bound(setting))
-        oracle_result = record.get("oracle")
-        if oracle_result is not None and oracle_result.get("verified") is False \
-                and "skipped" not in oracle_result:
-            fault = True
+        if oracle_check:
+            verdict = record["oracle"] = oracle_mod.verify_setting_with_oracle(setting)
+            if not verdict["verified"] and "skipped" not in verdict:
+                fault = True
         records.append(record)
         successes += 1
     if fault:
@@ -342,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_oracle_subcommand(argv: list[str]) -> int:
-    # unadvertised helper for ad-hoc verification of the enumeration side
+    # ad-hoc verification of the enumeration side on its own
     enumerators = {"GL": oracle_mod.enumerate_gl, "U": oracle_mod.enumerate_unitary,
                    "Sp": oracle_mod.enumerate_sp,
                    "GSp_modN": oracle_mod.enumerate_gsp_modn}
@@ -411,27 +400,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        config = parse_config(
-            doc,
-            output_format=args.format,
-            oracle_check=args.oracle_check,
-            verbose=args.verbose,
-        )
+        config = parse_config(doc)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     with _unlimited_int_digits():
         try:
-            records, status = compute_records(config)
+            records, status = compute_records(config, args.oracle_check, args.verbose)
         except InternalCheckError as exc:
             print(f"internal fault: {exc}", file=sys.stderr)
             return EXIT_FAULT
-        text = (
-            render_json(records)
-            if config.output_format == "json"
-            else render_csv(records)
-        )
+        text = render_json(records) if args.format == "json" else render_csv(records)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:

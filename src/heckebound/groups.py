@@ -94,11 +94,10 @@ def irr_count(setting: ShimuraSetting) -> int:
     verifies that on every small instance).
     """
     d, m, p = setting.degree, setting.m, setting.p
-    inside, outside = setting.split_places_over_p()
     center = p - 1
-    for v in outside:
+    for v in setting.even_places_at_p:
         center *= v.residue_cardinality - 1
-    for v in inside:
+    for v in setting.delta_prime_at_p:
         center *= v.residue_cardinality + 1
     return p ** (d * (m - 1)) * center
 

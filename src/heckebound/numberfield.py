@@ -28,6 +28,7 @@ __all__ = [
     "ShimuraSetting",
     "split_prime",
     "resolve_ramification",
+    "check_level_and_prime",
     "validate_setting",
 ]
 
@@ -207,9 +208,9 @@ class ShimuraSetting:
     """Validated tuple (F, Delta_B, m, N, p) with the splitting of p and
     the two halves of the derived discriminant precomputed.
 
-    delta_prime_at_p are the places over p with odd residue degree;
-    delta_prime_away is the ramification set of the quaternion algebra,
-    which is entirely away from p by validation.
+    delta_prime_at_p are the places over p of odd residue degree and
+    even_places_at_p the others; delta_prime_away is the ramification set
+    of the quaternion algebra, which is entirely away from p by validation.
     """
 
     quaternion: QuaternionData
@@ -217,6 +218,7 @@ class ShimuraSetting:
     p: int
     places_over_p: tuple[Place, ...] = field(compare=False)
     delta_prime_at_p: tuple[Place, ...] = field(compare=False)
+    even_places_at_p: tuple[Place, ...] = field(compare=False)
     delta_prime_away: tuple[Place, ...] = field(compare=False)
 
     @property
@@ -231,11 +233,19 @@ class ShimuraSetting:
     def m(self) -> int:
         return self.quaternion.m
 
-    def split_places_over_p(self) -> tuple[tuple[Place, ...], tuple[Place, ...]]:
-        """Places over p inside / outside the derived discriminant."""
-        inside = self.delta_prime_at_p
-        outside = tuple(v for v in self.places_over_p if v not in inside)
-        return inside, outside
+
+def check_level_and_prime(level: int, p: int) -> None:
+    """The checks on N and p shared by every bound route, with the codes
+    level_too_small, level_too_large, p_not_prime and p_divides_level."""
+    if level < 3:
+        _fail("level_too_small", f"level must be >= 3, got {level}")
+    if level > 10**12:
+        # trial division factorizes the level; 10^12 keeps that under a second
+        _fail("level_too_large", f"level must be <= 10^12, got {level}")
+    if not is_prime(p):
+        _fail("p_not_prime", f"p must be prime, got {p}")
+    if level % p == 0:
+        _fail("p_divides_level", f"p = {p} divides the level {level}")
 
 
 def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
@@ -249,15 +259,7 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     duplicate_place, ramified_prime_not_prime, residue_degree_mismatch).
     """
     fld = quaternion.field
-    if level < 3:
-        _fail("level_too_small", f"level must be >= 3, got {level}")
-    if level > 10**12:
-        # trial division factorizes the level; 10^12 keeps that under a second
-        _fail("level_too_large", f"level must be <= 10^12, got {level}")
-    if not is_prime(p):
-        _fail("p_not_prime", f"p must be prime, got {p}")
-    if level % p == 0:
-        _fail("p_divides_level", f"p = {p} divides the level {level}")
+    check_level_and_prime(level, p)
     if fld.discriminant % p == 0:
         _fail(
             "p_ramified_in_field",
@@ -280,12 +282,12 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
             "available for the level group order at such primes",
         )
     places = tuple(split_prime(fld, p))
-    at_p = tuple(v for v in places if v.residue_degree % 2 == 1)
     return ShimuraSetting(
         quaternion=quaternion,
         level=level,
         p=p,
         places_over_p=places,
-        delta_prime_at_p=at_p,
+        delta_prime_at_p=tuple(v for v in places if v.residue_degree % 2 == 1),
+        even_places_at_p=tuple(v for v in places if v.residue_degree % 2 == 0),
         delta_prime_away=tuple(sorted(quaternion.ramified_places)),
     )

@@ -277,15 +277,6 @@ def mat_det(f: SmallField, a: tuple) -> int:
     return det
 
 
-def _hermitian_dot(f: SmallField, u: tuple, v: tuple) -> int:
-    # sum_k u_k * conj(v_k), with conj the inverting automorphism
-    mul, add, frob = f.mul, f.add, f.frob
-    s = 0
-    for x, y in zip(u, v):
-        s = add[s][mul[x][frob[y]]]
-    return s
-
-
 # ---------------------------------------------------------------------------
 # enumerated groups
 # ---------------------------------------------------------------------------
@@ -294,8 +285,8 @@ class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of tuples of
     matrices with a shared similitude unit), with its product as `mul`.
 
-    The elements are numbered once, and every group operation after
-    that is an index lookup.  One closure walk is the only place that
+    The elements are numbered once.  Besides `element_order`, which
+    walks powers with `mul`, one closure walk is the only place that
     multiplies: generators are drawn from a `random.Random(0)` shuffle
     of the element indices and added until their closure under right
     multiplication is the whole element set, which certifies the
@@ -485,10 +476,14 @@ def _hermitian_matrices(
     q2 = f.order
     counter = [0]
     _charge(counter, q2**m, what)
+    # <u, v> = sum_k u_k * conj(v_k), with conj the inverting automorphism
+    mul, add, frob = f.mul, f.add, f.frob
     by_norm: dict[int, list[tuple]] = {}
     for c in itertools.product(range(q2), repeat=m):
-        by_norm.setdefault(_hermitian_dot(f, c, c), []).append(c)
-    mul, add, frob = f.mul, f.add, f.frob
+        s = 0
+        for x in c:
+            s = add[s][mul[x][frob[x]]]
+        by_norm.setdefault(s, []).append(c)
 
     out: dict[int, list[tuple]] = {}
     for t in targets:

@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+import heckebound.bounds as bounds_mod
+from heckebound.arith import InternalCheckError
 from heckebound.bounds import (
     asymptotic_check,
     asymptotic_exponent,
@@ -124,6 +126,20 @@ def test_siegel_equality():
                     continue
                 r = final_bound(setting(Q, m, level, p))
                 assert siegel_bound(m, level, p) == r.final_bound, (m, level, p)
+
+
+def test_non_integer_count_is_an_internal_fault(monkeypatch):
+    # a level group order of 1/7 leaves every count a proper fraction
+    s = setting(Q, 1, 3, 5)
+    monkeypatch.setattr(bounds_mod, "level_group_order", lambda _: Fraction(1, 7))
+    tail = ", not a positive integer$"
+    with pytest.raises(InternalCheckError, match="^superspecial mass came out 1/42" + tail):
+        superspecial_mass(s)
+    with pytest.raises(InternalCheckError, match="^final bound came out 4/7" + tail):
+        final_bound(s)
+    monkeypatch.setattr(bounds_mod, "sp_order", lambda m, q: 0)
+    with pytest.raises(InternalCheckError, match="^Siegel bound came out 0" + tail):
+        siegel_bound(1, 3, 5)
 
 
 def test_siegel_validation():

@@ -156,6 +156,17 @@ def test_config_errors_name_the_field():
         parse_config(dict(SIEGEL_DOC, field={"kind": "cubic"}))
     with pytest.raises(ConfigError, match="residue_degree"):
         parse_config(dict(SIEGEL_DOC, quaternion_ramification=[{"prime": 3}]))
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        parse_config([SIEGEL_DOC])
+    with pytest.raises(ConfigError, match="'m' must be of type int"):
+        parse_config(dict(SIEGEL_DOC, m="1"))
+    with pytest.raises(ConfigError, match="'N' must be of type int"):
+        parse_config(dict(SIEGEL_DOC, N=True))
+    with pytest.raises(ConfigError, match="quaternion_ramification: must be a list"):
+        parse_config(dict(SIEGEL_DOC, quaternion_ramification={"prime": 3}))
+    entries = [{"prime": 7, "residue_degree": 1}, 13]
+    with pytest.raises(ConfigError, match=r"ramification\[1\]: must be an object"):
+        parse_config(dict(SIEGEL_DOC, quaternion_ramification=entries))
 
 
 def test_exit_code_on_bad_config(tmp_path):
@@ -189,6 +200,24 @@ def test_oracle_check_inline(tmp_path):
     assert "skipped" in rec["oracle"]
 
 
+def test_oracle_check_csv_cells(tmp_path):
+    doc = dict(SWEEP_DOC, p_sweep={"from": 2, "to": 13})
+    status, text = run_cli(tmp_path, doc, "--format", "csv", "--oracle-check")
+    assert status == EXIT_OK
+    cells = {int(row["p"]): row["oracle"] for row in csv.DictReader(io.StringIO(text))}
+    # p = 3 divides the level; 11 and 13 exceed the oracle's field tables
+    assert cells == {2: "true", 3: "", 5: "true", 7: "true",
+                     11: "skipped", 13: "skipped"}
+
+
+def test_oracle_disagreement_exits_with_fault_code(tmp_path, monkeypatch):
+    real = oracle_mod.irr_count
+    monkeypatch.setattr(oracle_mod, "irr_count", lambda s: real(s) + 1)
+    status, text = run_cli(tmp_path, SIEGEL_DOC, "--oracle-check")
+    assert status == EXIT_FAULT
+    assert json.loads(text)[0]["oracle"] == {"verified": False}
+
+
 def test_oracle_fault_exits_with_fault_code(tmp_path, monkeypatch, capsys):
     # a zero "identity" is not a group element: the oracle's own check fires
     monkeypatch.setattr(oracle_mod, "mat_identity", lambda m: ((0,) * m,) * m)
@@ -206,6 +235,13 @@ def test_integer_literal_past_digit_limit_is_a_config_error(tmp_path, capsys):
     assert main([str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_from_standard_input(tmp_path, monkeypatch, capsys):
+    _, from_file = run_cli(tmp_path, SIEGEL_DOC)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SIEGEL_DOC)))
+    assert main(["-"]) == EXIT_OK
+    assert capsys.readouterr().out == from_file
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -286,6 +322,14 @@ def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_oracle_subcommand_counts_p_regular_classes(capsys):
+    # GL_2(F_3) in its defining characteristic: 3 * 2 = 6 classes
+    assert main(["oracle", "GL", "2", "3", "--classes-mod", "3"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "descriptor": "GL_2(F_3)", "order": 48, "p_regular_classes": 6,
+    }
 
 
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])

@@ -1,4 +1,4 @@
-"""The session setup in conftest.py, run in a separate pytest process."""
+"""The suite's pytest settings, run in a separate pytest process."""
 
 import shutil
 import subprocess
@@ -22,11 +22,10 @@ def test_passes():
 
 
 def test_failing_hypothesis_test_is_reported_without_internal_error(tmp_path):
-    # this suite's ini options and conftest around one failing hypothesis
-    # test: its report must not abort the run
+    # this suite's ini options around one failing hypothesis test: its
+    # report must not abort the run
     shutil.copy(ROOT / "pyproject.toml", tmp_path)
     (tmp_path / "tests").mkdir()
-    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "tests")
     (tmp_path / "tests" / "test_property.py").write_text(ONE_FAILING_PROPERTY)
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
