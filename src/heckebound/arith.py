@@ -10,10 +10,11 @@ No floating point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, isqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -225,24 +226,47 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin to the twelve prime bases 2..37.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Proven deterministic for n < psi_12 = 318665857834031151167461
-    (Sorenson and Webster, arXiv:1509.00864); at or above that bound the
-    answer is a 12-base strong-probable-prime test.
+# (psi_k, k): psi_k is the least odd composite that is a strong probable
+# prime to each of the first k prime bases, so those k bases decide every
+# n < psi_k (psi_7 = psi_8, psi_9 = psi_10 = psi_11).  Jaeschke, Math.
+# Comp. 61 (1993); Jiang and Deng, Math. Comp. 83 (2014); Sorenson and
+# Webster, arXiv:1509.00864.
+_PSI = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 8),
+    (3_825_123_056_546_413_051, 11),
+)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first k prime bases, k the least with n < psi_k.
+
+    Proven deterministic for n < psi_12 = 318665857834031151167461; at or
+    above that bound the answer is a 12-base strong-probable-prime test.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
+    bases = _PRIME_BASES
+    for bound, k in _PSI:
+        if n < bound:
+            bases = _PRIME_BASES[:k]
+            break
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -253,6 +277,34 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi], from one bytearray sieve of the window.
+
+    The window is crossed off by the primes up to b = min(isqrt(hi),
+    10^5), themselves sieved.  A survivor below (b + 1)^2 has no prime
+    factor up to its square root and is prime; one at or above it (only
+    when hi > 10^10) is decided by is_prime.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    b = min(isqrt(hi), 10**5)
+    small = bytearray([1]) * (b + 1)
+    small[:2] = b"\0\0"
+    for q in range(2, isqrt(b) + 1):
+        if small[q]:
+            small[q * q::q] = bytes(len(range(q * q, b + 1, q)))
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in itertools.compress(range(b + 1), small):
+        start = max(q * q, -(-lo // q) * q)
+        window[start - lo::q] = bytes(len(range(start, hi + 1, q)))
+    proven = (b + 1) ** 2
+    return [
+        n for n in itertools.compress(range(lo, hi + 1), window)
+        if n < proven or is_prime(n)
+    ]
 
 
 def von_staudt_clausen_denominator(n: int) -> int:

@@ -5,8 +5,10 @@ Exit codes: 0 at least one record succeeded and no internal fault;
 1 every record failed validation; 2 the configuration did not parse,
 the --output path could not be written, or `heckebound oracle` got
 input it cannot enumerate (including a --classes-mod that is not a
-prime); 3 an exact internal identity was violated (implementation
-fault).
+prime); 3 an exact internal identity was violated, or any other
+exception escaped (implementation fault).  The output text is built in
+memory and written once at the end, so an exception raised during the
+run, or an unwritable --output, leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import is_prime, primes_between
 from .bounds import BoundReport, InternalCheckError, final_bound
 from .numberfield import (
     FieldSpec,
@@ -54,8 +57,7 @@ class RunConfig:
     def primes(self) -> list[int]:
         if self.single_p is not None:
             return [self.single_p]
-        lo, hi = self.sweep
-        return [p for p in range(lo, hi + 1) if is_prime(p)]
+        return primes_between(*self.sweep)
 
 
 def _require(doc: dict, key: str, kind, where: str = "config"):
@@ -136,70 +138,22 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+@dataclass(frozen=True, slots=True)
+class Record:
+    """The outcome at one prime: a bound report or the validation error,
+    plus the oracle verdict when the run cross-checks."""
 
-
-def _place_doc(v: Place) -> dict:
-    doc = {"prime": v.residue_prime, "residue_degree": v.residue_degree}
-    if v.index:
-        doc["index"] = v.index
-    if v.ramified:
-        doc["ramified"] = True
-    return doc
-
-
-def _input_echo(config: RunConfig, p: int) -> dict:
-    if config.field.is_rational:
-        field_doc = {"kind": "rational"}
-    else:
-        field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
-    return {
-        "field": field_doc,
-        "quaternion_ramification": [
-            {"prime": ell, "residue_degree": f} for ell, f in config.ramification
-        ],
-        "m": config.m,
-        "N": config.level,
-        "p": p,
-    }
-
-
-def _report_record(config: RunConfig, report: BoundReport) -> dict:
-    setting = report.setting
-    return {
-        "input": _input_echo(config, setting.p),
-        "zeta_F": [_frac_str(z) for z in report.zeta_values],
-        "C_B": _frac_str(report.constant),
-        "level_group_order": str(report.level_group_order),
-        "mass": str(report.mass),
-        "irr_count": str(report.irr_count),
-        "dim_bound": str(report.dim_bound),
-        "final_bound": str(report.final_bound),
-        "asymptotic_exponent": report.asymptotic_exponent,
-        "delta_prime": {
-            "at_p": [_place_doc(v) for v in setting.delta_prime_at_p],
-            "away": [_place_doc(v) for v in setting.delta_prime_away],
-        },
-    }
-
-
-def _error_record(config: RunConfig, p: int, exc: SettingError) -> dict:
-    return {
-        "input": _input_echo(config, p),
-        "error": {"code": exc.code, "message": str(exc)},
-    }
+    p: int
+    report: BoundReport | None = None
+    error: SettingError | None = None
+    oracle: dict | None = None
 
 
 def compute_records(
     config: RunConfig, oracle_check: bool = False, verbose: bool = False
-) -> tuple[list[dict], int]:
+) -> tuple[list[Record], int]:
     """All records in ascending p, plus the process exit status; with
-    oracle_check a completed oracle check that disagrees is a fault.
-
-    Records are independent of one another, so a sweep could be computed
-    concurrently; they are emitted in ascending p either way.
-    """
+    oracle_check a completed oracle check that disagrees is a fault."""
     records = []
     successes = 0
     fault = False
@@ -226,20 +180,136 @@ def compute_records(
         if error is not None:
             if verbose:
                 print(f"  skipped: {error}", file=sys.stderr)
-            records.append(_error_record(config, p, error))
+            records.append(Record(p, error=error))
             continue
-        record = _report_record(config, final_bound(setting))
+        report = final_bound(setting)
+        verdict = None
         if oracle_check:
-            verdict = record["oracle"] = oracle_mod.verify_setting_with_oracle(setting)
+            verdict = oracle_mod.verify_setting_with_oracle(setting)
             if not verdict["verified"] and "skipped" not in verdict:
                 fault = True
-        records.append(record)
+        records.append(Record(p, report=report, oracle=verdict))
         successes += 1
     if fault:
         return records, EXIT_FAULT
     if successes == 0:
         return records, EXIT_ALL_FAILED
     return records, EXIT_OK
+
+
+# Rendering.  The text of a record that does not depend on p is built once
+# per run, from the first report; each record adds only its own fields.
+
+
+def _frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _json_at(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads nested depth levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _places_json(places: tuple[Place, ...]) -> str:
+    # a place list three levels deep, as _json_at(..., 3) lays it out
+    if not places:
+        return "[]"
+    items = []
+    for v in places:
+        item = (f'{{\n          "prime": {v.residue_prime},'
+                f'\n          "residue_degree": {v.residue_degree}')
+        if v.index:
+            item += f',\n          "index": {v.index}'
+        if v.ramified:
+            item += ',\n          "ramified": true'
+        items.append(item + "\n        }")
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
+def _places_csv(places: tuple[Place, ...]) -> str:
+    return ";".join(f"{v.residue_prime}^{v.residue_degree}" for v in places)
+
+
+@dataclass(frozen=True)
+class _SharedCells:
+    """The p-independent fields of a run's successful records."""
+
+    zeta_F: list[str]
+    C_B: str
+    level_group_order: str
+    asymptotic_exponent: int
+    away: tuple[Place, ...]
+
+
+def _shared_cells(records: list[Record]) -> _SharedCells | None:
+    report = next((r.report for r in records if r.report is not None), None)
+    if report is None:
+        return None
+    return _SharedCells(
+        zeta_F=[_frac_str(z) for z in report.zeta_values],
+        C_B=_frac_str(report.constant),
+        level_group_order=str(report.level_group_order),
+        asymptotic_exponent=report.asymptotic_exponent,
+        away=report.setting.delta_prime_away,
+    )
+
+
+def render_json(config: RunConfig, records: list[Record]) -> str:
+    """The records as json.dumps(..., indent=2) would lay out their
+    documents, with the shared text built once."""
+    if not records:
+        return "[]\n"
+    if config.field.is_rational:
+        field_doc = {"kind": "rational"}
+    else:
+        field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
+    echo = _json_at(
+        {
+            "field": field_doc,
+            "quaternion_ramification": [
+                {"prime": ell, "residue_degree": f} for ell, f in config.ramification
+            ],
+            "m": config.m,
+            "N": config.level,
+        },
+        2,
+    )
+    # the echo without its closing brace, then p
+    head = '  {\n    "input": ' + echo.rpartition("\n")[0] + ',\n      "p": '
+    shared = _shared_cells(records)
+    if shared is not None:
+        before_mass = (
+            f'\n    }},\n    "zeta_F": {_json_at(shared.zeta_F, 2)},'
+            f'\n    "C_B": {json.dumps(shared.C_B)},'
+            f'\n    "level_group_order": {json.dumps(shared.level_group_order)},'
+            '\n    "mass": "'
+        )
+        before_at_p = (
+            f'",\n    "asymptotic_exponent": {shared.asymptotic_exponent},'
+            '\n    "delta_prime": {\n      "at_p": '
+        )
+        after_at_p = f',\n      "away": {_places_json(shared.away)}\n    }}'
+    parts = []
+    for r in records:
+        if r.error is not None:
+            parts.append(
+                f'{head}{r.p}\n    }},\n    "error": {{'
+                f'\n      "code": {json.dumps(r.error.code)},'
+                f'\n      "message": {json.dumps(str(r.error))}\n    }}\n  }}'
+            )
+            continue
+        report = r.report
+        text = (
+            f'{head}{r.p}{before_mass}{report.mass}",'
+            f'\n    "irr_count": "{report.irr_count}",'
+            f'\n    "dim_bound": "{report.dim_bound}",'
+            f'\n    "final_bound": "{report.final_bound}'
+            f'{before_at_p}{_places_json(report.setting.delta_prime_at_p)}{after_at_p}'
+        )
+        if r.oracle is not None:
+            text += f',\n    "oracle": {_json_at(r.oracle, 2)}'
+        parts.append(text + "\n  }")
+    return "[\n" + ",\n".join(parts) + "\n]\n"
 
 
 _CSV_COLUMNS = [
@@ -259,45 +329,40 @@ _CSV_COLUMNS = [
 ]
 
 
-def _places_csv(places: list[dict]) -> str:
-    return ";".join(f"{v['prime']}^{v['residue_degree']}" for v in places)
-
-
-def render_json(records: list[dict]) -> str:
-    return json.dumps(records, indent=2) + "\n"
-
-
-def render_csv(records: list[dict]) -> str:
+def render_csv(records: list[Record]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for record in records:
-        if "error" in record:
-            row = [record["input"]["p"], record["error"]["code"]] + [""] * 11
+    shared = _shared_cells(records)
+    if shared is not None:
+        zeta_cell = ";".join(shared.zeta_F)
+        away_cell = _places_csv(shared.away)
+    for r in records:
+        if r.error is not None:
+            writer.writerow([r.p, r.error.code] + [""] * 11)
+            continue
+        if r.oracle is None:
+            oracle_cell = ""
+        elif r.oracle.get("skipped"):
+            oracle_cell = "skipped"
         else:
-            oracle_result = record.get("oracle")
-            if oracle_result is None:
-                oracle_cell = ""
-            elif oracle_result.get("skipped"):
-                oracle_cell = "skipped"
-            else:
-                oracle_cell = str(oracle_result["verified"]).lower()
-            row = [
-                record["input"]["p"],
-                "",
-                ";".join(record["zeta_F"]),
-                record["C_B"],
-                record["level_group_order"],
-                record["mass"],
-                record["irr_count"],
-                record["dim_bound"],
-                record["final_bound"],
-                record["asymptotic_exponent"],
-                _places_csv(record["delta_prime"]["at_p"]),
-                _places_csv(record["delta_prime"]["away"]),
-                oracle_cell,
-            ]
-        writer.writerow(row)
+            oracle_cell = str(r.oracle["verified"]).lower()
+        report = r.report
+        writer.writerow([
+            r.p,
+            "",
+            zeta_cell,
+            shared.C_B,
+            shared.level_group_order,
+            report.mass,
+            report.irr_count,
+            report.dim_bound,
+            report.final_bound,
+            shared.asymptotic_exponent,
+            _places_csv(report.setting.delta_prime_at_p),
+            away_cell,
+            oracle_cell,
+        ])
     return buf.getvalue()
 
 
@@ -378,10 +443,28 @@ def _unlimited_int_digits():
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "oracle":
-        return _run_oracle_subcommand(argv[1:])
-    args = _build_parser().parse_args(argv)
+    try:
+        if argv and argv[0] == "oracle":
+            return _run_oracle_subcommand(argv[1:])
+        return _run(_build_parser().parse_args(argv))
+    except InternalCheckError as exc:
+        print(f"internal fault: {exc}", file=sys.stderr)
+        return EXIT_FAULT
+    except Exception as exc:
+        # any other exception is an implementation fault too: one line
+        # naming it and where it was raised, no traceback, no output
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = os.path.basename(tb.tb_frame.f_code.co_filename)
+        print(
+            f"internal fault: {type(exc).__name__}: {exc} ({where}:{tb.tb_lineno})",
+            file=sys.stderr,
+        )
+        return EXIT_FAULT
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.config == "-":
             raw = sys.stdin.read()
@@ -406,12 +489,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     with _unlimited_int_digits():
-        try:
-            records, status = compute_records(config, args.oracle_check, args.verbose)
-        except InternalCheckError as exc:
-            print(f"internal fault: {exc}", file=sys.stderr)
-            return EXIT_FAULT
-        text = render_json(records) if args.format == "json" else render_csv(records)
+        records, status = compute_records(config, args.oracle_check, args.verbose)
+        if args.format == "json":
+            text = render_json(config, records)
+        else:
+            text = render_csv(records)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import (
     QuadraticCharacter,
@@ -123,6 +123,11 @@ def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    return _places_over(fld, ell)
+
+
+def _places_over(fld: FieldSpec, ell: int) -> list[Place]:
+    # split_prime for an ell the caller has already proven prime
     if fld.is_rational:
         return [Place(ell, 1)]
     s = kronecker(fld.discriminant, ell)
@@ -145,6 +150,18 @@ class QuaternionData:
     def __post_init__(self):
         if self.m < 1:
             _fail("m_not_positive", f"module rank m must be >= 1, got {self.m}")
+        # the zeta power sums grow like D*m^2 and the bound's decimal text
+        # like (d*m^2)^2; these two caps keep one record under about two
+        # seconds for every N <= 10^12 and p <= 10^18 (measured in ROADMAP)
+        limit = min(
+            isqrt(2_500 // self.field.degree),
+            isqrt(3_200_000 // self.field.discriminant),
+        )
+        if self.m > limit:
+            _fail(
+                "m_too_large",
+                f"module rank m must be <= {limit} for this field, got {self.m}",
+            )
         if len(self.ramified_places) % 2 != 0:
             _fail(
                 "odd_ramification_set",
@@ -160,7 +177,7 @@ class QuaternionData:
                     f"{v.residue_prime} is not prime",
                 )
             # re-derive the splitting so stale residue degrees cannot slip in
-            if v not in split_prime(self.field, v.residue_prime):
+            if v not in _places_over(self.field, v.residue_prime):
                 _fail(
                     "residue_degree_mismatch",
                     f"{v!r} is not a place of the field",
@@ -189,11 +206,11 @@ def resolve_ramification(
             _fail("ramified_prime_not_prime", f"ramification entry {ell} is not prime")
         candidates = [
             v
-            for v in split_prime(fld, ell)
+            for v in _places_over(fld, ell)
             if v.residue_degree == f and v not in used
         ]
         if not candidates:
-            actual = [v.residue_degree for v in split_prime(fld, ell)]
+            actual = [v.residue_degree for v in _places_over(fld, ell)]
             _fail(
                 "residue_degree_mismatch",
                 f"no unused place over {ell} has residue degree {f} "
@@ -255,8 +272,9 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     level_too_large, p_not_prime, p_divides_level, p_ramified_in_field, p_in_ramification_set,
     level_not_coprime.  The p-independent checks, including that every
     ramified place is a place of the field, ran once when the
-    QuaternionData was built (codes m_not_positive, odd_ramification_set,
-    duplicate_place, ramified_prime_not_prime, residue_degree_mismatch).
+    QuaternionData was built (codes m_not_positive, m_too_large,
+    odd_ramification_set, duplicate_place, ramified_prime_not_prime,
+    residue_degree_mismatch).
     """
     fld = quaternion.field
     check_level_and_prime(level, p)
@@ -281,7 +299,8 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
             f"field discriminant (product {bad}); no closed form is "
             "available for the level group order at such primes",
         )
-    places = tuple(split_prime(fld, p))
+    # check_level_and_prime has proven p prime
+    places = tuple(_places_over(fld, p))
     return ShimuraSetting(
         quaternion=quaternion,
         level=level,

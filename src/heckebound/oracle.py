@@ -436,13 +436,19 @@ def _check_rank(m: int):
 def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     """Every m x m matrix over f with nonzero determinant."""
     _check_rank(m)
-    _charge([0], f.order ** (m * m), what)
+    q = f.order
+    _charge([0], q ** (m * m), what)
+    # |GL_m(F_q)| = q^(m(m-1)/2) prod_j (q^j - 1) elements will be kept:
+    # checked before the loop, which would store and test that many
+    count = q ** (m * (m - 1) // 2)
+    for j in range(1, m + 1):
+        count *= q**j - 1
+    _check_elements(count, what)
     out = []
-    for entries in itertools.product(range(f.order), repeat=m * m):
+    for entries in itertools.product(range(q), repeat=m * m):
         a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
         if mat_det(f, a) != 0:
             out.append(a)
-            _check_elements(len(out), what)
     return out
 
 

@@ -17,6 +17,7 @@ from heckebound.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
+    primes_between,
     von_staudt_clausen_denominator,
     zeta_special_value,
 )
@@ -344,3 +345,100 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     assert is_prime(104729)
     assert not is_prime(104729 * 104723)
+
+
+def _sieve(limit: int) -> bytearray:
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit + 1, i)))
+    return flags
+
+
+# psi_k, the least odd composite that is a strong probable prime to each of
+# the first k prime bases (psi_7 = psi_8, psi_9 = psi_10 = psi_11)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051)
+
+
+def test_is_prime_rejects_each_psi_k():
+    # each psi_k is the first n that k bases would pass: is_prime must
+    # switch to more bases at psi_k, not after it
+    for psi in PSI:
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_agrees_with_a_sieve_below_10_6():
+    flags = _sieve(10**6)
+    assert [n for n in range(10**6 + 1) if is_prime(n)] == [
+        n for n in range(10**6 + 1) if flags[n]
+    ]
+
+
+def _is_prime_12_bases(n: int) -> bool:
+    # the reference: Miller-Rabin to all twelve prime bases 2..37
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.integers(0, 10**24),
+    st.sampled_from(PSI).flatmap(lambda psi: st.integers(psi - 10**4, psi + 10**4)),
+    # products of two primes of about the same size are the hard composites
+    st.tuples(st.integers(2, 10**12), st.integers(2, 10**12)).map(
+        lambda ab: next(p for p in range(ab[0], 2 * ab[0] + 2) if _is_prime_12_bases(p))
+        * next(p for p in range(ab[1], 2 * ab[1] + 2) if _is_prime_12_bases(p))
+    ),
+))
+def test_is_prime_agrees_with_twelve_bases(n):
+    assert is_prime(n) == _is_prime_12_bases(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((0, 10**5, 10**10 - 3000, 10**18)),
+    st.integers(0, 3000),
+    st.integers(0, 3000),
+)
+def test_primes_between_is_the_is_prime_filter(base, offset, width):
+    # windows both sieved to their square root and above 10^10, where
+    # survivors of the partial sieve go to is_prime
+    lo = base + offset
+    hi = lo + width
+    assert primes_between(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_primes_between_matches_a_full_sieve():
+    flags = _sieve(10**5)
+    assert primes_between(2, 10**5) == [n for n in range(10**5 + 1) if flags[n]]
+    assert primes_between(24, 28) == []
+    assert primes_between(0, 2) == [2]
+    # the least composite without a prime factor up to 10^5, which only
+    # is_prime can reject
+    square = 100003**2
+    assert primes_between(square - 10, square + 10) == [
+        n for n in range(square - 10, square + 11) if is_prime(n)
+    ]
+    assert square not in primes_between(square - 10, square + 10)

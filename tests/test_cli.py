@@ -1,19 +1,22 @@
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckebound
 import heckebound.arith as arith_mod
 import heckebound.bounds as bounds_mod
+import heckebound.cli as cli_mod
 import heckebound.groups as groups_mod
 import heckebound.oracle as oracle_mod
 from heckebound.arith import is_prime
@@ -54,6 +57,109 @@ SWEEP_DOC = {
     "N": 3,
     "p_sweep": {"from": 2, "to": 20},
 }
+
+
+# Reference renderer for the differential tests: each record as a dict of
+# documents, laid out by json.dumps(..., indent=2) and csv.writer.
+
+
+def _ref_frac(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _ref_place_doc(v):
+    doc = {"prime": v.residue_prime, "residue_degree": v.residue_degree}
+    if v.index:
+        doc["index"] = v.index
+    if v.ramified:
+        doc["ramified"] = True
+    return doc
+
+
+def _ref_input_echo(config, p):
+    if config.field.is_rational:
+        field_doc = {"kind": "rational"}
+    else:
+        field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
+    return {
+        "field": field_doc,
+        "quaternion_ramification": [
+            {"prime": ell, "residue_degree": f} for ell, f in config.ramification
+        ],
+        "m": config.m,
+        "N": config.level,
+        "p": p,
+    }
+
+
+def reference_documents(config, records):
+    docs = []
+    for record in records:
+        echo = _ref_input_echo(config, record.p)
+        if record.error is not None:
+            docs.append({
+                "input": echo,
+                "error": {"code": record.error.code, "message": str(record.error)},
+            })
+            continue
+        report = record.report
+        setting = report.setting
+        doc = {
+            "input": echo,
+            "zeta_F": [_ref_frac(z) for z in report.zeta_values],
+            "C_B": _ref_frac(report.constant),
+            "level_group_order": str(report.level_group_order),
+            "mass": str(report.mass),
+            "irr_count": str(report.irr_count),
+            "dim_bound": str(report.dim_bound),
+            "final_bound": str(report.final_bound),
+            "asymptotic_exponent": report.asymptotic_exponent,
+            "delta_prime": {
+                "at_p": [_ref_place_doc(v) for v in setting.delta_prime_at_p],
+                "away": [_ref_place_doc(v) for v in setting.delta_prime_away],
+            },
+        }
+        if record.oracle is not None:
+            doc["oracle"] = record.oracle
+        docs.append(doc)
+    return docs
+
+
+def _ref_places_csv(places):
+    return ";".join(f"{v['prime']}^{v['residue_degree']}" for v in places)
+
+
+def reference_json(docs):
+    return json.dumps(docs, indent=2) + "\n"
+
+
+def reference_csv(docs):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "error_code", "zeta_F", "C_B", "level_group_order",
+                     "mass", "irr_count", "dim_bound", "final_bound",
+                     "asymptotic_exponent", "delta_prime_at_p",
+                     "delta_prime_away", "oracle"])
+    for doc in docs:
+        if "error" in doc:
+            writer.writerow([doc["input"]["p"], doc["error"]["code"]] + [""] * 11)
+            continue
+        verdict = doc.get("oracle")
+        if verdict is None:
+            oracle_cell = ""
+        elif verdict.get("skipped"):
+            oracle_cell = "skipped"
+        else:
+            oracle_cell = str(verdict["verified"]).lower()
+        writer.writerow([
+            doc["input"]["p"], "", ";".join(doc["zeta_F"]), doc["C_B"],
+            doc["level_group_order"], doc["mass"], doc["irr_count"],
+            doc["dim_bound"], doc["final_bound"], doc["asymptotic_exponent"],
+            _ref_places_csv(doc["delta_prime"]["at_p"]),
+            _ref_places_csv(doc["delta_prime"]["away"]),
+            oracle_cell,
+        ])
+    return buf.getvalue()
 
 
 def run_cli(tmp_path, doc, *args):
@@ -294,7 +400,9 @@ def test_render_helpers_round_trip():
     config = parse_config(SIEGEL_DOC)
     records, status = compute_records(config)
     assert status == EXIT_OK
-    assert json.loads(render_json(records)) == records
+    assert json.loads(render_json(config, records)) == reference_documents(
+        config, records
+    )
     rows = list(csv.DictReader(io.StringIO(render_csv(records))))
     assert rows[0]["final_bound"] == "192"
 
@@ -376,8 +484,10 @@ def test_p_independent_work_happens_once_per_run(monkeypatch):
         "N": 3,
         "p_sweep": {"from": 2, "to": 50},
     }
-    records, status = compute_records(parse_config(doc))
+    config = parse_config(doc)
+    records, status = compute_records(config)
     assert status == EXIT_OK
+    records = json.loads(render_json(config, records))
     assert sum("error" not in r for r in records) == 13
     assert sorted(calls) == [2, 4]
     # |G(Z/3Z)| once per run: 3 is inert in Q(sqrt5), one place over 3
@@ -490,6 +600,7 @@ def _sweep_configs(draw):
 def test_shared_datum_matches_fresh_per_prime_records(doc):
     config = parse_config(doc)
     records, _ = compute_records(config)
+    records = json.loads(render_json(config, records))
     lo, hi = config.sweep
     assert [r["input"]["p"] for r in records] == [
         p for p in range(lo, hi + 1) if is_prime(p)
@@ -519,3 +630,68 @@ def test_shared_datum_matches_fresh_per_prime_records(doc):
         for key in ("level_group_order", "mass", "irr_count", "dim_bound",
                     "final_bound"):
             assert record[key] == str(getattr(report, key))
+
+
+_VERDICTS = (
+    {"verified": True},
+    {"verified": False},
+    {"verified": False,
+     "skipped": 'linear factor over Place(7^2,0): more than the "100000" limit'},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _sweep_configs(),
+    st.booleans(),
+    st.lists(st.sampled_from(_VERDICTS), min_size=1, max_size=5),
+    st.booleans(),
+)
+@example(dict(SWEEP_DOC, p_sweep={"from": 24, "to": 28}), False, [_VERDICTS[0]], False)
+@example(dict(SWEEP_DOC, N=6, p_sweep={"from": 2, "to": 3}), True, [_VERDICTS[2]], True)
+def test_renderers_match_the_reference_layout(doc, oracle_check, verdicts, verbose):
+    # the verdicts are fixed, so the oracle's own cost stays out of the test
+    answers = itertools.cycle(verdicts)
+    config = parse_config(doc)
+    with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
+                           lambda setting: dict(next(answers))):
+        records, _ = compute_records(config, oracle_check, verbose)
+    docs = reference_documents(config, records)
+    assert render_json(config, records) == reference_json(docs)
+    assert render_csv(records) == reference_csv(docs)
+
+
+def test_unexpected_exception_is_an_internal_fault(tmp_path, monkeypatch, capsys):
+    def broken(setting):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli_mod, "final_bound", broken)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SIEGEL_DOC))
+    assert main([str(cfg)]) == EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal fault: ZeroDivisionError: division by zero")
+
+
+def test_m_past_limit_is_a_coded_error_not_a_slow_record(tmp_path):
+    # m = 400 at p = 5 took 11 s, nearly all of it writing the bound out
+    doc = dict(SIEGEL_DOC, m=400)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "heckebound.cli", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_ALL_FAILED
+    assert elapsed < 2
+    [record] = json.loads(done.stdout)
+    assert record["error"] == {
+        "code": "m_too_large",
+        "message": "module rank m must be <= 50 for this field, got 400",
+    }

@@ -125,6 +125,23 @@ def test_quaternion_invariants():
     with pytest.raises(SettingError) as err:
         QuaternionData(Q, (), 0)
     assert err.value.code == "m_not_positive"
+
+
+@pytest.mark.parametrize("disc,limit", [
+    (1, 50),  # d*m^2 <= 2500
+    (5, 35),  # d*m^2 <= 2500 for a quadratic field
+    (2609, 35),  # both caps meet
+    (199997, 4),  # D*m^2 <= 3 200 000 at the largest discriminant
+])
+def test_m_limit_per_field(disc, limit):
+    fld = FieldSpec(disc)
+    assert QuaternionData(fld, (), limit).m == limit
+    with pytest.raises(SettingError) as err:
+        QuaternionData(fld, (), limit + 1)
+    assert err.value.code == "m_too_large"
+    assert str(err.value) == (
+        f"module rank m must be <= {limit} for this field, got {limit + 1}"
+    )
     # every ramified place must be a place of the field, checked once here
     with pytest.raises(SettingError) as err:
         QuaternionData(Q, (Place(3, 2), Place(7, 1)), 1)

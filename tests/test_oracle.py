@@ -131,6 +131,20 @@ def test_oversized_residual_group_skips_fast(fld):
     assert "element limit" in result["skipped"]
 
 
+@pytest.mark.parametrize("fld,level", [(R5, 3), (R13, 5)])  # p = 2 inert
+def test_oversized_gl_factor_skips_before_enumerating(fld, level):
+    # |GL_3(F_4)| = 181 440: the count is checked before any matrix is
+    # stored or its determinant taken
+    t0 = time.monotonic()
+    result = verify_setting_with_oracle(setting(fld, 3, level, 2))
+    assert time.monotonic() - t0 < 0.2
+    assert result == {
+        "verified": False,
+        "skipped": "linear factor over Place(2^2,0): more than the 100000 "
+        "element limit to store",
+    }
+
+
 @pytest.mark.parametrize("fld,m,level,p,reason", [
     (Q, 3, 3, 5, "budget"),  # pool of 3150 vectors: the mask table alone is 9.9M entries
     (R13, 3, 4, 3, "element limit"),  # two U_3(F_3) pools of 24 192 before assembly
