@@ -126,6 +126,13 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(
                 "p_sweep: endpoints must satisfy 2 <= from <= to"
             )
+        if hi - lo >= 300_000:
+            # the window is sieved in one bytearray and every record is held
+            # until the end; 300 000 integers keep an m = 2 run under 4 s and 90 MB
+            raise ConfigError(
+                "p_sweep: the window may span at most 300000 integers, "
+                f"got {hi - lo + 1}"
+            )
         sweep = (lo, hi)
 
     return RunConfig(

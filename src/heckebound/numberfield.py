@@ -251,14 +251,23 @@ class ShimuraSetting:
         return self.quaternion.m
 
 
+# psi_12, the least strong pseudoprime to the twelve bases of arith.is_prime
+_PSI_12 = 318_665_857_834_031_151_167_461
+
+
 def check_level_and_prime(level: int, p: int) -> None:
     """The checks on N and p shared by every bound route, with the codes
-    level_too_small, level_too_large, p_not_prime and p_divides_level."""
+    level_too_small, level_too_large, p_too_large, p_not_prime and
+    p_divides_level."""
     if level < 3:
         _fail("level_too_small", f"level must be >= 3, got {level}")
     if level > 10**12:
         # trial division factorizes the level; 10^12 keeps that under a second
         _fail("level_too_large", f"level must be <= 10^12, got {level}")
+    if p >= _PSI_12:
+        # is_prime is a proof only below psi_12 (psi_12 itself passes it),
+        # and the m caps were sized for p <= 10^18
+        _fail("p_too_large", f"p must be < {_PSI_12}, got {p}")
     if not is_prime(p):
         _fail("p_not_prime", f"p must be prime, got {p}")
     if level % p == 0:
@@ -269,12 +278,12 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     """Check every invariant of the input tuple and derive the rest.
 
     Violations raise SettingError with one of the codes: level_too_small,
-    level_too_large, p_not_prime, p_divides_level, p_ramified_in_field, p_in_ramification_set,
-    level_not_coprime.  The p-independent checks, including that every
-    ramified place is a place of the field, ran once when the
-    QuaternionData was built (codes m_not_positive, m_too_large,
-    odd_ramification_set, duplicate_place, ramified_prime_not_prime,
-    residue_degree_mismatch).
+    level_too_large, p_too_large, p_not_prime, p_divides_level,
+    p_ramified_in_field, p_in_ramification_set, level_not_coprime.  The
+    p-independent checks, including that every ramified place is a place
+    of the field, ran once when the QuaternionData was built (codes
+    m_not_positive, m_too_large, odd_ramification_set, duplicate_place,
+    ramified_prime_not_prime, residue_degree_mismatch).
     """
     fld = quaternion.field
     check_level_and_prime(level, p)

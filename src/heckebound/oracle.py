@@ -15,6 +15,7 @@ import itertools
 import random
 from collections import deque
 from math import gcd, prod
+from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
 from .groups import dim_bound, irr_count
@@ -57,38 +58,30 @@ class StateSpaceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mod(num, den, p):
-    # remainder of num modulo the monic den, coefficients in [0, p)
-    num = list(num)
-    deg_d = len(den) - 1
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c:
-            for k in range(deg_d + 1):
-                num[i - deg_d + k] = (num[i - deg_d + k] - c * den[k]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+def _ring_tables(n: int, e: int, tail: tuple) -> tuple[list, list]:
+    """The addition and multiplication tables of (Z/n)[x]/(x^e + t(x)),
+    t(x) = sum_i tail[i] x^i.  Elements are integers in [0, n^e) read as
+    base-n coefficient vectors, constant term lowest.
 
-
-def _is_irreducible(poly, p):
-    e = len(poly) - 1
-    for deg in range(1, e // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            den = list(tail) + [1]
-            rem = _poly_mod(poly, den, p)
-            if rem == [0]:
-                return False
-    return True
-
-
-def _find_irreducible(p, e):
-    # first monic irreducible of degree e in lexicographic tail order
-    for tail in itertools.product(range(p), repeat=e):
-        poly = list(tail) + [1]
-        if _is_irreducible(poly, p):
-            return poly
-    raise InternalCheckError(f"no irreducible polynomial of degree {e} over F_{p}")
+    x * a shifts a's digits up one place and replaces the carried c x^e
+    by -c t(x).  Then a * b = sum_i b_i (x^i a), built up over b in
+    increasing order: a * b = a * (b - 1) + a when b's constant digit is
+    nonzero, and a * b = x (a * (b // n)) when it is zero."""
+    size = n**e
+    top = n ** (e - 1)
+    add = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):  # digitwise: rows a // n < a are complete
+            add[a][b] = add[a // n][b // n] * n + (a + b) % n
+    carry = [sum((-c * t) % n * n**i for i, t in enumerate(tail)) for c in range(n)]
+    times_x = [add[a % top * n][carry[a // top]] for a in range(size)]
+    mul = []
+    for a in range(size):
+        row = [0]
+        for b in range(1, size):
+            row.append(add[row[b - 1]][a] if b % n else times_x[row[b // n]])
+        mul.append(row)
+    return add, mul
 
 
 class SmallField:
@@ -112,40 +105,16 @@ class SmallField:
         self.order = q = p**e
         self.one = 1
 
-        def decode(code):
-            out = []
-            for _ in range(e):
-                out.append(code % p)
-                code //= p
-            return out
-
-        def encode(coeffs):
-            code = 0
-            for c in reversed(coeffs[:e]):
-                code = code * p + c % p
-            return code
-
-        modpoly = _find_irreducible(p, e) if e > 1 else [0, 1]
-
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        coeffs = [decode(a) for a in range(q)]
-        for a in range(q):
-            for b in range(q):
-                self.add[a][b] = encode(
-                    [(x + y) % p for x, y in zip(coeffs[a], coeffs[b])]
-                )
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(coeffs[a]):
-                    if x:
-                        for j, y in enumerate(coeffs[b]):
-                            prod[i + j] += x * y
-                if e > 1:
-                    rem = _poly_mod([c % p for c in prod], modpoly, p)
-                    rem += [0] * (e - len(rem))
-                    self.mul[a][b] = encode(rem)
-                else:
-                    self.mul[a][b] = prod[0] % p
+        # F_p[x]/(f) is a field exactly when f is irreducible, so the first
+        # tail (in itertools.product order) whose ring has no zero divisors,
+        # i.e. every nonzero element has an inverse, gives the first monic
+        # irreducible f of degree e
+        for tail in itertools.product(range(p), repeat=e):
+            self.add, self.mul = _ring_tables(p, e, tail)
+            if all(1 in row for row in self.mul[1:]):
+                break
+        else:
+            raise InternalCheckError(f"no field of order {q} among the tails")
 
         self.neg = [self.add[a].index(0) for a in range(q)]
         self.inv = [0] * q
@@ -413,12 +382,16 @@ class FqMatrixGroup:
         return classes
 
 
-def _charge(counter: list, amount: int, what: str):
-    counter[0] += amount
-    if counter[0] > DEFAULT_CAP:
-        raise StateSpaceError(
-            f"{what}: candidate space exceeds the {DEFAULT_CAP} budget"
-        )
+def _charge(what: str, base: int, exponent: int = 1, spent: int = 0) -> int:
+    """spent + base**exponent, the candidates charged so far, or
+    StateSpaceError past DEFAULT_CAP.  A base >= 2 raised to more than
+    DEFAULT_CAP.bit_length() is over the cap whatever the base, so the
+    exponent is checked first and such a power is never built."""
+    if base < 2 or exponent <= DEFAULT_CAP.bit_length():
+        spent += base**exponent
+        if spent <= DEFAULT_CAP:
+            return spent
+    raise StateSpaceError(f"{what}: candidate space exceeds the {DEFAULT_CAP} budget")
 
 
 def _check_elements(count: int, what: str):
@@ -437,7 +410,7 @@ def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     """Every m x m matrix over f with nonzero determinant."""
     _check_rank(m)
     q = f.order
-    _charge([0], q ** (m * m), what)
+    _charge(what, q, m * m)
     # |GL_m(F_q)| = q^(m(m-1)/2) prod_j (q^j - 1) elements will be kept:
     # checked before the loop, which would store and test that many
     count = q ** (m * (m - 1) // 2)
@@ -480,8 +453,7 @@ def _hermitian_matrices(
     completed."""
     _check_rank(m)
     q2 = f.order
-    counter = [0]
-    _charge(counter, q2**m, what)
+    spent = _charge(what, q2, m)
     # <u, v> = sum_k u_k * conj(v_k), with conj the inverting automorphism
     mul, add, frob = f.mul, f.add, f.frob
     by_norm: dict[int, list[tuple]] = {}
@@ -495,10 +467,10 @@ def _hermitian_matrices(
     for t in targets:
         pool = by_norm.get(t, [])
         size = len(pool)
-        _charge(counter, size, what)  # the root's scan
+        spent = _charge(what, size, spent=spent)  # the root's scan
         masks = [0] * size
         if m >= 2:
-            _charge(counter, size * size, what)  # the root's children's scans
+            spent = _charge(what, size, 2, spent)  # the root's children's scans
             # <u, v> = conj(<v, u>), so pair (i, j) sets both masks; row i
             # is complete once its pairs with every j > i are done
             conj = [[frob[y] for y in v] for v in pool]
@@ -513,16 +485,17 @@ def _hermitian_matrices(
                         masks[j] |= bit
                 masks[i] = row
                 if m >= 3:  # depth-1 node i, whose children are row's bits
-                    _charge(counter, row.bit_count() * size, what)
+                    spent = _charge(what, row.bit_count() * size, spent=spent)
         solutions: list[tuple] = []
 
         def extend(avail: int, chosen: list):
+            nonlocal spent
             if len(chosen) == m:
                 solutions.append(tuple(zip(*chosen)))  # columns -> rows
                 _check_elements(len(solutions), what)
                 return
             if 2 <= len(chosen) < m - 1:
-                _charge(counter, avail.bit_count() * size, what)
+                spent = _charge(what, avail.bit_count() * size, spent=spent)
             for i in _iter_bits(avail):
                 extend(avail & masks[i], chosen + [pool[i]])
 
@@ -553,9 +526,9 @@ def _symplectic_masks(f: SmallField, m: int):
     _check_rank(m)
     q = f.order
     n = 2 * m
-    _charge([0], q ** (2 * m * m + m), f"Sp_{n}(F_{q}) basis tree")
+    _charge(f"Sp_{n}(F_{q}) basis tree", q, 2 * m * m + m)
+    _charge(f"Sp_{n}(F_{q}) pairing tables", q, 4 * m)
     big_q = q**n
-    _charge([0], big_q * big_q, f"Sp_{n}(F_{q}) pairing tables")
     vectors = list(itertools.product(range(q), repeat=n))
     mul, add, neg = f.mul, f.add, f.neg
     # J-twisted partner: <u, v> = (Ju) . v as a plain dot product
@@ -646,13 +619,6 @@ def enumerate_sp(m: int, q: int) -> FqMatrixGroup:
 # --- similitude symplectic group over Z/NZ ----------------------------------
 
 
-def _zmod_mat_mul(n: int, a: tuple, b: tuple) -> tuple:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % n for col in bt) for row in a
-    )
-
-
 def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     """Symplectic similitude matrices over Z/NZ: g^t J g = c J for a
     unit c, with J the block-diagonal alternating form."""
@@ -660,7 +626,9 @@ def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
         raise ValueError(f"GSp needs m >= 1 and level >= 2, got {m}, {level}")
     n = 2 * m
     what = f"GSp_{n}(Z/{level})"
-    _charge([0], level ** (n * n), what)
+    _charge(what, level, n * n)
+    add, mul = _ring_tables(level, 1, (0,))
+    zn = SimpleNamespace(add=add, mul=mul)  # Z/NZ in the table shape mat_mul reads
     jmat = [[0] * n for _ in range(n)]
     for k in range(m):
         jmat[2 * k][2 * k + 1] = 1
@@ -670,7 +638,7 @@ def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     for entries in itertools.product(range(level), repeat=n * n):
         g = tuple(entries[i * n:(i + 1) * n] for i in range(n))
         gt = tuple(zip(*g))
-        w = _zmod_mat_mul(level, _zmod_mat_mul(level, gt, jmat), g)
+        w = mat_mul(zn, mat_mul(zn, gt, jmat), g)
         c = w[0][1]
         if gcd(c, level) != 1:
             continue
@@ -680,7 +648,7 @@ def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     return FqMatrixGroup(
         what,
         elems,
-        lambda a, b: _zmod_mat_mul(level, a, b),
+        lambda a, b: mat_mul(zn, a, b),
         mat_identity(n),
     )
 

@@ -152,6 +152,11 @@ def test_siegel_validation():
     with pytest.raises(SettingError) as err:
         siegel_bound(1, 10**18 + 3, 5)
     assert err.value.code == "level_too_large"
+    psi_12 = 318_665_857_834_031_151_167_461  # a strong pseudoprime to 2..37
+    assert siegel_bound(1, 3, psi_12 - 20) > 0  # the largest prime below it
+    with pytest.raises(SettingError) as err:
+        siegel_bound(1, 3, psi_12)
+    assert err.value.code == "p_too_large"
 
 
 def test_asymptotic_check_true_cases():

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -275,6 +276,23 @@ def test_config_errors_name_the_field():
         parse_config(dict(SIEGEL_DOC, quaternion_ramification=entries))
 
 
+def test_sweep_width_is_capped_before_the_window_is_sieved(tmp_path, capsys):
+    widest = dict(SWEEP_DOC, p_sweep={"from": 2, "to": 300_001})
+    assert parse_config(widest).sweep == (2, 300_001)
+    with pytest.raises(ConfigError, match="^p_sweep: .* at most 300000 integers, got 300001$"):
+        parse_config(dict(SWEEP_DOC, p_sweep={"from": 2, "to": 300_002}))
+    cfg = tmp_path / "config.json"
+    for hi in (3_000_000, 10**18):
+        cfg.write_text(json.dumps(dict(SWEEP_DOC, p_sweep={"from": 2, "to": hi})))
+        with mock.patch.object(cli_mod, "primes_between", side_effect=AssertionError):
+            assert main([str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: p_sweep: the window may span at most 300000 integers, got {hi - 1}"
+        ]
+
+
 def test_exit_code_on_bad_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -438,6 +456,35 @@ def test_oracle_subcommand_counts_p_regular_classes(capsys):
     assert json.loads(capsys.readouterr().out) == {
         "descriptor": "GL_2(F_3)", "order": 48, "p_regular_classes": 6,
     }
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["GL", "30000", "2"], "GL_30000(F_2)"),
+    (["GL", "300000", "2"], "GL_300000(F_2)"),
+    (["Sp", "100000", "2"], "Sp_200000(F_2) basis tree"),
+    (["GSp_modN", "100000", "3"], "GSp_200000(Z/3)"),
+    (["U", "1000000000", "2"], "U_1000000000(F_2)"),
+])
+def test_oracle_subcommand_past_budget_exits_before_building_the_power(argv, what):
+    # the candidate count q^(m^2) etc. is decided from its exponent: 2^(9*10^10)
+    # for GL 300000 2 would be about 11 GB as an int, so the child gets 1 GiB
+    # of address space and a regression fails fast with a MemoryError
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "heckebound.cli", "oracle", *argv],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_CONFIG
+    assert elapsed < 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        f"error: {what}: candidate space exceeds the 10000000 budget"
+    ]
 
 
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])

@@ -16,6 +16,8 @@ from heckebound.numberfield import (
 Q = FieldSpec.rationals()
 R5 = FieldSpec.real_quadratic(5)
 R8 = FieldSpec.real_quadratic(8)
+# the least strong pseudoprime to the bases 2..37: is_prime is a proof below it
+PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def simple_quaternion(fld, m=1, ram=()):
@@ -105,6 +107,10 @@ def test_validate_split_quadratic():
         (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
         (partial(simple_quaternion, Q, ram=[Place(3, 2), Place(7, 1)]), 5, 11, "residue_degree_mismatch"),
         (partial(simple_quaternion, Q), 10**12 + 1, 5, "level_too_large"),
+        (partial(simple_quaternion, Q), 3, PSI_12, "p_too_large"),  # passes is_prime
+        pytest.param(partial(simple_quaternion, Q), 3, 10**4000, "p_too_large",
+                     id="p-has-4001-digits"),
+        (partial(simple_quaternion, Q), 10**12 + 1, PSI_12, "level_too_large"),
     ],
 )
 def test_validate_distinct_error_codes(quaternion, level, p, code):
@@ -113,6 +119,11 @@ def test_validate_distinct_error_codes(quaternion, level, p, code):
     with pytest.raises(SettingError) as err:
         validate_setting(quaternion(), level, p)
     assert err.value.code == code
+
+
+def test_largest_prime_below_psi_12_validates():
+    s = validate_setting(simple_quaternion(Q), 3, PSI_12 - 20)
+    assert s.p == PSI_12 - 20
 
 
 def test_quaternion_invariants():

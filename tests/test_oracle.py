@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +19,9 @@ from heckebound.numberfield import FieldSpec, QuaternionData, validate_setting
 from heckebound.oracle import (
     FqMatrixGroup,
     StateSpaceError,
+    _charge,
     _hermitian_matrices,
+    _ring_tables,
     count_symplectic_matrices,
     enumerate_gl,
     enumerate_gsp_modn,
@@ -55,6 +59,105 @@ def test_small_field_construction(p, e):
         fixed = [a for a in range(f.order) if f.frob[a] == a]
         assert len(fixed) == p ** (e // 2)
         assert set(range(p)).issubset(set(fixed))
+
+
+ALL_TABLE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                    (5, 1), (5, 2), (7, 1), (7, 2)]  # every p^e <= 49
+
+
+def reference_field_tables(p: int, e: int):
+    """Schoolbook F_{p^e}: coefficient vectors (constant term first, read
+    as base-p digits) multiplied out and reduced modulo the first monic
+    irreducible of degree e, with tails in itertools.product order and
+    irreducibility decided by trial division."""
+
+    def rem(num, den):  # remainder of num modulo the monic den
+        num = list(num)
+        d = len(den) - 1
+        for i in range(len(num) - 1, d - 1, -1):
+            c = num[i]
+            for k, y in enumerate(den):
+                num[i - d + k] = (num[i - d + k] - c * y) % p
+        return num[:d]
+
+    def irreducible(poly):
+        return all(
+            any(rem(poly, list(t) + [1]))
+            for deg in range(1, e // 2 + 1)
+            for t in itertools.product(range(p), repeat=deg)
+        )
+
+    modulus = next(
+        list(t) + [1] for t in itertools.product(range(p), repeat=e)
+        if irreducible(list(t) + [1])
+    )
+    q = p**e
+    vec = [[a // p**i % p for i in range(e)] for a in range(q)]
+
+    def code(v):
+        return sum(c % p * p**i for i, c in enumerate(v))
+
+    def times(u, v):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] += x * y
+        return code(rem(prod, modulus))
+
+    add = [[code([x + y for x, y in zip(vec[a], vec[b])]) for b in range(q)]
+           for a in range(q)]
+    mul = [[times(vec[a], vec[b]) for b in range(q)] for a in range(q)]
+    neg = [add[a].index(0) for a in range(q)]
+    inv = [0] + [mul[a].index(1) for a in range(1, q)]
+    frob = None
+    if e % 2 == 0:
+        frob = []
+        for a in range(q):
+            y = 1
+            for _ in range(p ** (e // 2)):
+                y = mul[y][a]
+            frob.append(y)
+    return add, mul, neg, inv, frob
+
+
+@pytest.mark.parametrize("p,e", ALL_TABLE_FIELDS)
+def test_small_field_tables_match_schoolbook_reference(p, e):
+    # the modulus and the element encoding are pinned, not just the axioms
+    f = small_field(p, e)
+    assert (f.add, f.mul, f.neg, f.inv, f.frob) == reference_field_tables(p, e)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_mat_mul_over_zmod_tables_is_the_integer_product(n):
+    add, mul = _ring_tables(n, 1, (0,))
+    zn = SimpleNamespace(add=add, mul=mul)
+    rng = random.Random(n)
+    for size in (2, 4):
+        for _ in range(25):
+            a, b = (
+                tuple(tuple(rng.randrange(n) for _ in range(size)) for _ in range(size))
+                for _ in range(2)
+            )
+            expected = tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(size)) % n
+                      for j in range(size))
+                for i in range(size)
+            )
+            assert mat_mul(zn, a, b) == expected
+
+
+def test_charge_decides_huge_powers_from_the_exponent():
+    cap = oracle_mod.DEFAULT_CAP
+    for base in range(6):
+        for exponent in range(40):
+            if base**exponent > cap:
+                with pytest.raises(StateSpaceError, match=f"^x: .* {cap} budget$"):
+                    _charge("x", base, exponent)
+            else:
+                assert _charge("x", base, exponent, spent=1) == base**exponent + 1
+    assert _charge("x", 1, 10**15) == 1
+    with pytest.raises(StateSpaceError):
+        _charge("x", 1, spent=cap)
 
 
 def test_small_field_rejects_out_of_range():
