@@ -26,6 +26,7 @@ from fractions import Fraction
 from .arith import is_prime, primes_between
 from .bounds import BoundReport, InternalCheckError, final_bound
 from .numberfield import (
+    _PSI_12,
     FieldSpec,
     Place,
     QuaternionData,
@@ -133,6 +134,10 @@ def parse_config(doc) -> RunConfig:
                 "p_sweep: the window may span at most 300000 integers, "
                 f"got {hi - lo + 1}"
             )
+        if hi >= _PSI_12:
+            # every p from psi_12 on is p_too_large; sieving there would
+            # spend the run in Miller-Rabin tests for those records
+            raise ConfigError(f"p_sweep: 'to' must be below psi_12 = {_PSI_12}")
         sweep = (lo, hi)
 
     return RunConfig(

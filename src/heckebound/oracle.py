@@ -1,8 +1,10 @@
 """Brute-force verification engine, independent of the closed forms.
 
-Finite fields of order at most 49 are realized as exhaustively verified
+Finite fields of order at most 49 and the rings Z/N are realized as
 lookup tables; matrix groups are enumerated straight from their defining
-conditions; conjugacy classes come from explicit orbit computation.
+conditions; conjugacy classes come from explicit orbit computation.  One
+symplectic basis search builds Sp_2m(F_q), its count and GSp_2m(Z/N),
+and one row builder makes the hermitian and the alternating masks.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so
 a typo in a descriptor cannot start a runaway enumeration.
@@ -193,6 +195,8 @@ def small_field(p: int, e: int = 1) -> SmallField:
 
 
 def field_of_order(q: int) -> SmallField:
+    if q > MAX_FIELD_ORDER:  # before factorize, whose trial division grows with q
+        raise ValueError(f"field order must be at most {MAX_FIELD_ORDER}")
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -436,6 +440,36 @@ def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     )
 
 
+def _pairing_masks(left, right, ring, swap, values):
+    """Orthogonality bitmasks of the pairing <i, j> = sum_k left[i][k] *
+    right[j][k] over a table ring, with <j, i> = swap[<i, j>].  Returns
+    masks, a list indexed by ring element: masks[s][i] has bit j set for
+    every j != i with <i, j> = s, for each s in values (None elsewhere),
+    and a generator that fills them.  It evaluates each unordered pair
+    once and yields i as soon as row i is complete: rows j < i set their
+    bits in it earlier, and its own pass covers every j > i."""
+    add, mul = ring.add, ring.mul
+    size = len(left)
+    masks = [[0] * size if s in values else None for s in range(ring.order)]
+
+    def rows():
+        for i, u in enumerate(left):
+            bit = 1 << i
+            for j, v in enumerate(right[i + 1:], i + 1):
+                s = 0
+                for x, y in zip(u, v):
+                    s = add[s][mul[x][y]]
+                hit = masks[s]
+                if hit is not None:
+                    hit[i] |= 1 << j
+                hit = masks[swap[s]]
+                if hit is not None:
+                    hit[j] |= bit
+            yield i
+
+    return masks, rows()
+
+
 def _hermitian_matrices(
     f: SmallField, m: int, targets: list[int], what: str
 ) -> dict[int, list[tuple]]:
@@ -471,21 +505,13 @@ def _hermitian_matrices(
         masks = [0] * size
         if m >= 2:
             spent = _charge(what, size, 2, spent)  # the root's children's scans
-            # <u, v> = conj(<v, u>), so pair (i, j) sets both masks; row i
-            # is complete once its pairs with every j > i are done
+            # the pool against its conjugates: <v, u> = conj(<u, v>)
             conj = [[frob[y] for y in v] for v in pool]
-            for i, u in enumerate(pool):
-                row, bit = masks[i], 1 << i
-                for j in range(i + 1, size):
-                    s = 0
-                    for x, y in zip(u, conj[j]):
-                        s = add[s][mul[x][y]]
-                    if s == 0:
-                        row |= 1 << j
-                        masks[j] |= bit
-                masks[i] = row
-                if m >= 3:  # depth-1 node i, whose children are row's bits
-                    spent = _charge(what, row.bit_count() * size, spent=spent)
+            by_value, rows = _pairing_masks(pool, conj, f, frob, (0,))
+            masks = by_value[0]
+            for i in rows:
+                if m >= 3:  # depth-1 node i, whose children are its row's bits
+                    spent = _charge(what, masks[i].bit_count() * size, spent=spent)
         solutions: list[tuple] = []
 
         def extend(avail: int, chosen: list):
@@ -517,46 +543,34 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
 # --- symplectic groups ------------------------------------------------------
 
 
-def _symplectic_masks(f: SmallField, m: int):
-    """For every vector of F_q^(2m), bitmasks of the vectors pairing to
-    0 and to 1 under the standard alternating form
-    <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}).  Charged first:
-    the basis tree's q^(2m^2+m) leaf bound (the j-th last pair (e, f) has
-    at most q^(2j) * q^(2j-1) choices), then the q^(4m) table entries."""
-    _check_rank(m)
-    q = f.order
+def _symplectic_bases(ring, m: int, multipliers):
+    """The vectors of R^(2m), R a table ring, and a depth-first search for
+    the columns e_1, f_1, ..., e_m, f_m of each g with g^t J g = c J, c in
+    multipliers: <e_k, f_k> = c and all other pairs of columns pair to 0
+    under <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}).  Once
+    e_1, ..., f_(m-1) are chosen it yields (columns, avail, pair): their
+    vector indices, the mask of the vectors pairing to 0 with all of them,
+    and pair; e_m is any bit i of avail and f_m any bit of pair[i] & avail."""
     n = 2 * m
-    _charge(f"Sp_{n}(F_{q}) basis tree", q, 2 * m * m + m)
-    _charge(f"Sp_{n}(F_{q}) pairing tables", q, 4 * m)
-    big_q = q**n
-    vectors = list(itertools.product(range(q), repeat=n))
-    mul, add, neg = f.mul, f.add, f.neg
-    # J-twisted partner: <u, v> = (Ju) . v as a plain dot product
-    twisted = []
-    for u in vectors:
-        w = []
-        for k in range(m):
-            w.append(neg[u[2 * k + 1]])
-            w.append(u[2 * k])
-        twisted.append(tuple(w))
-    zero_masks = [0] * big_q
-    one_masks = [0] * big_q
-    for i, w in enumerate(twisted):
-        zm = 0
-        om = 0
-        bit = 1
-        for v in vectors:
-            s = 0
-            for x, y in zip(w, v):
-                s = add[s][mul[x][y]]
-            if s == 0:
-                zm |= bit
-            elif s == 1:
-                om |= bit
-            bit <<= 1
-        zero_masks[i] = zm
-        one_masks[i] = om
-    return vectors, zero_masks, one_masks
+    vectors = list(itertools.product(range(ring.order), repeat=n))
+    neg = ring.neg
+    # J-twisted vectors against vectors: <u, v> = (Ju) . v, <v, u> = -<u, v>
+    twisted = [tuple(x for k in range(0, n, 2) for x in (neg[u[k + 1]], u[k]))
+               for u in vectors]
+    masks, rows = _pairing_masks(twisted, vectors, ring, neg, (0, *multipliers))
+    deque(rows, maxlen=0)  # no charge rides on the rows here
+    zero = masks[0]
+
+    def walk(avail: int, chosen: list, pair: list):
+        if len(chosen) == n - 2:
+            yield chosen, avail, pair
+            return
+        for i in _iter_bits(avail):
+            for j in _iter_bits(pair[i] & avail):
+                yield from walk(avail & zero[i] & zero[j], chosen + [i, j], pair)
+
+    full = (1 << len(vectors)) - 1
+    return vectors, (basis for c in multipliers for basis in walk(full, [], masks[c]))
 
 
 def _iter_bits(mask: int):
@@ -566,91 +580,62 @@ def _iter_bits(mask: int):
         mask ^= lsb
 
 
+def _basis_group(what: str, ring, m: int, multipliers) -> FqMatrixGroup:
+    """The matrices whose columns _symplectic_bases finds, at most ELEMENT_LIMIT."""
+    vectors, bases = _symplectic_bases(ring, m, multipliers)
+    elems: list[tuple] = []
+    for columns, avail, pair in bases:
+        chosen = [vectors[k] for k in columns]
+        for i in _iter_bits(avail):
+            for j in _iter_bits(pair[i] & avail):
+                elems.append(tuple(zip(*chosen, vectors[i], vectors[j])))
+                _check_elements(len(elems), what)
+    return FqMatrixGroup(what, elems, lambda a, b: mat_mul(ring, a, b),
+                         mat_identity(2 * m))
+
+
+def _sp_field(m: int, q: int) -> SmallField:
+    """F_q for Sp_2m(F_q), charged first: the basis tree's q^(2m^2+m)
+    leaf bound (the j-th last pair (e, f) has at most q^(2j) * q^(2j-1)
+    choices), then the q^(4m) pairing-table entries."""
+    f = field_of_order(q)
+    _check_rank(m)
+    _charge(f"Sp_{2 * m}(F_{q}) basis tree", q, 2 * m * m + m)
+    _charge(f"Sp_{2 * m}(F_{q}) pairing tables", q, 4 * m)
+    return f
+
+
 def count_symplectic_matrices(m: int, q: int) -> int:
     """|Sp_2m(F_q)| by exhaustive depth-first enumeration of ordered
     symplectic bases (each basis is the column list of exactly one
     group element, so leaves of the search tree biject with matrices).
-    Nothing is stored."""
-    f = field_of_order(q)
-    _, zero_masks, one_masks = _symplectic_masks(f, m)
-
-    def count(avail: int, depth: int) -> int:
-        if depth == 1:
-            total = 0
-            for i in _iter_bits(avail):
-                total += (one_masks[i] & avail).bit_count()
-            return total
-        total = 0
-        for i in _iter_bits(avail):
-            rest = zero_masks[i]
-            for j in _iter_bits(one_masks[i] & avail):
-                total += count(avail & rest & zero_masks[j], depth - 1)
-        return total
-
-    return count((1 << len(zero_masks)) - 1, m)
+    The last f of each basis is counted by popcount; nothing is stored."""
+    _, bases = _symplectic_bases(_sp_field(m, q), m, (1,))
+    return sum((pair[i] & avail).bit_count() for _, avail, pair in bases
+               for i in _iter_bits(avail))
 
 
 def enumerate_sp(m: int, q: int) -> FqMatrixGroup:
     """Sp_2m(F_q) with at most ELEMENT_LIMIT elements materialized;
     use count_symplectic_matrices for orders too large to store."""
-    f = field_of_order(q)
-    vectors, zero_masks, one_masks = _symplectic_masks(f, m)
-    what = f"Sp_{2*m}(F_{q})"
-    elems: list[tuple] = []
-
-    def extend(avail: int, chosen: list):
-        if len(chosen) == 2 * m:
-            elems.append(tuple(zip(*chosen)))
-            _check_elements(len(elems), what)
-            return
-        for i in _iter_bits(avail):
-            for j in _iter_bits(one_masks[i] & avail):
-                extend(
-                    avail & zero_masks[i] & zero_masks[j],
-                    chosen + [vectors[i], vectors[j]],
-                )
-
-    extend((1 << len(vectors)) - 1, [])
-    return FqMatrixGroup(
-        what, elems, lambda a, b: mat_mul(f, a, b), mat_identity(2 * m)
-    )
-
-
-# --- similitude symplectic group over Z/NZ ----------------------------------
+    return _basis_group(f"Sp_{2 * m}(F_{q})", _sp_field(m, q), m, (1,))
 
 
 def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     """Symplectic similitude matrices over Z/NZ: g^t J g = c J for a
-    unit c, with J the block-diagonal alternating form."""
+    unit c, with J the block-diagonal alternating form.  The complement
+    of a partial symplectic basis is free, so Sp's bound per pair holds,
+    and there are fewer than N multipliers: the basis tree is charged
+    N^(2m^2+m+1), then the N^(4m) table entries."""
     if m < 1 or level < 2:
         raise ValueError(f"GSp needs m >= 1 and level >= 2, got {m}, {level}")
-    n = 2 * m
-    what = f"GSp_{n}(Z/{level})"
-    _charge(what, level, n * n)
-    add, mul = _ring_tables(level, 1, (0,))
-    zn = SimpleNamespace(add=add, mul=mul)  # Z/NZ in the table shape mat_mul reads
-    jmat = [[0] * n for _ in range(n)]
-    for k in range(m):
-        jmat[2 * k][2 * k + 1] = 1
-        jmat[2 * k + 1][2 * k] = level - 1
-    jmat = tuple(tuple(r) for r in jmat)
-    elems = []
-    for entries in itertools.product(range(level), repeat=n * n):
-        g = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-        gt = tuple(zip(*g))
-        w = mat_mul(zn, mat_mul(zn, gt, jmat), g)
-        c = w[0][1]
-        if gcd(c, level) != 1:
-            continue
-        if w == tuple(tuple(c * x % level for x in row) for row in jmat):
-            elems.append(g)
-            _check_elements(len(elems), what)
-    return FqMatrixGroup(
-        what,
-        elems,
-        lambda a, b: mat_mul(zn, a, b),
-        mat_identity(n),
-    )
+    what = f"GSp_{2 * m}(Z/{level})"
+    _charge(what, level, 2 * m * m + m + 1)
+    _charge(what, level, 4 * m)
+    add, mul = _ring_tables(level, 1, (0,))  # Z/NZ in the table shape of SmallField
+    zn = SimpleNamespace(add=add, mul=mul, neg=mul[level - 1], order=level)
+    units = [c for c in range(1, level) if gcd(c, level) == 1]
+    return _basis_group(what, zn, m, units)
 
 
 # --- the residual automorphism group of a validated setting -----------------

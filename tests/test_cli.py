@@ -293,6 +293,22 @@ def test_sweep_width_is_capped_before_the_window_is_sieved(tmp_path, capsys):
         ]
 
 
+def test_sweep_ending_at_psi_12_is_refused_before_the_window_is_sieved(tmp_path, capsys):
+    psi_12 = 318_665_857_834_031_151_167_461
+    below = dict(SWEEP_DOC, p_sweep={"from": psi_12 - 1000, "to": psi_12 - 1})
+    assert parse_config(below).sweep == (psi_12 - 1000, psi_12 - 1)
+    cfg = tmp_path / "config.json"
+    for lo, hi in ((psi_12 - 1000, psi_12), (10**1000, 10**1000 + 2999)):
+        cfg.write_text(json.dumps(dict(SWEEP_DOC, p_sweep={"from": lo, "to": hi})))
+        with mock.patch.object(cli_mod, "primes_between", side_effect=AssertionError):
+            assert main([str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: p_sweep: 'to' must be below psi_12 = {psi_12}"
+        ]
+
+
 def test_exit_code_on_bad_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -485,6 +501,24 @@ def test_oracle_subcommand_past_budget_exits_before_building_the_power(argv, wha
     assert done.stderr.splitlines() == [
         f"error: {what}: candidate space exceeds the 10000000 budget"
     ]
+
+
+@pytest.mark.parametrize("kind", ["GL", "U", "Sp"])
+def test_oracle_subcommand_large_field_order_exits_before_factoring(kind):
+    # the field-order limit comes before factorizing q, which for a prime
+    # q near 10^18 would take about 10^9 trial divisions
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "heckebound.cli", "oracle", kind, "1",
+         "1000000000000000003"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_CONFIG
+    assert elapsed < 1
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: field order must be at most 49"]
 
 
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from heckebound.oracle import (
     StateSpaceError,
     _charge,
     _hermitian_matrices,
+    _pairing_masks,
     _ring_tables,
     count_symplectic_matrices,
     enumerate_gl,
@@ -194,11 +196,126 @@ def test_sp_count_matches_formula(m, q):
     assert count_symplectic_matrices(m, q) == sp_order(m, q)
 
 
-@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7, 8, 9, 12])
 def test_gsp_enumeration_matches_level_group_order(level):
     p = 7 if level != 7 else 11
     s = setting(Q, 1, level, p)
     assert enumerate_gsp_modn(1, level).order == level_group_order(s)
+
+
+def test_gsp_over_z2_is_sp_over_f2():
+    # 1 is the only unit mod 2, so GSp_4(Z/2) = Sp_4(F_2)
+    assert enumerate_gsp_modn(2, 2).order == sp_order(2, 2) == 720
+
+
+def brute_force_gsp(m: int, level: int) -> set[tuple]:
+    """Reference for the basis search: every 2m x 2m matrix g over Z/N,
+    kept when g^t J g = c J for a unit c, with products by mat_mul over
+    the Z/N tables."""
+    n = 2 * m
+    add, mul = _ring_tables(level, 1, (0,))
+    zn = SimpleNamespace(add=add, mul=mul)
+    jmat = [[0] * n for _ in range(n)]
+    for k in range(m):
+        jmat[2 * k][2 * k + 1] = 1
+        jmat[2 * k + 1][2 * k] = level - 1
+    jmat = tuple(tuple(r) for r in jmat)
+    out = set()
+    for entries in itertools.product(range(level), repeat=n * n):
+        g = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        w = mat_mul(zn, mat_mul(zn, tuple(zip(*g)), jmat), g)
+        c = w[0][1]
+        if math.gcd(c, level) == 1 and w == tuple(
+            tuple(c * x % level for x in row) for row in jmat
+        ):
+            out.add(g)
+    return out
+
+
+@pytest.mark.parametrize("level", range(2, 9))
+def test_gsp_basis_search_matches_brute_force(level):
+    found = enumerate_gsp_modn(1, level).elements
+    assert set(found) == brute_force_gsp(1, level)
+
+
+def test_gsp_charges_its_basis_tree_and_tables(monkeypatch):
+    # N^(2m^2+m+1) for the tree and N^(4m) for the tables, charged apart:
+    # N^4 both at m = 1, the old charge for all N^(4m^2) matrices
+    monkeypatch.setattr(oracle_mod, "DEFAULT_CAP", 5**4)
+    assert enumerate_gsp_modn(1, 5).order == 480
+    with pytest.raises(StateSpaceError, match=r"^GSp_2\(Z/6\): candidate space"):
+        enumerate_gsp_modn(1, 6)
+    monkeypatch.setattr(oracle_mod, "DEFAULT_CAP", 2**11 - 1)  # the m = 2 tree
+    with pytest.raises(StateSpaceError, match=r"^GSp_4\(Z/2\): candidate space"):
+        enumerate_gsp_modn(2, 2)
+
+
+def check_pairing_masks(left, right, ring, swap, values, value_rows):
+    """_pairing_masks against value_rows(i), the pairings <i, j> for every
+    j evaluated directly, over all i: so both <i, j> and <j, i> for each
+    pair.  Each row must be complete when its index is yielded."""
+    masks, rows = _pairing_masks(left, right, ring, swap, values)
+    at_yield = [{t: masks[t][i] for t in values} for i in rows]
+    assert len(at_yield) == len(left)
+    assert [s for s in range(ring.order) if masks[s] is not None] == sorted(values)
+    # bit j of the mask for t is set iff <i, j> = t and j != i: the row of
+    # values as bytes, translated to the binary digits of that mask
+    digits = {t: bytes(ord("1") if s == t else ord("0") for s in range(256)) for t in values}
+    for i in range(len(left)):
+        row = bytes(value_rows(i))
+        expected = {t: int(row.translate(digits[t])[::-1], 2) & ~(1 << i) for t in values}
+        assert at_yield[i] == expected == {t: masks[t][i] for t in values}, i
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pairing_masks_of_hermitian_pools(p):
+    f = small_field(p, 2)
+    add, mul, frob = f.add, f.mul, f.frob
+
+    def herm(u, v):  # sum_k u_k conj(v_k)
+        s = 0
+        for x, y in zip(u, v):
+            s = add[s][mul[x][frob[y]]]
+        return s
+
+    vectors = list(itertools.product(range(f.order), repeat=2))
+    for t in range(1, p):  # the m = 2 pools the hermitian search builds
+        pool = [v for v in vectors if herm(v, v) == t]
+        conj = [[frob[y] for y in v] for v in pool]
+        for values in ((0,), tuple(range(f.order))):
+            check_pairing_masks(pool, conj, f, frob, values,
+                                lambda i: [herm(pool[i], v) for v in pool])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p,e,n", [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None),
+                                   (None, None, 4), (None, None, 6)])
+def test_pairing_masks_of_the_alternating_form(p, e, n, m):
+    if n is None:  # F_q tracking every value, as for Sp
+        ring = small_field(p, e)
+        values = tuple(range(ring.order))
+    else:  # Z/n tracking 0 and the units, as for GSp
+        add, mul = _ring_tables(n, 1, (0,))
+        ring = SimpleNamespace(add=add, mul=mul, neg=[-a % n for a in range(n)], order=n)
+        values = (0, *(c for c in range(1, n) if math.gcd(c, n) == 1))
+    order = ring.order
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    vectors = list(itertools.product(range(order), repeat=2 * m))
+    # <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}), a sum of one form
+    # per coordinate pair: block[x][y] on the pairs x, y of R^2
+    planes = list(itertools.product(range(order), repeat=2))
+    block = [[add[mul[x[0]][y[1]]][neg[mul[x[1]][y[0]]]] for y in planes] for x in planes]
+
+    def value_row(i):  # vectors in product order: the first pair varies slowest
+        row = [0]
+        for k in range(0, 2 * m, 2):
+            x = block[planes.index(vectors[i][k:k + 2])]
+            row = [add[r][s] for r in row for s in x]
+        return row
+
+    twisted = [tuple(x for k in range(0, 2 * m, 2) for x in (neg[u[k + 1]], u[k]))
+               for u in vectors]
+    check_pairing_masks(twisted, vectors, ring, neg, values, value_row)
 
 
 # --- guards ------------------------------------------------------------------
