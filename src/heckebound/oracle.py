@@ -2,9 +2,12 @@
 
 Finite fields of order at most 49 and the rings Z/N are realized as
 lookup tables; matrix groups are enumerated straight from their defining
-conditions; conjugacy classes come from explicit orbit computation.  One
-symplectic basis search builds Sp_2m(F_q), its count and GSp_2m(Z/N),
-and one row builder makes the hermitian and the alternating masks.
+conditions.  GL_m(F_q) comes from a search over rows outside the span of
+the rows above.  One symplectic basis search builds Sp_2m(F_q), its count
+and GSp_2m(Z/N), and one row builder makes the hermitian and the
+alternating masks.  A group multiplies only in one closure walk; its
+conjugacy classes and element orders are read off the walk's spanning
+tree by index lookups.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so
 a typo in a descriptor cannot start a runaway enumeration.
@@ -123,23 +126,13 @@ class SmallField:
         for a in range(1, q):
             self.inv[a] = self.mul[a].index(1)
 
-        if e % 2 == 0:
-            power = p ** (e // 2)
-            self.frob = [self._pow(a, power) for a in range(q)]
-        else:
-            self.frob = None
+        self.frob = None
+        if e % 2 == 0:  # a -> a^(p^(e/2)) by repeated products; p^(e/2) <= 7
+            self.frob = list(range(q))
+            for _ in range(p ** (e // 2) - 1):
+                self.frob = [self.mul[y][a] for a, y in enumerate(self.frob)]
 
         self._verify()
-
-    def _pow(self, a: int, n: int) -> int:
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul[result][base]
-            base = self.mul[base][base]
-            n >>= 1
-        return result
 
     def _verify(self):
         q = self.order
@@ -197,8 +190,7 @@ def small_field(p: int, e: int = 1) -> SmallField:
 def field_of_order(q: int) -> SmallField:
     if q > MAX_FIELD_ORDER:  # before factorize, whose trial division grows with q
         raise ValueError(f"field order must be at most {MAX_FIELD_ORDER}")
-    fac = factorize(q)
-    if len(fac) != 1:
+    if q < 2 or len(fac := factorize(q)) != 1:  # factorize takes positive integers
         raise ValueError(f"{q} is not a prime power")
     p, e = fac[0]
     return small_field(p, e)
@@ -228,28 +220,6 @@ def mat_mul(f: SmallField, a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def mat_det(f: SmallField, a: tuple) -> int:
-    n = len(a)
-    m = [list(r) for r in a]
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = neg[det]
-        det = mul[det][m[col][col]]
-        ipiv = inv[m[col][col]]
-        for r in range(col + 1, n):
-            factor = mul[m[r][col]][ipiv]
-            if factor:
-                for k in range(col, n):
-                    m[r][k] = add[m[r][k]][neg[mul[factor][m[col][k]]]]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # enumerated groups
 # ---------------------------------------------------------------------------
@@ -258,19 +228,21 @@ class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of tuples of
     matrices with a shared similitude unit), with its product as `mul`.
 
-    The elements are numbered once.  Besides `element_order`, which
-    walks powers with `mul`, one closure walk is the only place that
-    multiplies: generators are drawn from a `random.Random(0)` shuffle
-    of the element indices and added until their closure under right
-    multiplication is the whole element set, which certifies the
+    The elements are numbered once, and one closure walk is the only
+    place that multiplies: generators are drawn from a `random.Random(0)`
+    shuffle of the element indices and added until their closure under
+    right multiplication is the whole element set, which certifies the
     generating set.  The walk keeps each right action x -> x g as an
-    index list, and its spanning tree records every element as
-    parent * generator.  The inverse of an element is its tree word
-    read backwards through the inverted right actions.  Conjugacy
-    classes are orbits under x -> g^-1 x g = R_g(I(R_g(I(x)))) for the
-    generators g only: each such map permutes the finite element set,
-    so its inverse is one of its own powers, and an orbit closed under
-    the maps is closed under conjugation by the generators themselves.
+    index list, checked to permute the elements, and its spanning tree
+    (a Schreier tree) records every element as parent * generator.
+    Everything else is read off the tree by index lookups.  The order of
+    x is the number of passes of x's tree word through the right actions
+    that bring the identity back.  Conjugacy classes are orbits under
+    x -> g^-1 x g = R_g(g^-1 x) for the generators g only, where g^-1 is
+    the preimage of the identity under R_g and g^-1 x follows x's tree
+    word from g^-1.  Each such map permutes the finite element set, so
+    its inverse is one of its own powers, and an orbit closed under the
+    maps is closed under conjugation by the generators themselves.
     """
 
     def __init__(self, descriptor: str, elements, mul, identity):
@@ -289,18 +261,26 @@ class FqMatrixGroup:
         return len(self.elements)
 
     def element_order(self, x) -> int:
-        n, y = 1, x
-        while y != self.identity:
-            y = self.mul(y, x)
+        actions, parent, letter, reach = self._closure_walk
+        root, i = reach[0], self._index[x]
+        word = []  # x's right actions, from the root down to x
+        while i != root:
+            word.append(actions[letter[i]])
+            i = parent[i]
+        word.reverse()
+        n, y = 0, root
+        while n == 0 or y != root:  # y is x^n; the actions permute, so it returns
+            for act in word:
+                y = act[y]
             n += 1
-            if n > len(self.elements):
-                raise InternalCheckError(f"{self.descriptor}: element has no finite order")
         return n
 
-    def _closure_walk(self) -> tuple[list[list[int]], list[int], list[int]]:
+    @functools.cached_property
+    def _closure_walk(self) -> tuple[list[list[int]], list[int], list[int], list[int]]:
         """The right actions of a certified generating set as index
-        lists, and the walk's spanning tree: element i is
-        parent[i] * generator letter[i], with the identity as root."""
+        lists, the walk's spanning tree (element i is parent[i] *
+        generator letter[i]) and its elements in reach order, the
+        identity first."""
         elements, index, mul = self.elements, self._index, self.mul
         n = len(elements)
         root = index[self.identity]
@@ -339,36 +319,24 @@ class FqMatrixGroup:
                         closure.append(b)
                         queue.append(b)
                 applied[a] = len(generators)
-        return actions, parent, letter
-
-    def _inverse_table(self, actions, parent, letter) -> list[int]:
-        """inv[i] is the index of the inverse of element i: for
-        i = g_1 ... g_k along the tree, i^-1 = e g_k^-1 ... g_1^-1."""
-        n = len(self.elements)
-        undo = []
         for act in actions:
-            back = [-1] * n
-            for x, y in enumerate(act):
-                back[y] = x
-            if -1 in back:
+            hit = bytearray(n)
+            for b in act:
+                hit[b] = 1
+            if 0 in hit:
                 raise InternalCheckError(
                     f"{self.descriptor}: a generator does not permute the elements"
                 )
-            undo.append(back)
-        root = self._index[self.identity]
-        inv = [0] * n
-        for x in range(n):
-            y, z = root, x
-            while z != root:
-                y = undo[letter[z]][y]
-                z = parent[z]
-            inv[x] = y
-        return inv
+        return actions, parent, letter, closure
 
     def conjugacy_classes(self) -> list[list]:
-        actions, parent, letter = self._closure_walk()
-        inv = self._inverse_table(actions, parent, letter)
-        conjugations = [[r[inv[r[inv[x]]]] for x in range(len(r))] for r in actions]
+        actions, parent, letter, reach = self._closure_walk
+        conjugations = []
+        for act in actions:
+            left = [act.index(reach[0])] * len(act)  # g^-1 x, from g^-1 at the root
+            for x in reach[1:]:
+                left[x] = actions[letter[x]][left[parent[x]]]
+            conjugations.append([act[y] for y in left])
         assigned = bytearray(len(self.elements))
         classes = []
         for x in range(len(self.elements)):
@@ -411,7 +379,10 @@ def _check_rank(m: int):
 
 
 def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
-    """Every m x m matrix over f with nonzero determinant."""
+    """Every m x m matrix over f with linearly independent rows, in
+    increasing order of its entries: a depth-first search over rows, each
+    row any vector outside the span of the rows above it.  The span is
+    kept as a set, grown by u + c v for each new row v."""
     _check_rank(m)
     q = f.order
     _charge(what, q, m * m)
@@ -421,11 +392,21 @@ def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     for j in range(1, m + 1):
         count *= q**j - 1
     _check_elements(count, what)
+    add, mul = f.add, f.mul
+    vectors = list(itertools.product(range(q), repeat=m))
     out = []
-    for entries in itertools.product(range(q), repeat=m * m):
-        a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
-        if mat_det(f, a) != 0:
-            out.append(a)
+
+    def extend(rows: tuple, span: set):
+        for v in vectors:
+            if v in span:
+                continue
+            if len(rows) == m - 1:
+                out.append((*rows, v))
+            else:
+                extend((*rows, v), {tuple(add[x][mul[c][y]] for x, y in zip(u, v))
+                                    for u in span for c in range(q)})
+
+    extend((), {(0,) * m})
     return out
 
 

@@ -521,6 +521,16 @@ def test_oracle_subcommand_large_field_order_exits_before_factoring(kind):
     assert done.stderr.splitlines() == ["error: field order must be at most 49"]
 
 
+@pytest.mark.parametrize("argv", [["GL", "1", "0"], ["GL", "1", "-3"], ["U", "1", "0"],
+                                  ["Sp", "1", "0"], ["GL", "1", "1"]])
+def test_oracle_subcommand_field_order_below_2_is_not_a_prime_power(argv, capsys):
+    # q < 2 is refused before factorizing, which takes positive integers only
+    assert main(["oracle", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {argv[2]} is not a prime power"]
+
+
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])
 def test_oracle_subcommand_unknown_kind_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

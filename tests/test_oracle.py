@@ -180,6 +180,34 @@ def test_gl_enumeration_matches_formula(m, q):
     assert enumerate_gl(m, q).order == gl_order(m, q)
 
 
+def leibniz_det(add, mul, neg, a) -> int:
+    """det(a) = sum over permutations s of sign(s) * prod_i a[i][s(i)]."""
+    m = len(a)
+    det = 0
+    for perm in itertools.permutations(range(m)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = mul[term][a[i][j]]
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        det = add[det][neg[term] if inversions % 2 else term]
+    return det
+
+
+@pytest.mark.parametrize("m,q", [(1, 2), (1, 4), (1, 49), (2, 2), (2, 3), (2, 4),
+                                 (2, 9), (3, 2), (3, 3)])
+def test_gl_row_search_is_the_determinant_filter(m, q):
+    # every m x m matrix in increasing order of its entries, kept when its
+    # determinant over the schoolbook tables is nonzero: same list, same order
+    p, e = next((p, e) for p in (2, 3, 5, 7) for e in range(1, 6) if p**e == q)
+    add, mul, neg, _, _ = reference_field_tables(p, e)
+    expected = []
+    for entries in itertools.product(range(q), repeat=m * m):
+        a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
+        if leibniz_det(add, mul, neg, a) != 0:
+            expected.append(a)
+    assert enumerate_gl(m, q).elements == expected
+
+
 @pytest.mark.parametrize("m,q", [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2),
                                  (2, 3), (3, 2)])
 def test_unitary_enumeration_matches_formula(m, q):
@@ -542,17 +570,53 @@ def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
     return classes
 
 
-def test_generating_set_path_matches_direct_orbits():
-    # residual groups of settings, then four standalone groups that are not
+def class_test_groups() -> list[FqMatrixGroup]:
+    """Residual groups of settings, then four standalone groups that are not."""
     residual = [
         enumerate_similitude_product(setting(fld, m, level, p))
         for fld, m, level, p in ((Q, 1, 3, 5), (Q, 2, 3, 2), (Q, 2, 4, 3), (R5, 2, 3, 2))
     ]
     standalone = [enumerate_gl(2, 3), enumerate_unitary(2, 3), enumerate_sp(1, 5),
                   enumerate_gsp_modn(1, 4)]
+    return residual + standalone
+
+
+def test_generating_set_path_matches_direct_orbits():
     orders = (24, 18, 192, 180, 48, 96, 120, 96)
-    for group, order in zip(residual + standalone, orders, strict=True):
+    for group, order in zip(class_test_groups(), orders, strict=True):
         assert group.order == order
         via_gens = group.conjugacy_classes()
         direct = direct_conjugacy_classes(group)
         assert sorted(map(tuple, via_gens)) == sorted(map(tuple, direct)), order
+
+
+def power_walk_order(group: FqMatrixGroup, x) -> int:
+    """Reference order: multiply by x until the identity comes back."""
+    n, y = 1, x
+    while y != group.identity:
+        y = group.mul(y, x)
+        n += 1
+    return n
+
+
+def test_tree_element_orders_match_the_power_walk():
+    for group in class_test_groups():
+        for x in group.elements:
+            assert group.element_order(x) == power_walk_order(group, x), group.descriptor
+
+
+def test_class_queries_multiply_only_in_the_walk():
+    for group in class_test_groups():
+        product, calls = group.mul, [0]
+
+        def counted(a, b):
+            calls[0] += 1
+            return product(a, b)
+
+        group.mul = counted
+        group.conjugacy_classes()
+        walked = calls[0]
+        assert walked > 0
+        for p in (2, 3, 5):
+            p_regular_class_count(group, p)
+        assert calls[0] == walked, group.descriptor
