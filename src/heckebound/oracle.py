@@ -2,12 +2,15 @@
 
 Finite fields of order at most 49 and the rings Z/N are realized as
 lookup tables; matrix groups are enumerated straight from their defining
-conditions.  GL_m(F_q) comes from a search over rows outside the span of
-the rows above.  One symplectic basis search builds Sp_2m(F_q), its count
-and GSp_2m(Z/N), and one row builder makes the hermitian and the
-alternating masks.  A group multiplies only in one closure walk; its
-conjugacy classes and element orders are read off the walk's spanning
-tree by index lookups.
+conditions.  An element is a flat tuple of positions: a matrix's rows,
+and for the residual group the rows of each place's matrix, then the
+similitude unit.  GL_m(F_q) comes from a search over rows outside the
+span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
+its count and GSp_2m(Z/N), and one row builder makes the hermitian and
+the alternating masks.  A group multiplies only in one closure walk, which
+computes x g as one lookup per position of x in tables of g built on
+demand; its conjugacy classes and element orders are read off the
+walk's spanning tree by index lookups.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so
 a typo in a descriptor cannot start a runaway enumeration.
@@ -20,6 +23,7 @@ import itertools
 import random
 from collections import deque
 from math import gcd, prod
+from operator import getitem
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
@@ -205,19 +209,31 @@ def mat_identity(m: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
-def mat_mul(f: SmallField, a: tuple, b: tuple) -> tuple:
-    mul, add = f.mul, f.add
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
+class _RowTable(dict):
+    """row -> row * g over a table ring: a row is multiplied out on its
+    first lookup and stored, so each row that occurs costs one product."""
+
+    def __init__(self, ring, g):
+        super().__init__()
+        self.add, self.mul = ring.add, ring.mul
+        self.columns = tuple(zip(*g))
+
+    def __missing__(self, row):
+        add, mul = self.add, self.mul
+        out = []
+        for col in self.columns:
             s = 0
             for x, y in zip(row, col):
                 s = add[s][mul[x][y]]
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
+            out.append(s)
+        self[row] = out = tuple(out)
+        return out
+
+
+def _matrix_right(ring):
+    """right(g) of a matrix group over a table ring: every row of x g is
+    that row of x times g, so one row table serves all positions."""
+    return lambda g: [_RowTable(ring, g)] * len(g)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +241,20 @@ def mat_mul(f: SmallField, a: tuple, b: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 class FqMatrixGroup:
-    """A fully enumerated finite group of matrices (or of tuples of
-    matrices with a shared similitude unit), with its product as `mul`.
+    """A fully enumerated finite group of matrices (or of matrices with
+    a shared similitude unit).  Elements are flat tuples of positions,
+    and right(g) returns one lookup per position such that x g is
+    tuple(map(getitem, right(g), x)): each row of x g is that row of x
+    times g, and a similitude unit is multiplied mod p.
 
     The elements are numbered once, and one closure walk is the only
     place that multiplies: generators are drawn from a `random.Random(0)`
     shuffle of the element indices and added until their closure under
     right multiplication is the whole element set, which certifies the
-    generating set.  The walk keeps each right action x -> x g as an
-    index list, checked to permute the elements, and its spanning tree
-    (a Schreier tree) records every element as parent * generator.
+    generating set.  The walk builds right(g) once per generator g, keeps
+    each right action x -> x g as an index list, checked to permute the
+    elements, and its spanning tree (a Schreier tree) records every
+    element as parent * generator.
     Everything else is read off the tree by index lookups.  The order of
     x is the number of passes of x's tree word through the right actions
     that bring the identity back.  Conjugacy classes are orbits under
@@ -245,10 +265,10 @@ class FqMatrixGroup:
     maps is closed under conjugation by the generators themselves.
     """
 
-    def __init__(self, descriptor: str, elements, mul, identity):
+    def __init__(self, descriptor: str, elements, right, identity):
         self.descriptor = descriptor
         self.elements = list(elements)
-        self.mul = mul
+        self.right = right
         self.identity = identity
         self._index = {x: i for i, x in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -281,7 +301,7 @@ class FqMatrixGroup:
         lists, the walk's spanning tree (element i is parent[i] *
         generator letter[i]) and its elements in reach order, the
         identity first."""
-        elements, index, mul = self.elements, self._index, self.mul
+        elements, index, right = self.elements, self._index, self.right
         n = len(elements)
         root = index[self.identity]
         parent = [-1] * n
@@ -290,7 +310,7 @@ class FqMatrixGroup:
         reached = bytearray(n)
         reached[root] = 1
         closure = [root]
-        generators: list = []
+        tables: list = []  # right(g) per generator g
         actions: list[list[int]] = []
         candidates = list(range(n))
         random.Random(0).shuffle(candidates)
@@ -299,14 +319,14 @@ class FqMatrixGroup:
                 break
             if reached[c]:
                 continue
-            generators.append(elements[c])
+            tables.append(right(elements[c]))
             actions.append([-1] * n)
             queue = deque(closure)
             while queue:
                 a = queue.popleft()
                 x = elements[a]
-                for k in range(applied[a], len(generators)):
-                    b = index.get(mul(x, generators[k]))
+                for k in range(applied[a], len(tables)):
+                    b = index.get(tuple(map(getitem, tables[k], x)))
                     if b is None:
                         raise InternalCheckError(
                             f"{self.descriptor}: generated closure does not match "
@@ -318,7 +338,7 @@ class FqMatrixGroup:
                         parent[b], letter[b] = a, k
                         closure.append(b)
                         queue.append(b)
-                applied[a] = len(generators)
+                applied[a] = len(tables)
         for act in actions:
             hit = bytearray(n)
             for b in act:
@@ -413,12 +433,8 @@ def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
 def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     f = field_of_order(q)
     what = f"GL_{m}(F_{q})"
-    return FqMatrixGroup(
-        what,
-        _invertible_matrices(f, m, what),
-        lambda a, b: mat_mul(f, a, b),
-        mat_identity(m),
-    )
+    return FqMatrixGroup(what, _invertible_matrices(f, m, what), _matrix_right(f),
+                         mat_identity(m))
 
 
 def _pairing_masks(left, right, ring, swap, values):
@@ -516,22 +532,24 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
     base = field_of_order(q)
     f = small_field(base.p, 2 * base.e)
     elems = _hermitian_matrices(f, m, [f.one], f"U_{m}(F_{q})")[f.one]
-    return FqMatrixGroup(
-        f"U_{m}(F_{q})", elems, lambda a, b: mat_mul(f, a, b), mat_identity(m)
-    )
+    return FqMatrixGroup(f"U_{m}(F_{q})", elems, _matrix_right(f), mat_identity(m))
 
 
 # --- symplectic groups ------------------------------------------------------
 
 
-def _symplectic_bases(ring, m: int, multipliers):
+def _symplectic_bases(ring, m: int, multipliers, what: str | None = None):
     """The vectors of R^(2m), R a table ring, and a depth-first search for
     the columns e_1, f_1, ..., e_m, f_m of each g with g^t J g = c J, c in
     multipliers: <e_k, f_k> = c and all other pairs of columns pair to 0
     under <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}).  Once
     e_1, ..., f_(m-1) are chosen it yields (columns, avail, pair): their
     vector indices, the mask of the vectors pairing to 0 with all of them,
-    and pair; e_m is any bit i of avail and f_m any bit of pair[i] & avail."""
+    and pair; e_m is any bit i of avail and f_m any bit of pair[i] & avail.
+
+    With `what`, the elements are to be stored: at m = 1 the matrices
+    with first column i are counted as row i completes, so the element
+    limit fires while the table is being built."""
     n = 2 * m
     vectors = list(itertools.product(range(ring.order), repeat=n))
     neg = ring.neg
@@ -539,7 +557,13 @@ def _symplectic_bases(ring, m: int, multipliers):
     twisted = [tuple(x for k in range(0, n, 2) for x in (neg[u[k + 1]], u[k]))
                for u in vectors]
     masks, rows = _pairing_masks(twisted, vectors, ring, neg, (0, *multipliers))
-    deque(rows, maxlen=0)  # no charge rides on the rows here
+    if what is not None and m == 1:  # e_1 = i, f_1 any bit of masks[c][i]
+        count = 0
+        for i in rows:
+            count += sum(masks[c][i].bit_count() for c in multipliers)
+            _check_elements(count, what)
+    else:
+        deque(rows, maxlen=0)
     zero = masks[0]
 
     def walk(avail: int, chosen: list, pair: list):
@@ -563,7 +587,7 @@ def _iter_bits(mask: int):
 
 def _basis_group(what: str, ring, m: int, multipliers) -> FqMatrixGroup:
     """The matrices whose columns _symplectic_bases finds, at most ELEMENT_LIMIT."""
-    vectors, bases = _symplectic_bases(ring, m, multipliers)
+    vectors, bases = _symplectic_bases(ring, m, multipliers, what)
     elems: list[tuple] = []
     for columns, avail, pair in bases:
         chosen = [vectors[k] for k in columns]
@@ -571,8 +595,7 @@ def _basis_group(what: str, ring, m: int, multipliers) -> FqMatrixGroup:
             for j in _iter_bits(pair[i] & avail):
                 elems.append(tuple(zip(*chosen, vectors[i], vectors[j])))
                 _check_elements(len(elems), what)
-    return FqMatrixGroup(what, elems, lambda a, b: mat_mul(ring, a, b),
-                         mat_identity(2 * m))
+    return FqMatrixGroup(what, elems, _matrix_right(ring), mat_identity(2 * m))
 
 
 def _sp_field(m: int, q: int) -> SmallField:
@@ -656,23 +679,22 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
         "similitude product assembly",
     )
     elems = []
-    for r in units:
+    for r in units:  # flat codes: the rows of A_v for each place v, then r
         for combo in itertools.product(*(pool[r] for pool in pools)):
-            elems.append((combo, r))
+            elems.append((*itertools.chain(*combo), r))
 
-    def mul(a, b):
-        mats_a, r_a = a
-        mats_b, r_b = b
-        return (
-            tuple(mat_mul(f, x, y) for x, y in zip(mats_a, mats_b)),
-            r_a * r_b % p,
-        )
+    def right(g):
+        tables = []
+        for k in range(0, len(g) - 1, m):  # one row table per place
+            tables += [_RowTable(f, g[k:k + m])] * m
+        tables.append([x * g[-1] % p for x in range(p)])
+        return tables
 
-    identity = (tuple(mat_identity(m) for _ in setting.places_over_p), 1)
+    identity = (*mat_identity(m) * len(pools), 1)
     descriptor = (
         f"residual group (disc {setting.field.discriminant}, m={m}, p={p})"
     )
-    return FqMatrixGroup(descriptor, elems, mul, identity)
+    return FqMatrixGroup(descriptor, elems, right, identity)
 
 
 # ---------------------------------------------------------------------------

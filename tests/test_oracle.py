@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import random
 import time
+from operator import getitem
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +24,7 @@ from heckebound.oracle import (
     StateSpaceError,
     _charge,
     _hermitian_matrices,
+    _matrix_right,
     _pairing_masks,
     _ring_tables,
     count_symplectic_matrices,
@@ -30,7 +33,6 @@ from heckebound.oracle import (
     enumerate_similitude_product,
     enumerate_sp,
     enumerate_unitary,
-    mat_mul,
     p_regular_class_count,
     small_field,
     sylow_p_order,
@@ -45,6 +47,28 @@ R13 = FieldSpec.real_quadratic(13)
 
 def setting(fld, m, level, p):
     return validate_setting(QuaternionData(fld, (), m), level, p)
+
+
+def mat_mul(f, a: tuple, b: tuple) -> tuple:
+    """Reference matrix product over a table ring f: a row times a column
+    summed entry by entry through f.add and f.mul."""
+    mul, add = f.mul, f.add
+    bt = tuple(zip(*b))
+    out = []
+    for row in a:
+        orow = []
+        for col in bt:
+            s = 0
+            for x, y in zip(row, col):
+                s = add[s][mul[x][y]]
+            orow.append(s)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def zmod(n: int) -> SimpleNamespace:
+    add, mul = _ring_tables(n, 1, (0,))
+    return SimpleNamespace(add=add, mul=mul)
 
 
 # --- fields ------------------------------------------------------------------
@@ -131,8 +155,8 @@ def test_small_field_tables_match_schoolbook_reference(p, e):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_mat_mul_over_zmod_tables_is_the_integer_product(n):
-    add, mul = _ring_tables(n, 1, (0,))
-    zn = SimpleNamespace(add=add, mul=mul)
+    # the reference product and the row tables the closure walk looks up
+    zn = zmod(n)
     rng = random.Random(n)
     for size in (2, 4):
         for _ in range(25):
@@ -145,7 +169,9 @@ def test_mat_mul_over_zmod_tables_is_the_integer_product(n):
                       for j in range(size))
                 for i in range(size)
             )
-            assert mat_mul(zn, a, b) == expected
+            tables = _matrix_right(zn)(b)
+            assert tuple(map(getitem, tables, a)) == expected == mat_mul(zn, a, b)
+            assert set(tables[0]) == set(a)  # filled by the lookups alone
 
 
 def test_charge_decides_huge_powers_from_the_exponent():
@@ -241,8 +267,7 @@ def brute_force_gsp(m: int, level: int) -> set[tuple]:
     kept when g^t J g = c J for a unit c, with products by mat_mul over
     the Z/N tables."""
     n = 2 * m
-    add, mul = _ring_tables(level, 1, (0,))
-    zn = SimpleNamespace(add=add, mul=mul)
+    zn = zmod(level)
     jmat = [[0] * n for _ in range(n)]
     for k in range(m):
         jmat[2 * k][2 * k + 1] = 1
@@ -276,6 +301,32 @@ def test_gsp_charges_its_basis_tree_and_tables(monkeypatch):
     monkeypatch.setattr(oracle_mod, "DEFAULT_CAP", 2**11 - 1)  # the m = 2 tree
     with pytest.raises(StateSpaceError, match=r"^GSp_4\(Z/2\): candidate space"):
         enumerate_gsp_modn(2, 2)
+
+
+@pytest.mark.parametrize("build,order,what", [
+    (lambda: enumerate_gsp_modn(1, 5), 480, r"GSp_2\(Z/5\)"),
+    (lambda: enumerate_sp(1, 7), 336, r"Sp_2\(F_7\)"),
+], ids=["GSp_2(Z/5)", "Sp_2(F_7)"])
+def test_m1_basis_groups_count_elements_as_rows_complete(monkeypatch, build, order, what):
+    # the running count is exact: a limit of the order passes, one less fails
+    monkeypatch.setattr(oracle_mod, "ELEMENT_LIMIT", order)
+    assert build().order == order
+    monkeypatch.setattr(oracle_mod, "ELEMENT_LIMIT", order - 1)
+    with pytest.raises(StateSpaceError,
+                       match=f"^{what}: more than the {order - 1} element limit to store$"):
+        build()
+    monkeypatch.setattr(oracle_mod, "ELEMENT_LIMIT", 10)
+    assert count_symplectic_matrices(1, 7) == 336  # stores nothing, so unlimited
+
+
+def test_gsp_element_limit_fires_while_the_table_is_built():
+    # GSp_2(Z/56) has about 3.1M elements; its full pairing table takes
+    # seconds, the rows up to the 100 000th element a fraction of one
+    t0 = time.monotonic()
+    with pytest.raises(StateSpaceError,
+                       match=r"^GSp_2\(Z/56\): more than the 100000 element limit"):
+        enumerate_gsp_modn(1, 56)
+    assert time.monotonic() - t0 < 1.0
 
 
 def check_pairing_masks(left, right, ring, swap, values, value_rows):
@@ -457,17 +508,32 @@ def test_conjugacy_partition_sanity():
             assert group.order % size == 0
 
 
+class ReferenceRows(dict):
+    """row -> row * g by the reference mat_mul, filled on lookup."""
+
+    def __init__(self, ring, g):
+        super().__init__()
+        self.ring, self.g = ring, g
+
+    def __missing__(self, row):
+        self[row] = out = mat_mul(self.ring, (row,), self.g)[0]
+        return out
+
+
+def reference_right(ring):
+    """right(g) of a matrix group from the reference product."""
+    return lambda g: [ReferenceRows(ring, g)] * len(g)
+
+
 def test_group_faults_raise_internal_check_error():
     identity = ((1,),)
+    z5 = reference_right(zmod(5))
     with pytest.raises(InternalCheckError, match="duplicate"):
-        FqMatrixGroup("doubled", [identity, identity], lambda a, b: a, identity)
+        FqMatrixGroup("doubled", [identity, identity], z5, identity)
     with pytest.raises(InternalCheckError, match="identity"):
-        FqMatrixGroup("no identity", [((2,),)], lambda a, b: a, identity)
+        FqMatrixGroup("no identity", [((2,),)], z5, identity)
     # {1, 2} in (Z/5)^*: 2 * 2 = 4 leaves the set
-    not_closed = FqMatrixGroup(
-        "not closed", [identity, ((2,),)],
-        lambda a, b: ((a[0][0] * b[0][0] % 5,),), identity,
-    )
+    not_closed = FqMatrixGroup("not closed", [identity, ((2,),)], z5, identity)
     with pytest.raises(InternalCheckError, match="closure"):
         not_closed.conjugacy_classes()
 
@@ -475,17 +541,15 @@ def test_group_faults_raise_internal_check_error():
 def test_non_group_closure_raises_internal_check_error():
     # {1, 0} in Z/5 is closed under products, but x -> x * 0 is no permutation
     identity = ((1,),)
-    monoid = FqMatrixGroup(
-        "monoid", [identity, ((0,),)],
-        lambda a, b: ((a[0][0] * b[0][0] % 5,),), identity,
-    )
+    monoid = FqMatrixGroup("monoid", [identity, ((0,),)], reference_right(zmod(5)),
+                           identity)
     with pytest.raises(InternalCheckError, match="permute"):
         monoid.conjugacy_classes()
 
 
 def test_trivial_group_class_count():
     identity = ((1,),)
-    trivial = FqMatrixGroup("trivial", [identity], lambda a, b: identity, identity)
+    trivial = FqMatrixGroup("trivial", [identity], reference_right(zmod(5)), identity)
     for p in (2, 3, 5):
         assert p_regular_class_count(trivial, p) == 1
         assert sylow_p_order(trivial, p) == 1
@@ -551,12 +615,12 @@ def test_m3_residual_group_verifies():
     assert verify_setting_with_oracle(s) == {"verified": True}
 
 
-def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
+def direct_conjugacy_classes(group: FqMatrixGroup, product) -> list[list]:
     """Reference partition: the orbit of x is {g x g^-1 : g in G}, with
     every element of G as a conjugator and its inverse found by search
     (O(|G|^2) products)."""
     inverses = {
-        g: next(h for h in group.elements if group.mul(g, h) == group.identity)
+        g: next(h for h in group.elements if product(g, h) == group.identity)
         for g in group.elements
     }
     assigned = set()
@@ -564,59 +628,105 @@ def direct_conjugacy_classes(group: FqMatrixGroup) -> list[list]:
     for x in group.elements:
         if x in assigned:
             continue
-        orbit = {group.mul(group.mul(g, x), inverses[g]) for g in group.elements}
+        orbit = {product(product(g, x), inverses[g]) for g in group.elements}
         assigned |= orbit
         classes.append(sorted(orbit))
     return classes
 
 
-def class_test_groups() -> list[FqMatrixGroup]:
-    """Residual groups of settings, then four standalone groups that are not."""
+def similitude_product(f, m: int, p: int):
+    """Reference product of flat residual-group codes: the m-row block of
+    each place by mat_mul, the similitude units mod p."""
+    def product(a, b):
+        out = []
+        for k in range(0, len(a) - 1, m):
+            out += mat_mul(f, a[k:k + m], b[k:k + m])
+        return (*out, a[-1] * b[-1] % p)
+    return product
+
+
+def residual_with_product(fld, m, level, p):
+    return (enumerate_similitude_product(setting(fld, m, level, p)),
+            similitude_product(small_field(p, 2), m, p))
+
+
+def class_test_groups() -> list[tuple[FqMatrixGroup, object]]:
+    """Residual groups of settings, then four standalone groups that are
+    not, each with its reference product."""
     residual = [
-        enumerate_similitude_product(setting(fld, m, level, p))
+        residual_with_product(fld, m, level, p)
         for fld, m, level, p in ((Q, 1, 3, 5), (Q, 2, 3, 2), (Q, 2, 4, 3), (R5, 2, 3, 2))
     ]
-    standalone = [enumerate_gl(2, 3), enumerate_unitary(2, 3), enumerate_sp(1, 5),
-                  enumerate_gsp_modn(1, 4)]
-    return residual + standalone
+    standalone = [
+        (enumerate_gl(2, 3), small_field(3)),
+        (enumerate_unitary(2, 3), small_field(3, 2)),
+        (enumerate_sp(1, 5), small_field(5)),
+        (enumerate_gsp_modn(1, 4), zmod(4)),
+    ]
+    return residual + [(group, functools.partial(mat_mul, ring)) for group, ring in standalone]
 
 
 def test_generating_set_path_matches_direct_orbits():
     orders = (24, 18, 192, 180, 48, 96, 120, 96)
-    for group, order in zip(class_test_groups(), orders, strict=True):
+    for (group, product), order in zip(class_test_groups(), orders, strict=True):
         assert group.order == order
         via_gens = group.conjugacy_classes()
-        direct = direct_conjugacy_classes(group)
+        direct = direct_conjugacy_classes(group, product)
         assert sorted(map(tuple, via_gens)) == sorted(map(tuple, direct)), order
 
 
-def power_walk_order(group: FqMatrixGroup, x) -> int:
+def power_walk_order(group: FqMatrixGroup, product, x) -> int:
     """Reference order: multiply by x until the identity comes back."""
     n, y = 1, x
     while y != group.identity:
-        y = group.mul(y, x)
+        y = product(y, x)
         n += 1
     return n
 
 
 def test_tree_element_orders_match_the_power_walk():
-    for group in class_test_groups():
+    for group, product in class_test_groups():
         for x in group.elements:
-            assert group.element_order(x) == power_walk_order(group, x), group.descriptor
+            assert group.element_order(x) == power_walk_order(group, product, x), \
+                group.descriptor
 
 
 def test_class_queries_multiply_only_in_the_walk():
-    for group in class_test_groups():
-        product, calls = group.mul, [0]
+    for group, _ in class_test_groups():
+        right, calls = group.right, [0]
 
-        def counted(a, b):
+        def counted(g):
             calls[0] += 1
-            return product(a, b)
+            return right(g)
 
-        group.mul = counted
+        group.right = counted
         group.conjugacy_classes()
         walked = calls[0]
         assert walked > 0
         for p in (2, 3, 5):
             p_regular_class_count(group, p)
         assert calls[0] == walked, group.descriptor
+
+
+def test_walk_actions_match_the_reference_product():
+    # every action of the walk against the reference product, and the row
+    # tables filled with exactly the rows that occur at their positions
+    groups = class_test_groups() + [residual_with_product(R8, 1, 3, 7)]
+    for group, product in groups:
+        made = []
+        right = group.right
+
+        def recorded(g):
+            made.append((g, right(g)))
+            return made[-1][1]
+
+        group.right = recorded
+        actions, _, _, reach = group._closure_walk
+        assert len(made) == len(actions) > 0 and len(reach) == group.order
+        for (g, tables), act in zip(made, actions):
+            for a, x in enumerate(group.elements):
+                assert group.elements[act[a]] == product(x, g), group.descriptor
+            for table in {id(t): t for t in tables if isinstance(t, dict)}.values():
+                occurred = {x[i] for x in group.elements
+                            for i, t in enumerate(tables) if t is table}
+                assert set(table) == occurred, group.descriptor
