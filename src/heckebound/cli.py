@@ -127,11 +127,17 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(
                 "p_sweep: endpoints must satisfy 2 <= from <= to"
             )
-        if hi - lo >= 300_000:
-            # the window is sieved in one bytearray and every record is held
-            # until the end; 300 000 integers keep an m = 2 run under 4 s and 90 MB
+        # the window is sieved in one bytearray and every record is held
+        # until the end; 300 000 integers keep an m = 2 run under 4 s and 90 MB.
+        # A record's cost grows with m, so from m = 3 the window is 1 200 000
+        # // m^2 integers (the widest from 10^18 measured under 2.5 s up to
+        # m = 50); above m = 50 every record is the datum's m_too_large
+        scaled = 3 <= m <= 50
+        width = 1_200_000 // m**2 if scaled else 300_000
+        if hi - lo >= width:
+            at_m = f" at m = {m}" if scaled else ""
             raise ConfigError(
-                "p_sweep: the window may span at most 300000 integers, "
+                f"p_sweep: the window may span at most {width} integers{at_m}, "
                 f"got {hi - lo + 1}"
             )
         if hi >= _PSI_12:

@@ -7,10 +7,11 @@ and for the residual group the rows of each place's matrix, then the
 similitude unit.  GL_m(F_q) comes from a search over rows outside the
 span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
 its count and GSp_2m(Z/N), and one row builder makes the hermitian and
-the alternating masks.  A group multiplies only in one closure walk, which
-computes x g as one lookup per position of x in tables of g built on
-demand; its conjugacy classes and element orders are read off the
-walk's spanning tree by index lookups.
+the alternating masks.  One unitary search finds the similitudes of
+factor 1; those of factor r are these scaled by a lam of norm r.  A group
+multiplies only in one closure walk, which computes x g as one lookup per
+position of x in tables of g built on demand; its conjugacy classes and
+element orders are read off the walk's spanning tree by index lookups.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so
 a typo in a descriptor cannot start a runaway enumeration.
@@ -126,10 +127,6 @@ class SmallField:
             raise InternalCheckError(f"no field of order {q} among the tails")
 
         self.neg = [self.add[a].index(0) for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            self.inv[a] = self.mul[a].index(1)
-
         self.frob = None
         if e % 2 == 0:  # a -> a^(p^(e/2)) by repeated products; p^(e/2) <= 7
             self.frob = list(range(q))
@@ -162,9 +159,6 @@ class SmallField:
                         or mul[a][add[b][c]] != add[mab][mul[a][c]]
                     ):
                         fail("associativity or distributivity")
-        for a in range(1, q):
-            if mul[a][self.inv[a]] != 1:
-                fail("inverse law")
         if self.frob is not None:
             frob = self.frob
             fixed = 0
@@ -470,10 +464,11 @@ def _pairing_masks(left, right, ring, swap, values):
 def _hermitian_matrices(
     f: SmallField, m: int, targets: list[int], what: str
 ) -> dict[int, list[tuple]]:
-    """All A with A^t conj(A) = t*I for each t in targets, via depth-first
-    search over column tuples: every column has hermitian norm t and the
-    columns are pairwise hermitian-orthogonal.  Invertibility follows
-    from det(A) conj(det(A)) = t^m != 0.
+    """All A with A^t conj(A) = t*I for each t in targets.  One depth-first
+    search finds the t = 1 solutions, whose columns have hermitian norm 1
+    and are pairwise orthogonal; A -> lam*A maps them onto those for
+    t = lam conj(lam), sorted by columns as a norm-t search lists them.  A t
+    off the fixed field, which holds the diagonal of A^t conj(A), gets [].
 
     Each pool vector gets the bitmask of the pool vectors orthogonal to
     it, so a node's children are the AND of its columns' masks.  The
@@ -487,49 +482,54 @@ def _hermitian_matrices(
     spent = _charge(what, q2, m)
     # <u, v> = sum_k u_k * conj(v_k), with conj the inverting automorphism
     mul, add, frob = f.mul, f.add, f.frob
-    by_norm: dict[int, list[tuple]] = {}
+    pool = []
     for c in itertools.product(range(q2), repeat=m):
         s = 0
         for x in c:
             s = add[s][mul[x][frob[x]]]
-        by_norm.setdefault(s, []).append(c)
+        if s == 1:
+            pool.append(c)
+    size = len(pool)
+    spent = _charge(what, size, spent=spent)  # the root's scan
+    masks = [0] * size
+    if m >= 2:
+        spent = _charge(what, size, 2, spent)  # the root's children's scans
+        # the pool against its conjugates: <v, u> = conj(<u, v>)
+        conj = [[frob[y] for y in v] for v in pool]
+        by_value, rows = _pairing_masks(pool, conj, f, frob, (0,))
+        masks = by_value[0]
+        for i in rows:
+            if m >= 3:  # depth-1 node i, whose children are its row's bits
+                spent = _charge(what, masks[i].bit_count() * size, spent=spent)
+    solutions: list[tuple] = []  # the pool indices of each solution's columns
 
-    out: dict[int, list[tuple]] = {}
-    for t in targets:
-        pool = by_norm.get(t, [])
-        size = len(pool)
-        spent = _charge(what, size, spent=spent)  # the root's scan
-        masks = [0] * size
-        if m >= 2:
-            spent = _charge(what, size, 2, spent)  # the root's children's scans
-            # the pool against its conjugates: <v, u> = conj(<u, v>)
-            conj = [[frob[y] for y in v] for v in pool]
-            by_value, rows = _pairing_masks(pool, conj, f, frob, (0,))
-            masks = by_value[0]
-            for i in rows:
-                if m >= 3:  # depth-1 node i, whose children are its row's bits
-                    spent = _charge(what, masks[i].bit_count() * size, spent=spent)
-        solutions: list[tuple] = []
+    def extend(avail: int, chosen: tuple):
+        nonlocal spent
+        if len(chosen) == m:
+            solutions.append(chosen)
+            _check_elements(len(solutions), what)
+            return
+        if 2 <= len(chosen) < m - 1:
+            spent = _charge(what, avail.bit_count() * size, spent=spent)
+        for i in _iter_bits(avail):
+            extend(avail & masks[i], (*chosen, i))
 
-        def extend(avail: int, chosen: list):
-            nonlocal spent
-            if len(chosen) == m:
-                solutions.append(tuple(zip(*chosen)))  # columns -> rows
-                _check_elements(len(solutions), what)
-                return
-            if 2 <= len(chosen) < m - 1:
-                spent = _charge(what, avail.bit_count() * size, spent=spent)
-            for i in _iter_bits(avail):
-                extend(avail & masks[i], chosen + [pool[i]])
-
-        extend((1 << size) - 1, [])
-        out[t] = solutions
+    extend((1 << size) - 1, ())
+    scale = {mul[x][frob[x]]: mul[x] for x in range(1, q2)}  # x -> lam x, per norm
+    out: dict[int, list[tuple]] = {t: [] for t in targets}
+    for t in out.keys() & scale.keys():
+        scaled = [tuple(scale[t][x] for x in v) for v in pool]
+        columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
+        out[t] = [tuple(zip(*c)) for c in columns]  # columns -> rows
     return out
 
 
 def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
     """The isometry group of the standard hermitian form on F_{q^2}^m."""
     base = field_of_order(q)
+    if q * q > MAX_FIELD_ORDER:
+        raise ValueError(f"U_{m}(F_{q}) needs F_{q * q}, past the field-order limit "
+                         f"{MAX_FIELD_ORDER}")
     f = small_field(base.p, 2 * base.e)
     elems = _hermitian_matrices(f, m, [f.one], f"U_{m}(F_{q})")[f.one]
     return FqMatrixGroup(f"U_{m}(F_{q})", elems, _matrix_right(f), mat_identity(m))

@@ -293,6 +293,29 @@ def test_sweep_width_is_capped_before_the_window_is_sieved(tmp_path, capsys):
         ]
 
 
+def test_sweep_width_shrinks_with_m_before_the_window_is_sieved(tmp_path, capsys):
+    # from m = 3 the window is 1 200 000 // m^2 integers: 480 at m = 50
+    lo = 10**18
+    widest = dict(SWEEP_DOC, m=50, p_sweep={"from": lo, "to": lo + 479})
+    assert parse_config(widest).sweep == (lo, lo + 479)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SWEEP_DOC, m=50, p_sweep={"from": lo, "to": lo + 480})))
+    with mock.patch.object(cli_mod, "primes_between", side_effect=AssertionError):
+        assert main([str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: p_sweep: the window may span at most 480 integers at m = 50, got 481"
+    ]
+    # the benchmark windows: 10^5 wide at m = 2 and 6 000 wide at m = 3; above
+    # m = 50 every record is m_too_large, so the m <= 2 width holds
+    for m, width in ((2, 300_000), (3, 133_333), (3, 6_000), (51, 300_000)):
+        doc = dict(SWEEP_DOC, m=m, p_sweep={"from": 2, "to": width + 1})
+        assert parse_config(doc).sweep == (2, width + 1)
+    with pytest.raises(ConfigError, match="^p_sweep: .* 133333 integers at m = 3, got 133334$"):
+        parse_config(dict(SWEEP_DOC, m=3, p_sweep={"from": 2, "to": 133_335}))
+
+
 def test_sweep_ending_at_psi_12_is_refused_before_the_window_is_sieved(tmp_path, capsys):
     psi_12 = 318_665_857_834_031_151_167_461
     below = dict(SWEEP_DOC, p_sweep={"from": psi_12 - 1000, "to": psi_12 - 1})
@@ -529,6 +552,17 @@ def test_oracle_subcommand_field_order_below_2_is_not_a_prime_power(argv, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {argv[2]} is not a prime power"]
+
+
+@pytest.mark.parametrize("q", ["8", "49"])
+def test_oracle_subcommand_unitary_names_the_quadratic_extension(q, capsys):
+    # q is within the field-order limit, F_{q^2} is not
+    assert main(["oracle", "U", "1", q]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: U_1(F_{q}) needs F_{int(q) ** 2}, past the field-order limit 49"
+    ]
 
 
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])

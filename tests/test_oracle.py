@@ -134,7 +134,6 @@ def reference_field_tables(p: int, e: int):
            for a in range(q)]
     mul = [[times(vec[a], vec[b]) for b in range(q)] for a in range(q)]
     neg = [add[a].index(0) for a in range(q)]
-    inv = [0] + [mul[a].index(1) for a in range(1, q)]
     frob = None
     if e % 2 == 0:
         frob = []
@@ -143,14 +142,14 @@ def reference_field_tables(p: int, e: int):
             for _ in range(p ** (e // 2)):
                 y = mul[y][a]
             frob.append(y)
-    return add, mul, neg, inv, frob
+    return add, mul, neg, frob
 
 
 @pytest.mark.parametrize("p,e", ALL_TABLE_FIELDS)
 def test_small_field_tables_match_schoolbook_reference(p, e):
     # the modulus and the element encoding are pinned, not just the axioms
     f = small_field(p, e)
-    assert (f.add, f.mul, f.neg, f.inv, f.frob) == reference_field_tables(p, e)
+    assert (f.add, f.mul, f.neg, f.frob) == reference_field_tables(p, e)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -225,7 +224,7 @@ def test_gl_row_search_is_the_determinant_filter(m, q):
     # every m x m matrix in increasing order of its entries, kept when its
     # determinant over the schoolbook tables is nonzero: same list, same order
     p, e = next((p, e) for p in (2, 3, 5, 7) for e in range(1, 6) if p**e == q)
-    add, mul, neg, _, _ = reference_field_tables(p, e)
+    add, mul, neg, _ = reference_field_tables(p, e)
     expected = []
     for entries in itertools.product(range(q), repeat=m * m):
         a = tuple(entries[i * m:(i + 1) * m] for i in range(m))
@@ -484,6 +483,23 @@ def test_hermitian_search_matches_brute_force(p, e, m):
     for t in targets:
         assert len(set(found[t])) == len(found[t]), t
         assert set(found[t]) == set(expected.get(t, [])), t
+        # sorted by columns: the order a search of the norm-t pool finds them in
+        assert found[t] == sorted(found[t], key=lambda a: tuple(zip(*a))), t
+
+
+def test_similitude_factors_come_from_one_hermitian_search(monkeypatch):
+    # p = 7: six similitude factors r, each the norm-1 solutions scaled by a
+    # lam of norm r, so the pairing-mask table is built once, not once per r
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return _pairing_masks(*args)
+
+    monkeypatch.setattr(oracle_mod, "_pairing_masks", spy)
+    group = enumerate_similitude_product(setting(Q, 2, 3, 7))
+    assert calls == [small_field(7, 2)]
+    assert group.order == 6 * unitary_order(2, 7)
 
 
 # --- group structure queries -------------------------------------------------
