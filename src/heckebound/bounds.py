@@ -46,12 +46,14 @@ class BoundReport:
     asymptotic_exponent: int
 
 
-def _positive_integer(value: Fraction, what: str) -> int:
-    """A count the construction guarantees to be a positive integer;
-    anything else is an implementation fault."""
-    if value.denominator != 1 or value <= 0:
+def _positive_integer(constant: Fraction, factor: int, what: str) -> int:
+    """constant * factor, a count the construction guarantees to be a
+    positive integer; anything else is an implementation fault."""
+    count, rest = divmod(constant.numerator * factor, constant.denominator)
+    if rest or count <= 0:
+        value = constant * factor
         raise InternalCheckError(f"{what} came out {value}, not a positive integer")
-    return int(value)
+    return count
 
 
 def asymptotic_exponent(degree: int, m: int) -> int:
@@ -104,8 +106,7 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
         for v in setting.even_places_at_p:
             factor *= v.residue_cardinality**j + 1
     return _positive_integer(
-        bound_constant(setting) * (level_group_order(setting) * factor),
-        "superspecial mass",
+        bound_constant(setting), level_group_order(setting) * factor, "superspecial mass"
     )
 
 
@@ -134,7 +135,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             factor *= v.residue_cardinality**j + 1
         for v in inside:
             factor *= v.residue_cardinality**j + (-1) ** j
-    bound = _positive_integer(constant * (group_order * factor), "final bound")
+    bound = _positive_integer(constant, group_order * factor, "final bound")
 
     mass = superspecial_mass(setting)
     irr = irr_count(setting)
@@ -182,12 +183,10 @@ def siegel_bound(m: int, level: int, p: int) -> int:
             * ell ** ((a - 1) * (2 * m * m + m))
         )
 
-    value = constant * gsp
-    value *= Fraction(p) ** ((m + 2) * (m - 1) // 2)
-    value *= (p - 1) * (p + 1)
+    factor = p ** ((m + 2) * (m - 1) // 2) * (p - 1) * (p + 1)
     for j in range(1, m + 1):
-        value *= p**j + (-1) ** j
-    return _positive_integer(value, "Siegel bound")
+        factor *= p**j + (-1) ** j
+    return _positive_integer(constant, gsp * factor, "Siegel bound")
 
 
 def _check_shared_inputs(settings: list[ShimuraSetting]) -> None:

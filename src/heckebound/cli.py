@@ -5,10 +5,10 @@ Exit codes: 0 at least one record succeeded and no internal fault;
 1 every record failed validation; 2 the configuration did not parse,
 the --output path could not be written, or `heckebound oracle` got
 input it cannot enumerate (including a --classes-mod that is not a
-prime); 3 an exact internal identity was violated, or any other
-exception escaped (implementation fault).  The output text is built in
-memory and written once at the end, so an exception raised during the
-run, or an unwritable --output, leaves stdout empty.
+prime below psi_12); 3 an exact internal identity was violated, or any
+other exception escaped (implementation fault).  The output text is
+built in memory and written once at the end, so an exception raised
+during the run, or an unwritable --output, leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -425,6 +425,10 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
     parser.add_argument("--classes-mod", type=int, default=None, metavar="P",
                         help="also report the number of P-regular classes")
     args = parser.parse_args(argv)
+    if args.classes_mod is not None and args.classes_mod >= _PSI_12:
+        print(f"error: --classes-mod must be below psi_12 = {_PSI_12} to be proven "
+              f"prime, got {args.classes_mod}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.classes_mod is not None and not is_prime(args.classes_mod):
         print(f"error: --classes-mod must be a prime, got {args.classes_mod}",
               file=sys.stderr)

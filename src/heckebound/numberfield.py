@@ -121,6 +121,8 @@ def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
     For a real quadratic field the splitting type is read off the
     character: chi_D(ell) = +1 split, -1 inert, 0 ramified.
     """
+    if ell >= _PSI_12:
+        raise ValueError(f"{ell} must be below psi_12 = {_PSI_12} to be proven prime")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     return _places_over(fld, ell)
@@ -141,7 +143,7 @@ def _places_over(fld: FieldSpec, ell: int) -> list[Place]:
 @dataclass(frozen=True)
 class QuaternionData:
     """A totally indefinite quaternion algebra over the field, given by
-    its finite ramified places, together with the module rank m."""
+    its finite ramified places, kept sorted, and the module rank m."""
 
     field: FieldSpec
     ramified_places: tuple[Place, ...]
@@ -171,6 +173,11 @@ class QuaternionData:
         if len(set(self.ramified_places)) != len(self.ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
         for v in self.ramified_places:
+            if v.residue_prime >= _PSI_12:
+                _fail(
+                    "ramified_prime_too_large",
+                    f"ramified prime must be < {_PSI_12}, got {v.residue_prime}",
+                )
             if not is_prime(v.residue_prime):
                 _fail(
                     "ramified_prime_not_prime",
@@ -182,6 +189,7 @@ class QuaternionData:
                     "residue_degree_mismatch",
                     f"{v!r} is not a place of the field",
                 )
+        object.__setattr__(self, "ramified_places", tuple(sorted(self.ramified_places)))
 
     @cached_property
     def zeta_values(self) -> tuple[Fraction, ...]:
@@ -202,6 +210,11 @@ def resolve_ramification(
     """
     used: list[Place] = []
     for ell, f in pairs:
+        if ell >= _PSI_12:
+            _fail(
+                "ramified_prime_too_large",
+                f"ramification entry {ell} must be < {_PSI_12}",
+            )
         if not is_prime(ell):
             _fail("ramified_prime_not_prime", f"ramification entry {ell} is not prime")
         candidates = [
@@ -217,18 +230,15 @@ def resolve_ramification(
                 f"(splitting gives degrees {actual})",
             )
         used.append(candidates[0])
-    return tuple(sorted(used))
+    return tuple(used)
 
 
 @dataclass(frozen=True)
 class ShimuraSetting:
-    """Validated tuple (F, Delta_B, m, N, p) with the splitting of p and
-    the two halves of the derived discriminant precomputed.
-
-    delta_prime_at_p are the places over p of odd residue degree and
-    even_places_at_p the others; delta_prime_away is the ramification set
-    of the quaternion algebra, which is entirely away from p by validation.
-    """
+    """Validated tuple (F, Delta_B, m, N, p) with the places over p
+    precomputed: delta_prime_at_p, those of odd residue degree, and
+    even_places_at_p, the others.  delta_prime_away, the ramification set
+    of the quaternion algebra, lies away from p by validation."""
 
     quaternion: QuaternionData
     level: int
@@ -236,7 +246,10 @@ class ShimuraSetting:
     places_over_p: tuple[Place, ...] = field(compare=False)
     delta_prime_at_p: tuple[Place, ...] = field(compare=False)
     even_places_at_p: tuple[Place, ...] = field(compare=False)
-    delta_prime_away: tuple[Place, ...] = field(compare=False)
+
+    @property
+    def delta_prime_away(self) -> tuple[Place, ...]:
+        return self.quaternion.ramified_places
 
     @property
     def field(self) -> FieldSpec:
@@ -283,7 +296,8 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     p-independent checks, including that every ramified place is a place
     of the field, ran once when the QuaternionData was built (codes
     m_not_positive, m_too_large, odd_ramification_set, duplicate_place,
-    ramified_prime_not_prime, residue_degree_mismatch).
+    ramified_prime_too_large, ramified_prime_not_prime,
+    residue_degree_mismatch).
     """
     fld = quaternion.field
     check_level_and_prime(level, p)
@@ -317,5 +331,4 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
         places_over_p=places,
         delta_prime_at_p=tuple(v for v in places if v.residue_degree % 2 == 1),
         even_places_at_p=tuple(v for v in places if v.residue_degree % 2 == 0),
-        delta_prime_away=tuple(sorted(quaternion.ramified_places)),
     )

@@ -1,10 +1,11 @@
 """Brute-force verification engine, independent of the closed forms.
 
-Finite fields of order at most 49 and the rings Z/N are realized as
-lookup tables; matrix groups are enumerated straight from their defining
-conditions.  An element is a flat tuple of positions: a matrix's rows,
-and for the residual group the rows of each place's matrix, then the
-similitude unit.  GL_m(F_q) comes from a search over rows outside the
+Finite fields of order at most 49 and the rings Z/N are table rings of
+one shape: the order and the add, mul and neg tables of
+(Z/n)[x]/(x^e + t(x)).  Matrix groups are enumerated straight from their
+defining conditions.  An element is a flat tuple of positions: a matrix's
+rows, and for the residual group the rows of each place's matrix, then
+the similitude unit.  GL_m(F_q) comes from a search over rows outside the
 span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
 its count and GSp_2m(Z/N), and one row builder makes the hermitian and
 the alternating masks.  One unitary search finds the similitudes of
@@ -13,8 +14,8 @@ multiplies only in one closure walk, which computes x g as one lookup per
 position of x in tables of g built on demand; its conjugacy classes and
 element orders are read off the walk's spanning tree by index lookups.
 Every enumeration is guarded by a candidate budget, charged before the
-work it stands for, and every stored collection by an element limit, so
-a typo in a descriptor cannot start a runaway enumeration.
+work it stands for, and every stored collection by an element limit, so a
+typo in a descriptor cannot start a runaway enumeration.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ class StateSpaceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _ring_tables(n: int, e: int, tail: tuple) -> tuple[list, list]:
-    """The addition and multiplication tables of (Z/n)[x]/(x^e + t(x)),
-    t(x) = sum_i tail[i] x^i.  Elements are integers in [0, n^e) read as
-    base-n coefficient vectors, constant term lowest.
+def _ring_tables(n: int, e: int, tail: tuple) -> SimpleNamespace:
+    """The ring (Z/n)[x]/(x^e + t(x)), t(x) = sum_i tail[i] x^i: its order
+    n^e and its add, mul and neg tables.  Elements are integers in [0, n^e)
+    read as base-n coefficient vectors, constant term lowest.
 
     x * a shifts a's digits up one place and replaces the carried c x^e
     by -c t(x).  Then a * b = sum_i b_i (x^i a), built up over b in
@@ -91,14 +92,14 @@ def _ring_tables(n: int, e: int, tail: tuple) -> tuple[list, list]:
         for b in range(1, size):
             row.append(add[row[b - 1]][a] if b % n else times_x[row[b // n]])
         mul.append(row)
-    return add, mul
+    return SimpleNamespace(order=size, add=add, mul=mul, neg=mul[n - 1])  # n - 1 is -1
 
 
 class SmallField:
-    """F_{p^e} with p^e <= 49 as explicit addition / multiplication
-    tables, built from the first monic irreducible polynomial of degree
-    e.  Elements are integers in [0, p^e) encoding coefficient vectors
-    in base p, so the prime subfield is encoded by 0..p-1 itself.
+    """F_{p^e} with p^e <= 49: the table ring of _ring_tables for the
+    first monic irreducible polynomial of degree e.  Elements are integers
+    in [0, p^e) encoding coefficient vectors in base p, so the prime
+    subfield is encoded by 0..p-1 itself.
 
     Field axioms are checked exhaustively at construction.  For even e
     the tables carry the inverting automorphism x -> x^(p^(e/2)), whose
@@ -112,7 +113,6 @@ class SmallField:
             raise ValueError(f"field order must be at most {MAX_FIELD_ORDER}")
         self.p = p
         self.e = e
-        self.order = q = p**e
         self.one = 1
 
         # F_p[x]/(f) is a field exactly when f is irreducible, so the first
@@ -120,16 +120,16 @@ class SmallField:
         # i.e. every nonzero element has an inverse, gives the first monic
         # irreducible f of degree e
         for tail in itertools.product(range(p), repeat=e):
-            self.add, self.mul = _ring_tables(p, e, tail)
-            if all(1 in row for row in self.mul[1:]):
+            ring = _ring_tables(p, e, tail)
+            if all(1 in row for row in ring.mul[1:]):
                 break
         else:
-            raise InternalCheckError(f"no field of order {q} among the tails")
+            raise InternalCheckError(f"no field of order {p**e} among the tails")
+        self.order, self.add, self.mul, self.neg = ring.order, ring.add, ring.mul, ring.neg
 
-        self.neg = [self.add[a].index(0) for a in range(q)]
         self.frob = None
         if e % 2 == 0:  # a -> a^(p^(e/2)) by repeated products; p^(e/2) <= 7
-            self.frob = list(range(q))
+            self.frob = list(range(self.order))
             for _ in range(p ** (e // 2) - 1):
                 self.frob = [self.mul[y][a] for a, y in enumerate(self.frob)]
 
@@ -518,8 +518,11 @@ def _hermitian_matrices(
     scale = {mul[x][frob[x]]: mul[x] for x in range(1, q2)}  # x -> lam x, per norm
     out: dict[int, list[tuple]] = {t: [] for t in targets}
     for t in out.keys() & scale.keys():
-        scaled = [tuple(scale[t][x] for x in v) for v in pool]
-        columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
+        if t == 1:  # lam = 1: pool order, then DFS order, is already column order
+            columns = [tuple(pool[i] for i in s) for s in solutions]
+        else:
+            scaled = [tuple(scale[t][x] for x in v) for v in pool]
+            columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
         out[t] = [tuple(zip(*c)) for c in columns]  # columns -> rows
     return out
 
@@ -636,10 +639,8 @@ def enumerate_gsp_modn(m: int, level: int) -> FqMatrixGroup:
     what = f"GSp_{2 * m}(Z/{level})"
     _charge(what, level, 2 * m * m + m + 1)
     _charge(what, level, 4 * m)
-    add, mul = _ring_tables(level, 1, (0,))  # Z/NZ in the table shape of SmallField
-    zn = SimpleNamespace(add=add, mul=mul, neg=mul[level - 1], order=level)
     units = [c for c in range(1, level) if gcd(c, level) == 1]
-    return _basis_group(what, zn, m, units)
+    return _basis_group(what, _ring_tables(level, 1, (0,)), m, units)
 
 
 # --- the residual automorphism group of a validated setting -----------------

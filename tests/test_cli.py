@@ -489,6 +489,18 @@ def test_oracle_subcommand_bad_input_is_a_usage_error(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_oracle_classes_mod_from_psi_12_on_names_the_limit(capsys):
+    # psi_12 passes all twelve bases of is_prime, so it cannot be proven prime
+    psi_12 = 318_665_857_834_031_151_167_461
+    assert main(["oracle", "GL", "2", "3", "--classes-mod", str(psi_12)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --classes-mod must be below psi_12 = {psi_12} to be proven prime, "
+        f"got {psi_12}\n"
+    )
+
+
 def test_oracle_subcommand_counts_p_regular_classes(capsys):
     # GL_2(F_3) in its defining characteristic: 3 * 2 = 6 classes
     assert main(["oracle", "GL", "2", "3", "--classes-mod", "3"]) == EXIT_OK
@@ -669,6 +681,23 @@ def test_disc_past_limit_is_a_coded_error_not_a_hang(tmp_path):
         "error: field.disc: discriminant must be <= 200000, "
         "got 1000000000000000009"
     ]
+
+
+def test_ramified_prime_from_psi_12_on_is_a_coded_error(tmp_path, capsys):
+    psi_12 = 318_665_857_834_031_151_167_461
+    doc = dict(
+        SIEGEL_DOC,
+        quaternion_ramification=[{"prime": psi_12, "residue_degree": 1},
+                                 {"prime": 7, "residue_degree": 1}],
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg)]) == EXIT_ALL_FAILED
+    (record,) = json.loads(capsys.readouterr().out)
+    assert record["error"] == {
+        "code": "ramified_prime_too_large",
+        "message": f"ramification entry {psi_12} must be < {psi_12}",
+    }
 
 
 def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):

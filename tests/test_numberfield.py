@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import pytest
@@ -160,6 +161,35 @@ def test_m_limit_per_field(disc, limit):
     with pytest.raises(SettingError) as err:
         QuaternionData(Q, (Place(4, 1), Place(9, 1)), 1)
     assert err.value.code == "ramified_prime_not_prime"
+
+
+def test_quaternion_datum_does_not_depend_on_the_order_of_its_places():
+    places = (Place(2, 2), Place(3, 2), Place(11, 1, index=0), Place(11, 1, index=1))
+    data = {QuaternionData(R5, order, 1) for order in itertools.permutations(places)}
+    assert len(data) == 1
+    (datum,) = data
+    assert datum.ramified_places == places
+    s = validate_setting(QuaternionData(R5, places[::-1], 1), 7, 13)
+    assert s.quaternion == datum
+    assert s.delta_prime_away == places
+
+
+def test_ramified_primes_from_psi_12_on_are_refused():
+    # psi_12 passes all twelve bases of is_prime without being prime
+    assert is_prime(PSI_12)
+    for ell in (PSI_12, PSI_12 + 2):
+        with pytest.raises(SettingError) as err:
+            resolve_ramification(Q, [(ell, 1), (7, 1)])
+        assert err.value.code == "ramified_prime_too_large"
+        assert str(err.value) == f"ramification entry {ell} must be < {PSI_12}"
+        with pytest.raises(SettingError) as err:
+            QuaternionData(Q, (Place(7, 1), Place(ell, 1)), 1)
+        assert err.value.code == "ramified_prime_too_large"
+        assert str(err.value) == f"ramified prime must be < {PSI_12}, got {ell}"
+        with pytest.raises(ValueError, match=f"^{ell} must be below psi_12 = {PSI_12} "):
+            split_prime(Q, ell)
+    assert resolve_ramification(Q, [(PSI_12 - 20, 1), (7, 1)])[0].residue_prime == PSI_12 - 20
+    assert split_prime(Q, PSI_12 - 20) == [Place(PSI_12 - 20, 1)]
 
 
 def test_resolve_ramification_recomputes_splitting():

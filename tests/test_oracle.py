@@ -67,8 +67,7 @@ def mat_mul(f, a: tuple, b: tuple) -> tuple:
 
 
 def zmod(n: int) -> SimpleNamespace:
-    add, mul = _ring_tables(n, 1, (0,))
-    return SimpleNamespace(add=add, mul=mul)
+    return _ring_tables(n, 1, (0,))
 
 
 # --- fields ------------------------------------------------------------------
@@ -150,6 +149,19 @@ def test_small_field_tables_match_schoolbook_reference(p, e):
     # the modulus and the element encoding are pinned, not just the axioms
     f = small_field(p, e)
     assert (f.add, f.mul, f.neg, f.frob) == reference_field_tables(p, e)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_zmod_ring_negates_by_its_constant_minus_one(n):
+    ring = zmod(n)
+    assert ring.order == n
+    assert ring.neg == [(-a) % n for a in range(n)]
+
+
+@pytest.mark.parametrize("p,e", ALL_TABLE_FIELDS)
+def test_small_field_neg_is_the_additive_inverse(p, e):
+    f = small_field(p, e)
+    assert all(f.add[a][f.neg[a]] == 0 for a in range(f.order))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -373,8 +385,7 @@ def test_pairing_masks_of_the_alternating_form(p, e, n, m):
         ring = small_field(p, e)
         values = tuple(range(ring.order))
     else:  # Z/n tracking 0 and the units, as for GSp
-        add, mul = _ring_tables(n, 1, (0,))
-        ring = SimpleNamespace(add=add, mul=mul, neg=[-a % n for a in range(n)], order=n)
+        ring = _ring_tables(n, 1, (0,))
         values = (0, *(c for c in range(1, n) if math.gcd(c, n) == 1))
     order = ring.order
     add, mul, neg = ring.add, ring.mul, ring.neg
