@@ -23,10 +23,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, primes_between
+from .arith import primes_between
 from .bounds import BoundReport, InternalCheckError, final_bound
 from .numberfield import (
     _PSI_12,
+    _proven_prime,
     FieldSpec,
     Place,
     QuaternionData,
@@ -425,15 +426,11 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
     parser.add_argument("--classes-mod", type=int, default=None, metavar="P",
                         help="also report the number of P-regular classes")
     args = parser.parse_args(argv)
-    if args.classes_mod is not None and args.classes_mod >= _PSI_12:
-        print(f"error: --classes-mod must be below psi_12 = {_PSI_12} to be proven "
-              f"prime, got {args.classes_mod}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.classes_mod is not None and not is_prime(args.classes_mod):
-        print(f"error: --classes-mod must be a prime, got {args.classes_mod}",
-              file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        if args.classes_mod is not None and not _proven_prime(
+            args.classes_mod, "--classes-mod", "classes_mod_too_large"
+        ):
+            raise ValueError(f"--classes-mod must be a prime, got {args.classes_mod}")
         group = enumerators[args.kind](args.m, args.q)
         out = {"descriptor": group.descriptor, "order": group.order}
         if args.classes_mod is not None:

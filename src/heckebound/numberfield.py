@@ -119,11 +119,11 @@ def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
     """Places of the field over the rational prime ell.
 
     For a real quadratic field the splitting type is read off the
-    character: chi_D(ell) = +1 split, -1 inert, 0 ramified.
+    character: chi_D(ell) = +1 split, -1 inert, 0 ramified.  Raises
+    ValueError unless ell is proven prime (SettingError prime_too_large
+    from psi_12 on).
     """
-    if ell >= _PSI_12:
-        raise ValueError(f"{ell} must be below psi_12 = {_PSI_12} to be proven prime")
-    if not is_prime(ell):
+    if not _proven_prime(ell, "ell", "prime_too_large"):
         raise ValueError(f"{ell} is not prime")
     return _places_over(fld, ell)
 
@@ -173,12 +173,9 @@ class QuaternionData:
         if len(set(self.ramified_places)) != len(self.ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
         for v in self.ramified_places:
-            if v.residue_prime >= _PSI_12:
-                _fail(
-                    "ramified_prime_too_large",
-                    f"ramified prime must be < {_PSI_12}, got {v.residue_prime}",
-                )
-            if not is_prime(v.residue_prime):
+            if not _proven_prime(
+                v.residue_prime, "ramified prime", "ramified_prime_too_large"
+            ):
                 _fail(
                     "ramified_prime_not_prime",
                     f"{v.residue_prime} is not prime",
@@ -210,12 +207,7 @@ def resolve_ramification(
     """
     used: list[Place] = []
     for ell, f in pairs:
-        if ell >= _PSI_12:
-            _fail(
-                "ramified_prime_too_large",
-                f"ramification entry {ell} must be < {_PSI_12}",
-            )
-        if not is_prime(ell):
+        if not _proven_prime(ell, "ramification entry", "ramified_prime_too_large"):
             _fail("ramified_prime_not_prime", f"ramification entry {ell} is not prime")
         candidates = [
             v
@@ -268,6 +260,14 @@ class ShimuraSetting:
 _PSI_12 = 318_665_857_834_031_151_167_461
 
 
+def _proven_prime(n: int, what: str, code: str) -> bool:
+    """is_prime(n) where that is a proof: below psi_12, which itself passes
+    all twelve bases.  From psi_12 on, fail with the caller's code."""
+    if n >= _PSI_12:
+        _fail(code, f"{what} must be < {_PSI_12}, got {n}")
+    return is_prime(n)
+
+
 def check_level_and_prime(level: int, p: int) -> None:
     """The checks on N and p shared by every bound route, with the codes
     level_too_small, level_too_large, p_too_large, p_not_prime and
@@ -277,11 +277,8 @@ def check_level_and_prime(level: int, p: int) -> None:
     if level > 10**12:
         # trial division factorizes the level; 10^12 keeps that under a second
         _fail("level_too_large", f"level must be <= 10^12, got {level}")
-    if p >= _PSI_12:
-        # is_prime is a proof only below psi_12 (psi_12 itself passes it),
-        # and the m caps were sized for p <= 10^18
-        _fail("p_too_large", f"p must be < {_PSI_12}, got {p}")
-    if not is_prime(p):
+    # the m caps were sized for p <= 10^18, well below psi_12
+    if not _proven_prime(p, "p", "p_too_large"):
         _fail("p_not_prime", f"p must be prime, got {p}")
     if level % p == 0:
         _fail("p_divides_level", f"p = {p} divides the level {level}")

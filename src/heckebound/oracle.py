@@ -515,14 +515,12 @@ def _hermitian_matrices(
             extend(avail & masks[i], (*chosen, i))
 
     extend((1 << size) - 1, ())
-    scale = {mul[x][frob[x]]: mul[x] for x in range(1, q2)}  # x -> lam x, per norm
+    # x -> lam x for one lam per norm; descending, so norm 1 keeps lam = 1
+    scale = {mul[x][frob[x]]: mul[x] for x in range(q2 - 1, 0, -1)}
     out: dict[int, list[tuple]] = {t: [] for t in targets}
     for t in out.keys() & scale.keys():
-        if t == 1:  # lam = 1: pool order, then DFS order, is already column order
-            columns = [tuple(pool[i] for i in s) for s in solutions]
-        else:
-            scaled = [tuple(scale[t][x] for x in v) for v in pool]
-            columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
+        scaled = [tuple(scale[t][x] for x in v) for v in pool]
+        columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
         out[t] = [tuple(zip(*c)) for c in columns]  # columns -> rows
     return out
 

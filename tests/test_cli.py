@@ -496,8 +496,7 @@ def test_oracle_classes_mod_from_psi_12_on_names_the_limit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: --classes-mod must be below psi_12 = {psi_12} to be proven prime, "
-        f"got {psi_12}\n"
+        f"error: --classes-mod must be < {psi_12}, got {psi_12}\n"
     )
 
 
@@ -696,7 +695,7 @@ def test_ramified_prime_from_psi_12_on_is_a_coded_error(tmp_path, capsys):
     (record,) = json.loads(capsys.readouterr().out)
     assert record["error"] == {
         "code": "ramified_prime_too_large",
-        "message": f"ramification entry {psi_12} must be < {psi_12}",
+        "message": f"ramification entry must be < {psi_12}, got {psi_12}",
     }
 
 

@@ -181,13 +181,14 @@ def test_ramified_primes_from_psi_12_on_are_refused():
         with pytest.raises(SettingError) as err:
             resolve_ramification(Q, [(ell, 1), (7, 1)])
         assert err.value.code == "ramified_prime_too_large"
-        assert str(err.value) == f"ramification entry {ell} must be < {PSI_12}"
+        assert str(err.value) == f"ramification entry must be < {PSI_12}, got {ell}"
         with pytest.raises(SettingError) as err:
             QuaternionData(Q, (Place(7, 1), Place(ell, 1)), 1)
         assert err.value.code == "ramified_prime_too_large"
         assert str(err.value) == f"ramified prime must be < {PSI_12}, got {ell}"
-        with pytest.raises(ValueError, match=f"^{ell} must be below psi_12 = {PSI_12} "):
+        with pytest.raises(ValueError, match=f"^ell must be < {PSI_12}, got {ell}$") as err:
             split_prime(Q, ell)
+        assert err.value.code == "prime_too_large"
     assert resolve_ramification(Q, [(PSI_12 - 20, 1), (7, 1)])[0].residue_prime == PSI_12 - 20
     assert split_prime(Q, PSI_12 - 20) == [Place(PSI_12 - 20, 1)]
 
