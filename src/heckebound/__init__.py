@@ -32,6 +32,7 @@ from .groups import (
 )
 from .numberfield import (
     FieldSpec,
+    LevelData,
     Place,
     QuaternionData,
     SettingError,
@@ -65,6 +66,7 @@ __all__ = [
     "sp_order",
     "unitary_order",
     "FieldSpec",
+    "LevelData",
     "Place",
     "QuaternionData",
     "SettingError",

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -227,6 +227,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_BASES_PRODUCT = 7_420_738_134_810  # the product of _PRIME_BASES
 
 # (psi_k, k): psi_k is the least odd composite that is a strong probable
 # prime to each of the first k prime bases, so those k bases decide every
@@ -253,19 +254,17 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _PRIME_BASES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _BASES_PRODUCT) != 1:
+        # a prime with a factor among the bases is that base
+        return n in _PRIME_BASES
     bases = _PRIME_BASES
     for bound, k in _PSI:
         if n < bound:
             bases = _PRIME_BASES[:k]
             break
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    # n - 1 = d * 2^r with d odd: r is the index of its lowest set bit
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
     for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):

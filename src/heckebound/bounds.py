@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .arith import InternalCheckError, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
-from .numberfield import (QuaternionData, SettingError, ShimuraSetting,
-                          check_level_and_prime)
+from .numberfield import SettingError, ShimuraSetting, check_level_and_prime
 
 __all__ = [
     "InternalCheckError",
@@ -46,12 +44,14 @@ class BoundReport:
     asymptotic_exponent: int
 
 
-def _positive_integer(constant: Fraction, factor: int, what: str) -> int:
-    """constant * factor, a count the construction guarantees to be a
-    positive integer; anything else is an implementation fault."""
-    count, rest = divmod(constant.numerator * factor, constant.denominator)
+def _positive_integer(scaled: tuple[int, int], factor: int, what: str) -> int:
+    """numerator * factor / denominator for scaled = (numerator,
+    denominator), a count the construction guarantees to be a positive
+    integer; anything else is an implementation fault."""
+    numerator, denominator = scaled
+    count, rest = divmod(numerator * factor, denominator)
     if rest or count <= 0:
-        value = constant * factor
+        value = Fraction(numerator * factor, denominator)
         raise InternalCheckError(f"{what} came out {value}, not a positive integer")
     return count
 
@@ -69,24 +69,37 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
 
     where every ramified place lies away from p by validation.  Positive
     for every valid setting (the zeta signs cancel the leading sign),
-    which is checked.  It depends only on the quaternion datum, so it is
-    computed once per datum.
+    which is checked.  It does not depend on p: it is computed on the
+    first call for a level and kept in the setting's LevelData.
     """
-    return _bound_constant(setting.quaternion)
+    data = setting.level_data
+    if data.constant is None:
+        quaternion = setting.quaternion
+        d, m = data.degree, data.m
+        sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
+        value = Fraction(sign, 2 ** (m * d))
+        for i, term in enumerate(quaternion.zeta_values, start=1):
+            for v in quaternion.ramified_places:
+                term *= v.residue_cardinality**i + (-1) ** i
+            value *= term
+        if value <= 0:
+            raise InternalCheckError(f"bound constant {value} is not positive")
+        data.constant = value
+    return data.constant
 
 
-@cache
-def _bound_constant(quaternion: QuaternionData) -> Fraction:
-    d, m = quaternion.field.degree, quaternion.m
-    sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
-    value = Fraction(sign, 2 ** (m * d))
-    for i, term in enumerate(quaternion.zeta_values, start=1):
-        for v in quaternion.ramified_places:
-            term *= v.residue_cardinality**i + (-1) ** i
-        value *= term
-    if value <= 0:
-        raise InternalCheckError(f"bound constant {value} is not positive")
-    return value
+def _scaled_constant(setting: ShimuraSetting) -> tuple[int, int]:
+    """(C_B.numerator * |G(Z/NZ)|, C_B.denominator), with the asymptotic
+    exponent, filled once per level in the setting's LevelData."""
+    data = setting.level_data
+    if data.scaled_constant is None:
+        constant = bound_constant(setting)
+        data.scaled_constant = (
+            constant.numerator * level_group_order(setting),
+            constant.denominator,
+        )
+        data.exponent = asymptotic_exponent(data.degree, data.m)
+    return data.scaled_constant
 
 
 def superspecial_mass(setting: ShimuraSetting) -> int:
@@ -100,14 +113,12 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
     anything else raises InternalCheckError.
     """
     factor = 1
-    for j in range(1, setting.m + 1):
+    for j in range(1, setting.level_data.m + 1):
         for v in setting.delta_prime_at_p:
             factor *= v.residue_cardinality**j + (-1) ** j
         for v in setting.even_places_at_p:
             factor *= v.residue_cardinality**j + 1
-    return _positive_integer(
-        bound_constant(setting), level_group_order(setting) * factor, "superspecial mass"
-    )
+    return _positive_integer(_scaled_constant(setting), factor, "superspecial mass")
 
 
 def final_bound(setting: ShimuraSetting) -> BoundReport:
@@ -117,13 +128,14 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
         C * |G(Z/NZ)| * p^(d(m+2)(m-1)/2) * (p-1)
           * prod (q_v -+ 1) * prod_j prod_v (q_v^j +- 1)
     and must agree exactly with mass * irr_count * dim_bound; the two
-    p-factors are computed independently and compared.
+    p-factors are computed independently and compared.  C * |G(Z/NZ)|
+    and the exponent come from the setting's LevelData, filled on the
+    first record of a level; each record computes only its p-factors and
+    divides them against that shared pair.
     """
-    d, m, p = setting.degree, setting.m, setting.p
+    data, p = setting.level_data, setting.p
+    d, m = data.degree, data.m
     inside, outside = setting.delta_prime_at_p, setting.even_places_at_p
-
-    constant = bound_constant(setting)
-    group_order = level_group_order(setting)
 
     factor = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1)
     for v in outside:
@@ -135,7 +147,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             factor *= v.residue_cardinality**j + 1
         for v in inside:
             factor *= v.residue_cardinality**j + (-1) ** j
-    bound = _positive_integer(constant, group_order * factor, "final bound")
+    bound = _positive_integer(_scaled_constant(setting), factor, "final bound")
 
     mass = superspecial_mass(setting)
     irr = irr_count(setting)
@@ -148,13 +160,13 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     return BoundReport(
         setting=setting,
         zeta_values=setting.quaternion.zeta_values,
-        constant=constant,
-        level_group_order=group_order,
+        constant=data.constant,
+        level_group_order=data.group_order,
         mass=mass,
         irr_count=irr,
         dim_bound=dim,
         final_bound=bound,
-        asymptotic_exponent=asymptotic_exponent(d, m),
+        asymptotic_exponent=data.exponent,
     )
 
 
@@ -186,7 +198,9 @@ def siegel_bound(m: int, level: int, p: int) -> int:
     factor = p ** ((m + 2) * (m - 1) // 2) * (p - 1) * (p + 1)
     for j in range(1, m + 1):
         factor *= p**j + (-1) ** j
-    return _positive_integer(constant, gsp * factor, "Siegel bound")
+    return _positive_integer(
+        (constant.numerator * gsp, constant.denominator), factor, "Siegel bound"
+    )
 
 
 def _check_shared_inputs(settings: list[ShimuraSetting]) -> None:

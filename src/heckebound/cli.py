@@ -172,12 +172,17 @@ def compute_records(
     config: RunConfig, oracle_check: bool = False, verbose: bool = False
 ) -> tuple[list[Record], int]:
     """All records in ascending p, plus the process exit status; with
-    oracle_check a completed oracle check that disagrees is a fault."""
+    oracle_check a completed oracle check that disagrees is a fault.
+
+    The quaternion datum is built once per run, and its LevelData at the
+    run's level on the first prime: the zeta values, the checks on N, C_B,
+    |G(Z/NZ)| and the growth exponent are shared by every record.  Each
+    prime adds only its own checks, places and p-factors."""
     records = []
     successes = 0
     fault = False
-    # the quaternion datum and its zeta tuple do not depend on p; an error
-    # in the datum is recorded for every prime, ahead of the per-p checks
+    # an error in the datum does not depend on p: it is recorded for every
+    # prime, ahead of the per-p checks
     quaternion, quaternion_error = None, None
     try:
         quaternion = QuaternionData(

@@ -6,10 +6,8 @@ Sylow dimension bound.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .arith import factorize
-from .numberfield import FieldSpec, ShimuraSetting, split_prime
+from .numberfield import ShimuraSetting, split_prime
 
 __all__ = [
     "gl_order",
@@ -64,22 +62,22 @@ def level_group_order(setting: ShimuraSetting) -> int:
     per extra power of ell is the relative dimension 2m^2 + m of the
     symplectic factor, which is smooth at primes coprime to the
     discriminant data (enforced by validation).  The order does not
-    depend on p, so it is computed once per (field, m, N).
+    depend on p: it is computed on the first call for a level and kept in
+    the setting's LevelData.
     """
-    return _level_group_order(setting.field, setting.m, setting.level)
-
-
-@cache
-def _level_group_order(fld: FieldSpec, m: int, level: int) -> int:
-    lift_dim = 2 * m * m + m
-    order = 1
-    for ell, a in factorize(level):
-        local = ell ** (a - 1) * (ell - 1)
-        for w in split_prime(fld, ell):
-            qw = w.residue_cardinality
-            local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
-        order *= local
-    return order
+    data = setting.level_data
+    if data.group_order is None:
+        m = data.m
+        lift_dim = 2 * m * m + m
+        order = 1
+        for ell, a in factorize(setting.level):
+            local = ell ** (a - 1) * (ell - 1)
+            for w in split_prime(setting.field, ell):
+                qw = w.residue_cardinality
+                local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
+            order *= local
+        data.group_order = order
+    return data.group_order
 
 
 def irr_count(setting: ShimuraSetting) -> int:
@@ -93,18 +91,18 @@ def irr_count(setting: ShimuraSetting) -> int:
     number of p-regular conjugacy classes (the enumeration oracle
     verifies that on every small instance).
     """
-    d, m, p = setting.degree, setting.m, setting.p
+    data, p = setting.level_data, setting.p
     center = p - 1
     for v in setting.even_places_at_p:
         center *= v.residue_cardinality - 1
     for v in setting.delta_prime_at_p:
         center *= v.residue_cardinality + 1
-    return p ** (d * (m - 1)) * center
+    return p ** (data.degree * (data.m - 1)) * center
 
 
 def dim_bound(setting: ShimuraSetting) -> int:
     """p^(dm(m-1)/2): the p-Sylow order of the residual automorphism
     group, an upper bound for the dimension of any of its simple
     modules in characteristic p."""
-    d, m = setting.degree, setting.m
-    return setting.p ** (d * m * (m - 1) // 2)
+    data = setting.level_data
+    return setting.p ** (data.degree * data.m * (data.m - 1) // 2)

@@ -25,6 +25,7 @@ __all__ = [
     "FieldSpec",
     "Place",
     "QuaternionData",
+    "LevelData",
     "ShimuraSetting",
     "split_prime",
     "resolve_ramification",
@@ -148,6 +149,9 @@ class QuaternionData:
     field: FieldSpec
     ramified_places: tuple[Place, ...]
     m: int
+    _levels: dict[int, LevelData] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.m < 1:
@@ -194,6 +198,14 @@ class QuaternionData:
         use and shared by every prime p of a run."""
         return tuple(zeta_special_value(self.field, j) for j in range(1, self.m + 1))
 
+    def level_data(self, level: int) -> LevelData:
+        """The datum's LevelData at this level, built on first use and
+        shared by every prime p of a run."""
+        data = self._levels.get(level)
+        if data is None:
+            data = self._levels[level] = LevelData(self, level)
+        return data
+
 
 def resolve_ramification(
     fld: FieldSpec, pairs: list[tuple[int, int]]
@@ -225,16 +237,61 @@ def resolve_ramification(
     return tuple(used)
 
 
+class LevelData:
+    """Everything validation and bound assembly know of a (quaternion
+    datum, level N) pair before p is given.
+
+    Built once per level by QuaternionData.level_data: the outcome of the
+    checks on N alone (level_error), the residue primes of the ramified
+    places (ramified_primes), the level_not_coprime verdict
+    (coprime_error), and d and m.  The p-independent part of the bound is
+    filled on first use, once per level: constant (C_B, by
+    bounds.bound_constant), group_order (|G(Z/NZ)|, by
+    groups.level_group_order), scaled_constant, the integer pair
+    (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every count of a
+    record is divided against, and exponent (d*m^2 + d*m + 1).
+    """
+
+    __slots__ = ("degree", "m", "level_error", "ramified_primes", "coprime_error",
+                 "constant", "group_order", "scaled_constant", "exponent")
+
+    def __init__(self, quaternion: QuaternionData, level: int):
+        fld = quaternion.field
+        self.degree = fld.degree
+        self.m = quaternion.m
+        self.level_error = _level_error(level)
+        self.ramified_primes = frozenset(
+            v.residue_prime for v in quaternion.ramified_places
+        )
+        bad = fld.discriminant
+        for v in quaternion.ramified_places:
+            bad *= v.residue_prime
+        self.coprime_error = None
+        if gcd(level, bad) != 1:
+            self.coprime_error = (
+                "level_not_coprime",
+                f"level {level} shares a factor with the ramified primes and "
+                f"field discriminant (product {bad}); no closed form is "
+                "available for the level group order at such primes",
+            )
+        self.constant: Fraction | None = None
+        self.group_order: int | None = None
+        self.scaled_constant: tuple[int, int] | None = None
+        self.exponent: int | None = None
+
+
 @dataclass(frozen=True)
 class ShimuraSetting:
     """Validated tuple (F, Delta_B, m, N, p) with the places over p
     precomputed: delta_prime_at_p, those of odd residue degree, and
     even_places_at_p, the others.  delta_prime_away, the ramification set
-    of the quaternion algebra, lies away from p by validation."""
+    of the quaternion algebra, lies away from p by validation.
+    level_data is the datum's LevelData at N, shared by every p."""
 
     quaternion: QuaternionData
     level: int
     p: int
+    level_data: LevelData = field(compare=False)
     places_over_p: tuple[Place, ...] = field(compare=False)
     delta_prime_at_p: tuple[Place, ...] = field(compare=False)
     even_places_at_p: tuple[Place, ...] = field(compare=False)
@@ -268,15 +325,18 @@ def _proven_prime(n: int, what: str, code: str) -> bool:
     return is_prime(n)
 
 
-def check_level_and_prime(level: int, p: int) -> None:
-    """The checks on N and p shared by every bound route, with the codes
-    level_too_small, level_too_large, p_too_large, p_not_prime and
-    p_divides_level."""
+def _level_error(level: int) -> tuple[str, str] | None:
+    """(code, message) of the check on N alone that fails, if any:
+    level_too_small, then level_too_large."""
     if level < 3:
-        _fail("level_too_small", f"level must be >= 3, got {level}")
+        return "level_too_small", f"level must be >= 3, got {level}"
     if level > 10**12:
         # trial division factorizes the level; 10^12 keeps that under a second
-        _fail("level_too_large", f"level must be <= 10^12, got {level}")
+        return "level_too_large", f"level must be <= 10^12, got {level}"
+    return None
+
+
+def _check_prime(level: int, p: int) -> None:
     # the m caps were sized for p <= 10^18, well below psi_12
     if not _proven_prime(p, "p", "p_too_large"):
         _fail("p_not_prime", f"p must be prime, got {p}")
@@ -284,47 +344,55 @@ def check_level_and_prime(level: int, p: int) -> None:
         _fail("p_divides_level", f"p = {p} divides the level {level}")
 
 
+def check_level_and_prime(level: int, p: int) -> None:
+    """The checks on N and p shared by every bound route, with the codes
+    level_too_small, level_too_large, p_too_large, p_not_prime and
+    p_divides_level."""
+    error = _level_error(level)
+    if error is not None:
+        _fail(*error)
+    _check_prime(level, p)
+
+
 def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
     """Check every invariant of the input tuple and derive the rest.
 
-    Violations raise SettingError with one of the codes: level_too_small,
-    level_too_large, p_too_large, p_not_prime, p_divides_level,
-    p_ramified_in_field, p_in_ramification_set, level_not_coprime.  The
-    p-independent checks, including that every ramified place is a place
-    of the field, ran once when the QuaternionData was built (codes
-    m_not_positive, m_too_large, odd_ramification_set, duplicate_place,
-    ramified_prime_too_large, ramified_prime_not_prime,
-    residue_degree_mismatch).
+    Violations raise SettingError with one of the codes, in this order:
+    level_too_small, level_too_large, p_too_large, p_not_prime,
+    p_divides_level, p_ramified_in_field, p_in_ramification_set,
+    level_not_coprime.  The checks on N alone and the level_not_coprime
+    verdict are read from the datum's LevelData, built once per level;
+    per p this proves p prime, tests p against N, the field discriminant
+    and the ramified places, and splits p.  The p-independent checks,
+    including that every ramified place is a place of the field, ran once
+    when the QuaternionData was built (codes m_not_positive, m_too_large,
+    odd_ramification_set, duplicate_place, ramified_prime_too_large,
+    ramified_prime_not_prime, residue_degree_mismatch).
     """
+    data = quaternion.level_data(level)
+    if data.level_error is not None:
+        _fail(*data.level_error)
+    _check_prime(level, p)
     fld = quaternion.field
-    check_level_and_prime(level, p)
     if fld.discriminant % p == 0:
         _fail(
             "p_ramified_in_field",
             f"p = {p} ramifies in the field of discriminant {fld.discriminant}",
         )
-    for v in quaternion.ramified_places:
-        if v.residue_prime == p:
-            _fail(
-                "p_in_ramification_set",
-                f"p = {p} lies under a ramified place of the quaternion algebra",
-            )
-    bad = fld.discriminant
-    for v in quaternion.ramified_places:
-        bad *= v.residue_prime
-    if gcd(level, bad) != 1:
+    if p in data.ramified_primes:
         _fail(
-            "level_not_coprime",
-            f"level {level} shares a factor with the ramified primes and "
-            f"field discriminant (product {bad}); no closed form is "
-            "available for the level group order at such primes",
+            "p_in_ramification_set",
+            f"p = {p} lies under a ramified place of the quaternion algebra",
         )
-    # check_level_and_prime has proven p prime
+    if data.coprime_error is not None:
+        _fail(*data.coprime_error)
+    # _check_prime has proven p prime
     places = tuple(_places_over(fld, p))
     return ShimuraSetting(
         quaternion=quaternion,
         level=level,
         p=p,
+        level_data=data,
         places_over_p=places,
         delta_prime_at_p=tuple(v for v in places if v.residue_degree % 2 == 1),
         even_places_at_p=tuple(v for v in places if v.residue_degree % 2 == 0),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -7,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 
 import heckebound
 import heckebound.arith as arith_mod
-import heckebound.bounds as bounds_mod
 import heckebound.cli as cli_mod
 import heckebound.groups as groups_mod
 import heckebound.oracle as oracle_mod
@@ -613,7 +614,6 @@ def test_p_independent_work_happens_once_per_run(monkeypatch):
 
     monkeypatch.setattr(arith_mod, "generalized_bernoulli", counted)
     monkeypatch.setattr(groups_mod, "sp_order", counted_sp)
-    groups_mod._level_group_order.cache_clear()
     doc = {
         "field": {"kind": "real_quadratic", "disc": 5},
         "m": 2,
@@ -760,9 +760,8 @@ def test_shared_datum_matches_fresh_per_prime_records(doc):
     ]
     for record in records:
         p = record["input"]["p"]
-        # a fresh reference: nothing cached by the run above is reused
-        groups_mod._level_group_order.cache_clear()
-        bounds_mod._bound_constant.cache_clear()
+        # a fresh reference: a new datum starts with no per-level values,
+        # so nothing cached by the run above is reused
         try:
             quaternion = QuaternionData(
                 config.field,
@@ -848,3 +847,198 @@ def test_m_past_limit_is_a_coded_error_not_a_slow_record(tmp_path):
         "code": "m_too_large",
         "message": "module rank m must be <= 50 for this field, got 400",
     }
+
+
+# Validation codes against an in-test transcription of the eight per-p
+# checks, in their documented order.  The reference works from the
+# datum's field and places alone.
+
+_PSI_12 = 318_665_857_834_031_151_167_461
+_CODE_FIELDS = (1, 5, 8, 12, 13, 17, 21, 24)
+_SMALL_PRIMES = [q for q in range(2, 1000) if is_prime(q)]
+
+
+def _reference_code(fld, places, level, p):
+    if level < 3:
+        return "level_too_small"
+    if level > 10**12:
+        return "level_too_large"
+    if p >= _PSI_12:
+        return "p_too_large"
+    if not is_prime(p):
+        return "p_not_prime"
+    if level % p == 0:
+        return "p_divides_level"
+    if fld.discriminant % p == 0:
+        return "p_ramified_in_field"
+    if any(v.residue_prime == p for v in places):
+        return "p_in_ramification_set"
+    bad = fld.discriminant
+    for v in places:
+        bad *= v.residue_prime
+    if gcd(level, bad) != 1:
+        return "level_not_coprime"
+    return None
+
+
+def _disc_primes(fld):
+    return [ell for ell in _SMALL_PRIMES if fld.discriminant % ell == 0]
+
+
+def _small_places(fld):
+    return [v for ell in (2, 3, 5, 7, 11, 13) for v in split_prime(fld, ell)]
+
+
+@st.composite
+def _datum_and_level(draw):
+    fld = FieldSpec(draw(st.sampled_from(_CODE_FIELDS)))
+    ram = draw(st.lists(st.sampled_from(_small_places(fld)), max_size=4, unique=True))
+    ram = tuple(ram[: len(ram) // 2 * 2])
+    bad_primes = sorted({v.residue_prime for v in ram} | set(_disc_primes(fld)))
+    shared = (
+        st.builds(lambda ell, k: ell * k, st.sampled_from(bad_primes), st.integers(1, 60))
+        if bad_primes else st.integers(3, 400)
+    )
+    # hypothesis favours the first branches of one_of: valid levels lead
+    level = draw(st.one_of(
+        st.integers(3, 400),
+        shared,
+        st.integers(-3, 2),
+        st.integers(10**12 - 3, 10**12 + 3),
+        st.integers(10**12 + 4, 10**18),
+    ))
+    return fld, ram, level
+
+
+def _primes_to_try(draw, fld, ram, level):
+    small_level = [q for q in range(2, 60) if level > 0 and level % q == 0]
+    return draw(st.one_of(
+        st.sampled_from([q for q in _SMALL_PRIMES if q < 200]),
+        st.sampled_from([v.residue_prime for v in ram] or [2]),
+        st.integers(-2, 200),
+        st.sampled_from(_disc_primes(fld) or [3]),
+        st.sampled_from(small_level or [5]),
+        st.integers(10**9, 10**9 + 200),
+        st.sampled_from((_PSI_12 - 2, _PSI_12, _PSI_12 + 1, 2**89 - 1)),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validation_codes_follow_the_documented_order(data):
+    fld, ram, level = data.draw(_datum_and_level())
+    p = _primes_to_try(data.draw, fld, ram, level)
+    want = _reference_code(fld, ram, level, p)
+    try:
+        setting = validate_setting(QuaternionData(fld, ram, 2), level, p)
+    except SettingError as exc:
+        assert exc.code == want, (fld, ram, level, p)
+    else:
+        assert want is None, (fld, ram, level, p)
+        assert setting.places_over_p == tuple(split_prime(fld, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_datum_and_level(), st.integers(-2, 300), st.integers(0, 40))
+def test_sweep_error_records_follow_the_documented_order(datum, lo, width):
+    fld, ram, level = datum
+    lo = max(lo, 2)
+    doc = {
+        "field": (
+            {"kind": "rational"}
+            if fld.is_rational
+            else {"kind": "real_quadratic", "disc": fld.discriminant}
+        ),
+        "quaternion_ramification": [
+            {"prime": v.residue_prime, "residue_degree": v.residue_degree}
+            for v in ram
+        ],
+        "m": 1,
+        "N": level,
+        "p_sweep": {"from": lo, "to": lo + width},
+    }
+    config = parse_config(doc)
+    records, status = compute_records(config)
+    assert [r.p for r in records] == [
+        p for p in range(lo, lo + width + 1) if is_prime(p)
+    ]
+    codes = [r.error.code if r.error else None for r in records]
+    assert codes == [_reference_code(fld, ram, level, r.p) for r in records]
+    if records:
+        assert status == (EXIT_OK if None in codes else EXIT_ALL_FAILED)
+
+
+# Random run descriptions through main: a documented exit code, no
+# traceback, and a bounded run (m <= 6, N <= 200, windows <= 200 wide).
+
+_MAIN_WALL_BOUND_S = 5.0
+_WRONG_TYPES = (None, True, "3", 2.5, [], {})
+
+
+@st.composite
+def _run_documents(draw):
+    # mostly well-formed documents, with at most one corruption: a wrong
+    # type, a missing or an extra key, a bad field, or a top level that is
+    # not an object
+    disc = draw(st.sampled_from(_CODE_FIELDS * 3 + ("any",)))
+    if disc == "any":
+        disc = draw(st.integers(-5, 600))
+    fld_doc = (
+        {"kind": "rational"} if disc == 1
+        else {"kind": "real_quadratic", "disc": disc}
+    )
+    ram_kind = draw(st.sampled_from(("none", "none", "places", "places", "any")))
+    ram = []
+    if ram_kind == "places" and disc in _CODE_FIELDS:
+        places = _small_places(FieldSpec(disc))
+        ram = [(v.residue_prime, v.residue_degree) for v in draw(
+            st.lists(st.sampled_from(places), min_size=2, max_size=2, unique=True)
+        )]
+    elif ram_kind == "any":
+        ram = draw(st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 3)), max_size=4))
+    doc = {
+        "field": fld_doc,
+        "quaternion_ramification": [
+            {"prime": ell, "residue_degree": f} for ell, f in ram
+        ],
+        "m": draw(st.sampled_from((1, 1, 2, 2, 3, 4, 5, 6, 0, -1))),
+        "N": draw(st.integers(3, 200) if draw(st.integers(0, 4)) else st.integers(-5, 2)),
+    }
+    if draw(st.booleans()):
+        lo = draw(st.one_of(st.integers(2, 400), st.integers(-5, 10**6)))
+        doc["p_sweep"] = {"from": lo, "to": lo + draw(st.integers(-3, 199))}
+    else:
+        doc["p"] = draw(st.one_of(
+            st.sampled_from(_SMALL_PRIMES), st.integers(2, 10**4),
+            st.integers(10**17, 10**18), st.just(_PSI_12),
+        ))
+    corruption = draw(st.sampled_from(
+        ("none",) * 6 + ("type", "missing", "extra", "field", "top")
+    ))
+    if corruption == "type":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(_WRONG_TYPES))
+    elif corruption == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif corruption == "extra":
+        doc["p" if "p_sweep" in doc else "p_sweep"] = {"from": 2, "to": 30}
+    elif corruption == "field":
+        doc["field"] = draw(st.sampled_from(
+            ({"kind": "cubic"}, {"kind": "real_quadratic"}, {}, [], {"kind": 5})
+        ))
+    elif corruption == "top":
+        return draw(st.sampled_from(([], 3, "config", None)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_documents(), st.sampled_from(((), ("--format", "csv"))))
+def test_random_run_documents_exit_with_a_documented_code(doc, flags):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["-", *flags])
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_FAULT)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < _MAIN_WALL_BOUND_S, (doc, elapsed)

@@ -215,6 +215,20 @@ def test_validate_idempotent():
     assert again.delta_prime_away == s.delta_prime_away
 
 
+def test_primes_of_one_datum_share_one_level_data():
+    quaternion = simple_quaternion(R5, m=2, ram=resolve_ramification(R5, [(11, 1), (11, 1)]))
+    s7, s13 = validate_setting(quaternion, 6, 7), validate_setting(quaternion, 6, 13)
+    assert s7.level_data is s13.level_data
+    assert s7.level_data is quaternion.level_data(6)
+    assert (s7.level_data.degree, s7.level_data.m) == (2, 2)
+    assert s7.level_data.ramified_primes == {11}
+    # another level, or an equal datum built afresh, has its own
+    assert validate_setting(quaternion, 7, 13).level_data is not s7.level_data
+    fresh = simple_quaternion(R5, m=2, ram=quaternion.ramified_places)
+    assert fresh == quaternion
+    assert validate_setting(fresh, 6, 7).level_data is not s7.level_data
+
+
 def test_delta_prime_parity_partition():
     for fld in (Q, R5, R8):
         for p in (2, 3, 7, 11, 13):
