@@ -11,7 +11,6 @@ No floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, isqrt
@@ -35,6 +34,48 @@ __all__ = [
 class InternalCheckError(RuntimeError):
     """An exact identity the formulas guarantee failed to hold: the
     implementation (not the input) is at fault."""
+
+
+class _Value:
+    """Base of the package's value types, which are __slots__ classes.
+
+    Equality and the hash read the per-class tuple _fields; the fields in
+    _derived follow them in the constructor and the repr but are neither
+    compared nor hashed.  Equality with another class is NotImplemented,
+    the hash is that of the tuple of _fields, and the repr lists every
+    field by name, in constructor order.  A read-only subclass sets its
+    fields in __init__ through object.__setattr__ and takes _read_only as
+    its __setattr__ and __delattr__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields + self._derived
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        # pickled and copied through the constructor, which checks the fields again
+        return type(self), tuple(getattr(self, name) for name in self._fields + self._derived)
+
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
 
 
 # _bern_even[k] = B_{2k}.  The table is replaced, never mutated, so a
@@ -132,17 +173,18 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
+class QuadraticCharacter(_Value):
     """The real character chi_D(n) = (D/n) attached to a fundamental
     discriminant D > 1."""
 
-    discriminant: int
+    __slots__ = ("discriminant",)
+    _fields = __slots__
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        d = self.discriminant
-        if d < 2 or not is_fundamental_discriminant(d):
-            raise ValueError(f"{d} is not a fundamental discriminant > 1")
+    def __init__(self, discriminant: int):
+        if discriminant < 2 or not is_fundamental_discriminant(discriminant):
+            raise ValueError(f"{discriminant} is not a fundamental discriminant > 1")
+        object.__setattr__(self, "discriminant", discriminant)
 
     def __call__(self, n: int) -> int:
         return kronecker(self.discriminant, n)

@@ -9,10 +9,9 @@ implementation fault, never an input error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import InternalCheckError, bernoulli, factorize
+from .arith import InternalCheckError, _Value, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
 from .numberfield import SettingError, ShimuraSetting, check_level_and_prime
 
@@ -29,19 +28,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     """Every quantity computed on the way to the final bound."""
 
-    setting: ShimuraSetting
-    zeta_values: tuple[Fraction, ...]
-    constant: Fraction
-    level_group_order: int
-    mass: int
-    irr_count: int
-    dim_bound: int
-    final_bound: int
-    asymptotic_exponent: int
+    __slots__ = ("setting", "zeta_values", "constant", "level_group_order", "mass",
+                 "irr_count", "dim_bound", "final_bound", "asymptotic_exponent")
+    _fields = __slots__
+
+    def __init__(
+        self,
+        setting: ShimuraSetting,
+        zeta_values: tuple[Fraction, ...],
+        constant: Fraction,
+        level_group_order: int,
+        mass: int,
+        irr_count: int,
+        dim_bound: int,
+        final_bound: int,
+        asymptotic_exponent: int,
+    ):
+        self.setting = setting
+        self.zeta_values = zeta_values
+        self.constant = constant
+        self.level_group_order = level_group_order
+        self.mass = mass
+        self.irr_count = irr_count
+        self.dim_bound = dim_bound
+        self.final_bound = final_bound
+        self.asymptotic_exponent = asymptotic_exponent
 
 
 def _positive_integer(scaled: tuple[int, int], factor: int, what: str) -> int:

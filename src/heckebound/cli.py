@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import primes_between
@@ -35,7 +34,6 @@ from .numberfield import (
     resolve_ramification,
     validate_setting,
 )
-from . import oracle as oracle_mod
 
 EXIT_OK = 0
 EXIT_ALL_FAILED = 1
@@ -47,14 +45,27 @@ class ConfigError(ValueError):
     """The run description is malformed; the message names the field."""
 
 
-@dataclass
 class RunConfig:
-    field: FieldSpec
-    ramification: list[tuple[int, int]]
-    m: int
-    level: int
-    single_p: int | None
-    sweep: tuple[int, int] | None
+    """A parsed run description: one datum, one level, and either one
+    prime or a window of candidates to sieve."""
+
+    __slots__ = ("field", "ramification", "m", "level", "single_p", "sweep")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        ramification: list[tuple[int, int]],
+        m: int,
+        level: int,
+        single_p: int | None,
+        sweep: tuple[int, int] | None,
+    ):
+        self.field = field
+        self.ramification = ramification
+        self.m = m
+        self.level = level
+        self.single_p = single_p
+        self.sweep = sweep
 
     def primes(self) -> list[int]:
         if self.single_p is not None:
@@ -129,7 +140,9 @@ def parse_config(doc) -> RunConfig:
                 "p_sweep: endpoints must satisfy 2 <= from <= to"
             )
         # the window is sieved in one bytearray and every record is held
-        # until the end; 300 000 integers keep an m = 2 run under 4 s and 90 MB.
+        # until the end; 300 000 integers keep an m = 2 run under 4 s and 120 MB
+        # (the widest windows from 2 and from 10^18, ramified or not, peak at
+        # 2.7 s and 115 MB measured from a 13 MB parent process).
         # A record's cost grows with m, so from m = 3 the window is 1 200 000
         # // m^2 integers (the widest from 10^18 measured under 2.5 s up to
         # m = 50); above m = 50 every record is the datum's m_too_large
@@ -157,15 +170,23 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-@dataclass(frozen=True, slots=True)
 class Record:
     """The outcome at one prime: a bound report or the validation error,
     plus the oracle verdict when the run cross-checks."""
 
-    p: int
-    report: BoundReport | None = None
-    error: SettingError | None = None
-    oracle: dict | None = None
+    __slots__ = ("p", "report", "error", "oracle")
+
+    def __init__(
+        self,
+        p: int,
+        report: BoundReport | None = None,
+        error: SettingError | None = None,
+        oracle: dict | None = None,
+    ):
+        self.p = p
+        self.report = report
+        self.error = error
+        self.oracle = oracle
 
 
 def compute_records(
@@ -181,6 +202,8 @@ def compute_records(
     records = []
     successes = 0
     fault = False
+    if oracle_check:
+        from . import oracle as oracle_mod
     # an error in the datum does not depend on p: it is recorded for every
     # prime, ahead of the per-p checks
     quaternion, quaternion_error = None, None
@@ -254,15 +277,24 @@ def _places_csv(places: tuple[Place, ...]) -> str:
     return ";".join(f"{v.residue_prime}^{v.residue_degree}" for v in places)
 
 
-@dataclass(frozen=True)
 class _SharedCells:
     """The p-independent fields of a run's successful records."""
 
-    zeta_F: list[str]
-    C_B: str
-    level_group_order: str
-    asymptotic_exponent: int
-    away: tuple[Place, ...]
+    __slots__ = ("zeta_F", "C_B", "level_group_order", "asymptotic_exponent", "away")
+
+    def __init__(
+        self,
+        zeta_F: list[str],
+        C_B: str,
+        level_group_order: str,
+        asymptotic_exponent: int,
+        away: tuple[Place, ...],
+    ):
+        self.zeta_F = zeta_F
+        self.C_B = C_B
+        self.level_group_order = level_group_order
+        self.asymptotic_exponent = asymptotic_exponent
+        self.away = away
 
 
 def _shared_cells(records: list[Record]) -> _SharedCells | None:
@@ -421,6 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_oracle_subcommand(argv: list[str]) -> int:
     # ad-hoc verification of the enumeration side on its own
+    from . import oracle as oracle_mod
+
     enumerators = {"GL": oracle_mod.enumerate_gl, "U": oracle_mod.enumerate_unitary,
                    "Sp": oracle_mod.enumerate_sp,
                    "GSp_modN": oracle_mod.enumerate_gsp_modn}

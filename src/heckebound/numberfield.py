@@ -7,13 +7,14 @@ downstream formulas consume just the residue cardinalities q_v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import gcd, isqrt
 
 from .arith import (
     QuadraticCharacter,
+    _read_only,
+    _Value,
     is_fundamental_discriminant,
     is_prime,
     kronecker,
@@ -46,27 +47,29 @@ def _fail(code: str, message: str):
     raise SettingError(code, message)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Value):
     """The rationals (discriminant 1) or a real quadratic field given by
     its positive fundamental discriminant."""
 
-    discriminant: int
+    __slots__ = ("discriminant",)
+    _fields = __slots__
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if self.discriminant == 1:
+    def __init__(self, discriminant: int):
+        object.__setattr__(self, "discriminant", discriminant)
+        if discriminant == 1:
             return
-        if self.discriminant > 200_000:
+        if discriminant > 200_000:
             # the zeta kernel is linear in the discriminant; 200 000 keeps
             # one record with m <= 4 under about two seconds
             _fail(
                 "disc_too_large",
-                f"discriminant must be <= 200000, got {self.discriminant}",
+                f"discriminant must be <= 200000, got {discriminant}",
             )
-        if self.discriminant < 1 or not is_fundamental_discriminant(self.discriminant):
+        if discriminant < 1 or not is_fundamental_discriminant(discriminant):
             _fail(
                 "bad_discriminant",
-                f"{self.discriminant} is not a positive fundamental discriminant",
+                f"{discriminant} is not a positive fundamental discriminant",
             )
 
     @classmethod
@@ -97,15 +100,28 @@ class FieldSpec:
         return f"FieldSpec(Q(sqrt({self.discriminant})))"
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+@total_ordering
+class Place(_Value):
     """A finite place, identified by its residue prime, residue degree,
-    and an index separating the two places over a split prime."""
+    and an index separating the two places over a split prime.  Places
+    are ordered by these fields in turn, then by ramified."""
 
-    residue_prime: int
-    residue_degree: int
-    index: int = 0
-    ramified: bool = False
+    __slots__ = ("residue_prime", "residue_degree", "index", "ramified")
+    _fields = __slots__
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, residue_prime: int, residue_degree: int, index: int = 0,
+                 ramified: bool = False):
+        setter = object.__setattr__
+        setter(self, "residue_prime", residue_prime)
+        setter(self, "residue_degree", residue_degree)
+        setter(self, "index", index)
+        setter(self, "ramified", ramified)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
 
     @property
     def residue_cardinality(self) -> int:
@@ -141,42 +157,42 @@ def _places_over(fld: FieldSpec, ell: int) -> list[Place]:
     return [Place(ell, 1, ramified=True)]
 
 
-@dataclass(frozen=True)
-class QuaternionData:
+class QuaternionData(_Value):
     """A totally indefinite quaternion algebra over the field, given by
-    its finite ramified places, kept sorted, and the module rank m."""
+    its finite ramified places, kept sorted, and the module rank m.
 
-    field: FieldSpec
-    ramified_places: tuple[Place, ...]
-    m: int
-    _levels: dict[int, LevelData] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    Besides its three fields it holds _levels, the memo of level_data,
+    and the cached zeta_values (hence the __dict__ slot); neither is
+    compared, hashed or shown."""
 
-    def __post_init__(self):
-        if self.m < 1:
-            _fail("m_not_positive", f"module rank m must be >= 1, got {self.m}")
+    __slots__ = ("field", "ramified_places", "m", "_levels", "__dict__")
+    _fields = ("field", "ramified_places", "m")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
+        if m < 1:
+            _fail("m_not_positive", f"module rank m must be >= 1, got {m}")
         # the zeta power sums grow like D*m^2 and the bound's decimal text
         # like (d*m^2)^2; these two caps keep one record under about two
         # seconds for every N <= 10^12 and p <= 10^18 (measured in ROADMAP)
         limit = min(
-            isqrt(2_500 // self.field.degree),
-            isqrt(3_200_000 // self.field.discriminant),
+            isqrt(2_500 // field.degree),
+            isqrt(3_200_000 // field.discriminant),
         )
-        if self.m > limit:
+        if m > limit:
             _fail(
                 "m_too_large",
-                f"module rank m must be <= {limit} for this field, got {self.m}",
+                f"module rank m must be <= {limit} for this field, got {m}",
             )
-        if len(self.ramified_places) % 2 != 0:
+        if len(ramified_places) % 2 != 0:
             _fail(
                 "odd_ramification_set",
                 "a totally indefinite quaternion algebra is ramified at an "
-                f"even number of finite places, got {len(self.ramified_places)}",
+                f"even number of finite places, got {len(ramified_places)}",
             )
-        if len(set(self.ramified_places)) != len(self.ramified_places):
+        if len(set(ramified_places)) != len(ramified_places):
             _fail("duplicate_place", "ramified places must be pairwise distinct")
-        for v in self.ramified_places:
+        for v in ramified_places:
             if not _proven_prime(
                 v.residue_prime, "ramified prime", "ramified_prime_too_large"
             ):
@@ -185,12 +201,16 @@ class QuaternionData:
                     f"{v.residue_prime} is not prime",
                 )
             # re-derive the splitting so stale residue degrees cannot slip in
-            if v not in _places_over(self.field, v.residue_prime):
+            if v not in _places_over(field, v.residue_prime):
                 _fail(
                     "residue_degree_mismatch",
                     f"{v!r} is not a place of the field",
                 )
-        object.__setattr__(self, "ramified_places", tuple(sorted(self.ramified_places)))
+        setter = object.__setattr__
+        setter(self, "field", field)
+        setter(self, "ramified_places", tuple(sorted(ramified_places)))
+        setter(self, "m", m)
+        setter(self, "_levels", {})
 
     @cached_property
     def zeta_values(self) -> tuple[Fraction, ...]:
@@ -280,21 +300,37 @@ class LevelData:
         self.exponent: int | None = None
 
 
-@dataclass(frozen=True)
-class ShimuraSetting:
+class ShimuraSetting(_Value):
     """Validated tuple (F, Delta_B, m, N, p) with the places over p
     precomputed: delta_prime_at_p, those of odd residue degree, and
     even_places_at_p, the others.  delta_prime_away, the ramification set
     of the quaternion algebra, lies away from p by validation.
-    level_data is the datum's LevelData at N, shared by every p."""
+    level_data is the datum's LevelData at N, shared by every p.  Settings
+    compare and hash on (quaternion, level, p) alone; the other fields
+    are derived from them."""
 
-    quaternion: QuaternionData
-    level: int
-    p: int
-    level_data: LevelData = field(compare=False)
-    places_over_p: tuple[Place, ...] = field(compare=False)
-    delta_prime_at_p: tuple[Place, ...] = field(compare=False)
-    even_places_at_p: tuple[Place, ...] = field(compare=False)
+    __slots__ = ("quaternion", "level", "p", "level_data", "places_over_p",
+                 "delta_prime_at_p", "even_places_at_p")
+    _fields = __slots__[:3]
+    _derived = __slots__[3:]
+
+    def __init__(
+        self,
+        quaternion: QuaternionData,
+        level: int,
+        p: int,
+        level_data: LevelData,
+        places_over_p: tuple[Place, ...],
+        delta_prime_at_p: tuple[Place, ...],
+        even_places_at_p: tuple[Place, ...],
+    ):
+        self.quaternion = quaternion
+        self.level = level
+        self.p = p
+        self.level_data = level_data
+        self.places_over_p = places_over_p
+        self.delta_prime_at_p = delta_prime_at_p
+        self.even_places_at_p = even_places_at_p
 
     @property
     def delta_prime_away(self) -> tuple[Place, ...]:

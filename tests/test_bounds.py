@@ -2,9 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heckebound.bounds as bounds_mod
-from heckebound.arith import InternalCheckError
+from heckebound.arith import InternalCheckError, is_fundamental_discriminant
 from heckebound.bounds import (
     asymptotic_check,
     asymptotic_exponent,
@@ -20,6 +22,7 @@ from heckebound.numberfield import (
     QuaternionData,
     SettingError,
     resolve_ramification,
+    split_prime,
     validate_setting,
 )
 
@@ -221,3 +224,63 @@ def test_grid_covers_all_fields_and_ramifications():
         and len(s.delta_prime_away) == 2
         for s in grid
     )
+
+
+# Random settings far off the fixed grids: p <= 10^12, m <= 6, N <= 200,
+# discriminant <= 500.
+
+_DISCS_TO_500 = [d for d in range(5, 501) if is_fundamental_discriminant(d)]
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@st.composite
+def _random_datum(draw):
+    level = draw(st.integers(3, 200))
+    disc = draw(st.one_of(
+        st.just(1),
+        st.sampled_from([d for d in _DISCS_TO_500 if gcd(d, level) == 1]),
+    ))
+    fld = FieldSpec(disc)
+    places = [
+        v for ell in _SMALL_PRIMES if gcd(ell, level * disc) == 1
+        for v in split_prime(fld, ell)
+    ]
+    ram = ()
+    if draw(st.booleans()) and len(places) >= 2:
+        ram = tuple(draw(st.lists(st.sampled_from(places), min_size=2, max_size=2,
+                                  unique=True)))
+    return QuaternionData(fld, ram, draw(st.integers(1, 6))), level
+
+
+def _next_settings(datum, level, start, count, degree_one=False):
+    """The first count valid settings at primes p >= start; with
+    degree_one, only primes whose places all have residue degree 1."""
+    out, p = [], start
+    while len(out) < count:
+        try:
+            s = validate_setting(datum, level, p)
+        except SettingError:
+            pass
+        else:
+            if not degree_one or all(v.residue_degree == 1 for v in s.places_over_p):
+                out.append(s)
+        p += 1
+    return out
+
+
+# the slowest example, Q(sqrt(497)) at m = 6 from p = 10^12, interpolates
+# through 87 bounds in well under a second
+@settings(max_examples=50, deadline=None)
+@given(_random_datum(), st.one_of(st.integers(2, 10**4), st.integers(2, 10**12)))
+def test_random_settings_satisfy_the_exact_identities(datum_and_level, start):
+    datum, level = datum_and_level
+    s = _next_settings(datum, level, start, 1)[0]
+    r = final_bound(s)
+    assert r.final_bound == superspecial_mass(s) * irr_count(s) * dim_bound(s)
+    if s.field.is_rational and not s.delta_prime_away:
+        assert siegel_bound(s.m, level, s.p) == r.final_bound
+
+    d, m = s.degree, s.m
+    exponent = d * m * m + d * m + 1
+    samples = _next_settings(datum, level, start, exponent + 2, degree_one=True)
+    assert detect_p_degree(samples) == exponent
