@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from math import comb, gcd, isqrt
 from typing import TYPE_CHECKING
 
@@ -39,13 +39,14 @@ class InternalCheckError(RuntimeError):
 class _Value:
     """Base of the package's value types, which are __slots__ classes.
 
-    Equality and the hash read the per-class tuple _fields; the fields in
-    _derived follow them in the constructor and the repr but are neither
-    compared nor hashed.  Equality with another class is NotImplemented,
-    the hash is that of the tuple of _fields, and the repr lists every
-    field by name, in constructor order.  A read-only subclass sets its
-    fields in __init__ through object.__setattr__ and takes _read_only as
-    its __setattr__ and __delattr__.
+    The constructor takes the per-class tuple _fields, which equality and
+    the hash read; the fields in _derived, which the constructor derives
+    from them, follow them in the repr but are neither compared nor
+    hashed.  Equality with another class is NotImplemented, the hash is
+    that of the tuple of _fields, and the repr lists every field by name,
+    _fields first.  A read-only subclass sets its fields in __init__
+    through object.__setattr__ and takes _read_only as its __setattr__
+    and __delattr__.
     """
 
     __slots__ = ()
@@ -70,8 +71,8 @@ class _Value:
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
-        # pickled and copied through the constructor, which checks the fields again
-        return type(self), tuple(getattr(self, name) for name in self._fields + self._derived)
+        # pickled and copied through the constructor, from _fields alone
+        return type(self), self._key()
 
 
 def _read_only(self, name, value=None):
@@ -193,9 +194,11 @@ class QuadraticCharacter(_Value):
         return f"QuadraticCharacter({self.discriminant})"
 
 
-@cache
+@lru_cache(maxsize=1)
 def _character_support(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (a, chi_D(a)) with 1 <= a <= D and chi_D(a) != 0."""
+    """The pairs (a, chi_D(a)) with 1 <= a <= D and chi_D(a) != 0.  Only
+    the table of the last D is kept (about 16 MB near D = 200 000): the m
+    calls of one datum are consecutive."""
     return tuple((a, c) for a in range(1, d + 1) if (c := kronecker(d, a)))
 
 

@@ -220,11 +220,7 @@ def siegel_bound(m: int, level: int, p: int) -> int:
 def _check_shared_inputs(settings: list[ShimuraSetting]) -> None:
     first = settings[0]
     for s in settings[1:]:
-        if (
-            s.field != first.field
-            or s.quaternion != first.quaternion
-            or s.level != first.level
-        ):
+        if s.quaternion != first.quaternion or s.level != first.level:
             raise ValueError("settings must share field, ramification, m and level")
     ps = [s.p for s in settings]
     if any(b <= a for a, b in zip(ps, ps[1:])):

@@ -140,9 +140,10 @@ def parse_config(doc) -> RunConfig:
                 "p_sweep: endpoints must satisfy 2 <= from <= to"
             )
         # the window is sieved in one bytearray and every record is held
-        # until the end; 300 000 integers keep an m = 2 run under 4 s and 120 MB
-        # (the widest windows from 2 and from 10^18, ramified or not, peak at
-        # 2.7 s and 115 MB measured from a 13 MB parent process).
+        # until the end; 300 000 integers keep an m = 2 run under 5 s and 120 MB
+        # (the widest windows from 2, from 10^18 and below psi_12, ramified or
+        # not, peak at 4.4 s and 113 MB, measured from a 10 MB launcher
+        # process on 2 cores, Python 3.11).
         # A record's cost grows with m, so from m = 3 the window is 1 200 000
         # // m^2 integers (the widest from 10^18 measured under 2.5 s up to
         # m = 50); above m = 50 every record is the datum's m_too_large
@@ -196,9 +197,10 @@ def compute_records(
     oracle_check a completed oracle check that disagrees is a fault.
 
     The quaternion datum is built once per run, and its LevelData at the
-    run's level on the first prime: the zeta values, the checks on N, C_B,
-    |G(Z/NZ)| and the growth exponent are shared by every record.  Each
-    prime adds only its own checks, places and p-factors."""
+    run's level on the first prime that reaches it: the zeta values, the
+    level_not_coprime verdict, C_B, |G(Z/NZ)| and the growth exponent are
+    shared by every record.  Each prime adds only the checks on N and p,
+    its places and p-factors."""
     records = []
     successes = 0
     fault = False
@@ -536,7 +538,9 @@ def _run(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:  # bad UTF-8, or an over-long integer literal
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8, an over-long integer literal, or nesting past the
+        # recursion limit
         print(f"error: cannot parse config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

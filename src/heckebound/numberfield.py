@@ -261,25 +261,24 @@ class LevelData:
     """Everything validation and bound assembly know of a (quaternion
     datum, level N) pair before p is given.
 
-    Built once per level by QuaternionData.level_data: the outcome of the
-    checks on N alone (level_error), the residue primes of the ramified
-    places (ramified_primes), the level_not_coprime verdict
-    (coprime_error), and d and m.  The p-independent part of the bound is
-    filled on first use, once per level: constant (C_B, by
-    bounds.bound_constant), group_order (|G(Z/NZ)|, by
-    groups.level_group_order), scaled_constant, the integer pair
-    (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every count of a
-    record is divided against, and exponent (d*m^2 + d*m + 1).
+    Built once per level by QuaternionData.level_data, which
+    validate_setting calls only for a level that passed the checks on N:
+    the residue primes of the ramified places (ramified_primes), the
+    level_not_coprime verdict (coprime_error), and d and m.  The
+    p-independent part of the bound is filled on first use, once per
+    level: constant (C_B, by bounds.bound_constant), group_order
+    (|G(Z/NZ)|, by groups.level_group_order), scaled_constant, the
+    integer pair (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every
+    count of a record is divided against, and exponent (d*m^2 + d*m + 1).
     """
 
-    __slots__ = ("degree", "m", "level_error", "ramified_primes", "coprime_error",
-                 "constant", "group_order", "scaled_constant", "exponent")
+    __slots__ = ("degree", "m", "ramified_primes", "coprime_error", "constant",
+                 "group_order", "scaled_constant", "exponent")
 
     def __init__(self, quaternion: QuaternionData, level: int):
         fld = quaternion.field
         self.degree = fld.degree
         self.m = quaternion.m
-        self.level_error = _level_error(level)
         self.ramified_primes = frozenset(
             v.residue_prime for v in quaternion.ramified_places
         )
@@ -301,36 +300,28 @@ class LevelData:
 
 
 class ShimuraSetting(_Value):
-    """Validated tuple (F, Delta_B, m, N, p) with the places over p
-    precomputed: delta_prime_at_p, those of odd residue degree, and
-    even_places_at_p, the others.  delta_prime_away, the ramification set
-    of the quaternion algebra, lies away from p by validation.
-    level_data is the datum's LevelData at N, shared by every p.  Settings
-    compare and hash on (quaternion, level, p) alone; the other fields
-    are derived from them."""
+    """The tuple (F, Delta_B, m, N, p), given as (quaternion, level, p),
+    with the rest derived on construction: level_data, the datum's
+    LevelData at N, shared by every p, and the places over p,
+    delta_prime_at_p those of odd residue degree and even_places_at_p
+    the others.  delta_prime_away, the ramification set of the quaternion
+    algebra, lies away from p by validation.  The constructor checks
+    nothing; validate_setting checks the tuple, then builds it.  Settings
+    compare and hash on (quaternion, level, p) alone."""
 
     __slots__ = ("quaternion", "level", "p", "level_data", "places_over_p",
                  "delta_prime_at_p", "even_places_at_p")
     _fields = __slots__[:3]
     _derived = __slots__[3:]
 
-    def __init__(
-        self,
-        quaternion: QuaternionData,
-        level: int,
-        p: int,
-        level_data: LevelData,
-        places_over_p: tuple[Place, ...],
-        delta_prime_at_p: tuple[Place, ...],
-        even_places_at_p: tuple[Place, ...],
-    ):
+    def __init__(self, quaternion: QuaternionData, level: int, p: int):
         self.quaternion = quaternion
         self.level = level
         self.p = p
-        self.level_data = level_data
-        self.places_over_p = places_over_p
-        self.delta_prime_at_p = delta_prime_at_p
-        self.even_places_at_p = even_places_at_p
+        self.level_data = quaternion.level_data(level)
+        places = self.places_over_p = tuple(_places_over(quaternion.field, p))
+        self.delta_prime_at_p = tuple(v for v in places if v.residue_degree % 2 == 1)
+        self.even_places_at_p = tuple(v for v in places if v.residue_degree % 2 == 0)
 
     @property
     def delta_prime_away(self) -> tuple[Place, ...]:
@@ -361,18 +352,15 @@ def _proven_prime(n: int, what: str, code: str) -> bool:
     return is_prime(n)
 
 
-def _level_error(level: int) -> tuple[str, str] | None:
-    """(code, message) of the check on N alone that fails, if any:
-    level_too_small, then level_too_large."""
+def check_level_and_prime(level: int, p: int) -> None:
+    """The checks on N and p shared by every bound route, with the codes
+    level_too_small, level_too_large, p_too_large, p_not_prime and
+    p_divides_level."""
     if level < 3:
-        return "level_too_small", f"level must be >= 3, got {level}"
+        _fail("level_too_small", f"level must be >= 3, got {level}")
     if level > 10**12:
         # trial division factorizes the level; 10^12 keeps that under a second
-        return "level_too_large", f"level must be <= 10^12, got {level}"
-    return None
-
-
-def _check_prime(level: int, p: int) -> None:
+        _fail("level_too_large", f"level must be <= 10^12, got {level}")
     # the m caps were sized for p <= 10^18, well below psi_12
     if not _proven_prime(p, "p", "p_too_large"):
         _fail("p_not_prime", f"p must be prime, got {p}")
@@ -380,41 +368,31 @@ def _check_prime(level: int, p: int) -> None:
         _fail("p_divides_level", f"p = {p} divides the level {level}")
 
 
-def check_level_and_prime(level: int, p: int) -> None:
-    """The checks on N and p shared by every bound route, with the codes
-    level_too_small, level_too_large, p_too_large, p_not_prime and
-    p_divides_level."""
-    error = _level_error(level)
-    if error is not None:
-        _fail(*error)
-    _check_prime(level, p)
-
-
 def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
-    """Check every invariant of the input tuple and derive the rest.
+    """Check every invariant of the input tuple, then build the setting.
 
     Violations raise SettingError with one of the codes, in this order:
     level_too_small, level_too_large, p_too_large, p_not_prime,
     p_divides_level, p_ramified_in_field, p_in_ramification_set,
-    level_not_coprime.  The checks on N alone and the level_not_coprime
-    verdict are read from the datum's LevelData, built once per level;
-    per p this proves p prime, tests p against N, the field discriminant
-    and the ramified places, and splits p.  The p-independent checks,
-    including that every ramified place is a place of the field, ran once
-    when the QuaternionData was built (codes m_not_positive, m_too_large,
-    odd_ramification_set, duplicate_place, ramified_prime_too_large,
-    ramified_prime_not_prime, residue_degree_mismatch).
+    level_not_coprime.  The checks on N and p are check_level_and_prime,
+    as for siegel_bound; the datum's LevelData, built once per level that
+    passes them, holds the ramified primes and the level_not_coprime
+    verdict.  Per p this proves p prime, tests p against N, the field
+    discriminant and the ramified places, and builds the setting, which
+    splits p.  The p-independent checks, including that every ramified
+    place is a place of the field, ran once when the QuaternionData was
+    built (codes m_not_positive, m_too_large, odd_ramification_set,
+    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
+    residue_degree_mismatch).
     """
-    data = quaternion.level_data(level)
-    if data.level_error is not None:
-        _fail(*data.level_error)
-    _check_prime(level, p)
+    check_level_and_prime(level, p)
     fld = quaternion.field
     if fld.discriminant % p == 0:
         _fail(
             "p_ramified_in_field",
             f"p = {p} ramifies in the field of discriminant {fld.discriminant}",
         )
+    data = quaternion.level_data(level)
     if p in data.ramified_primes:
         _fail(
             "p_in_ramification_set",
@@ -422,14 +400,4 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
         )
     if data.coprime_error is not None:
         _fail(*data.coprime_error)
-    # _check_prime has proven p prime
-    places = tuple(_places_over(fld, p))
-    return ShimuraSetting(
-        quaternion=quaternion,
-        level=level,
-        p=p,
-        level_data=data,
-        places_over_p=places,
-        delta_prime_at_p=tuple(v for v in places if v.residue_degree % 2 == 1),
-        even_places_at_p=tuple(v for v in places if v.residue_degree % 2 == 0),
-    )
+    return ShimuraSetting(quaternion, level, p)

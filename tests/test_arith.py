@@ -310,6 +310,19 @@ def test_zeta_at_large_discriminant_is_fast():
     assert value == _siegel_zeta(100001, 1)
 
 
+def test_character_support_keeps_only_the_last_discriminant():
+    support = arith._character_support
+    support.cache_clear()
+    m = 4
+    for j in range(1, m + 1):
+        zeta_special_value(FieldSpec.real_quadratic(5), j)
+    info = support.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (m - 1, 1, 1)
+    zeta_special_value(FieldSpec.real_quadratic(8), 1)
+    info = support.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
 def test_zeta_sign_law():
     for fld in (
         FieldSpec.rationals(),

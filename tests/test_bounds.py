@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heckebound.bounds as bounds_mod
+import heckebound.numberfield as numberfield_mod
 from heckebound.arith import InternalCheckError, is_fundamental_discriminant
 from heckebound.bounds import (
     asymptotic_check,
@@ -145,6 +146,31 @@ def test_non_integer_count_is_an_internal_fault(monkeypatch):
         siegel_bound(1, 3, 5)
 
 
+def test_factorization_identity_violation_is_an_internal_fault(monkeypatch):
+    # one irreducible too many: mass * irr * dim no longer equals the bound
+    real = bounds_mod.irr_count
+    monkeypatch.setattr(bounds_mod, "irr_count", lambda s: real(s) + 1)
+    with pytest.raises(
+        InternalCheckError, match=r"^factorization identity violated: bound 192 != "
+    ):
+        final_bound(setting(Q, 1, 3, 5))
+
+
+def test_non_positive_constant_is_an_internal_fault(monkeypatch):
+    # zeta_F(-1) with its sign flipped turns C_B negative
+    real = numberfield_mod.zeta_special_value
+    monkeypatch.setattr(
+        numberfield_mod, "zeta_special_value",
+        lambda fld, j: -real(fld, j) if j == 1 else real(fld, j),
+    )
+    s = setting(Q, 2, 3, 5)
+    assert s.quaternion.zeta_values[0] == Fraction(1, 12)
+    with pytest.raises(InternalCheckError, match=r"^bound constant -1/5760 is not positive$"):
+        bound_constant(s)
+    with pytest.raises(InternalCheckError, match="is not positive$"):
+        final_bound(s)
+
+
 def test_siegel_validation():
     with pytest.raises(SettingError):
         siegel_bound(1, 2, 5)
@@ -193,6 +219,27 @@ def test_asymptotic_check_detects_wrong_exponent():
         for r1, r2 in zip(reports, reports[1:])
     )
     assert violated
+
+
+def test_asymptotic_check_fails_on_each_condition(monkeypatch):
+    samples = sweep(Q, 1, 3, 97)
+    assert asymptotic_check(samples)
+    real = bounds_mod.final_bound
+    top = samples[-1].p
+
+    def scaled(factor):
+        def wrapped(s):
+            report = real(s)
+            report.final_bound *= factor(s.p)
+            return report
+        return wrapped
+
+    # times p: every bound past p = 5 is above the cap constant * p^E
+    monkeypatch.setattr(bounds_mod, "final_bound", scaled(lambda p: p))
+    assert not asymptotic_check(samples)
+    # times p / top: each bound stays below its cap, but the growth degree is E + 1
+    monkeypatch.setattr(bounds_mod, "final_bound", scaled(lambda p: Fraction(p, top)))
+    assert not asymptotic_check(samples)
 
 
 def test_detect_p_degree():

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import heckebound
 import heckebound.arith as arith_mod
+import heckebound.bounds as bounds_mod
 import heckebound.cli as cli_mod
 import heckebound.groups as groups_mod
+import heckebound.numberfield as numberfield_mod
 import heckebound.oracle as oracle_mod
 from heckebound.arith import is_prime
 from heckebound.bounds import bound_constant, final_bound
@@ -406,6 +408,40 @@ def test_config_from_standard_input(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SIEGEL_DOC)))
     assert main(["-"]) == EXIT_OK
     assert capsys.readouterr().out == from_file
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, monkeypatch, capsys):
+    deep = "[" * 200_000
+    cfg = tmp_path / "config.json"
+    cfg.write_text(deep)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    for source in (str(cfg), "-"):
+        assert main([source]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot parse config: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flip", ["irr_count", "zeta"])
+def test_broken_exact_identity_exits_with_fault_code(tmp_path, monkeypatch, capsys, flip):
+    if flip == "irr_count":
+        real_irr = bounds_mod.irr_count
+        monkeypatch.setattr(bounds_mod, "irr_count", lambda s: real_irr(s) + 1)
+        message = "internal fault: factorization identity violated: bound 192 != "
+    else:
+        real_zeta = numberfield_mod.zeta_special_value
+        monkeypatch.setattr(
+            numberfield_mod, "zeta_special_value",
+            lambda fld, j: -real_zeta(fld, j) if j == 1 else real_zeta(fld, j),
+        )
+        message = "internal fault: bound constant -1/24 is not positive\n"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(SIEGEL_DOC))
+    assert main([str(cfg)]) == EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):

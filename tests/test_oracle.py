@@ -424,6 +424,29 @@ def test_state_space_guard(monkeypatch):
         enumerate_similitude_product(setting(Q, 1, 3, 11))  # char > 7
 
 
+def test_hermitian_search_charges_its_inner_nodes(monkeypatch):
+    # U_4(F_2): the pool of norm-1 vectors of F_4^4 has 2^3 (2^4 - 1) = 120
+    # members, each orthogonal to 36 of them, and a depth-2 node has 6
+    # children.  A budget that just covers the root and depth-1 charges
+    # fails at the first inner node, before any solution is stored.
+    size = 120
+    covered = 4**4 + size + size**2 + size * (36 * size)
+    charges = []
+    real = oracle_mod._charge
+
+    def recorded(what, base, exponent=1, spent=0):
+        charges.append((base, exponent, spent))
+        return real(what, base, exponent, spent)
+
+    monkeypatch.setattr(oracle_mod, "_charge", recorded)
+    monkeypatch.setattr(oracle_mod, "DEFAULT_CAP", covered)
+    with pytest.raises(StateSpaceError, match=rf"^U_4\(F_2\): .* {covered} budget$"):
+        enumerate_unitary(4, 2)
+    assert charges[:3] == [(4, 4, 0), (size, 1, 4**4), (size, 2, 4**4 + size)]
+    assert [c[0] for c in charges[3:-1]] == [36 * size] * size
+    assert charges[-1] == (6 * size, 1, covered)
+
+
 def test_oracle_verification_helper():
     assert verify_setting_with_oracle(setting(Q, 1, 3, 5)) == {"verified": True}
     skipped = verify_setting_with_oracle(setting(Q, 1, 3, 11))

@@ -44,7 +44,7 @@ REPORT_FIELDS = ("setting", "zeta_values", "constant", "level_group_order", "mas
              ("residue_degree", inspect.Parameter.empty), ("index", 0), ("ramified", False)]),
     (QuaternionData, [(name, inspect.Parameter.empty)
                       for name in ("field", "ramified_places", "m")]),
-    (ShimuraSetting, [(name, inspect.Parameter.empty) for name in SETTING_FIELDS]),
+    (ShimuraSetting, [(name, inspect.Parameter.empty) for name in SETTING_FIELDS[:3]]),
     (BoundReport, [(name, inspect.Parameter.empty) for name in REPORT_FIELDS]),
 ])
 def test_constructor_signatures(cls, params):
@@ -64,6 +64,17 @@ def test_settings_compare_on_datum_level_and_p_only():
     assert s != validate_setting(a, 4, 19)
     assert s.__eq__(a) is NotImplemented
     assert len({s, t, validate_setting(b, 3, 29)}) == 2
+
+
+def test_setting_built_directly_is_the_validated_setting():
+    # the constructor derives the level datum and the places over p itself
+    datum = _datum()
+    for level, p in ((3, 19), (3, 2), (4, 7), (6, 29)):
+        direct, checked = ShimuraSetting(datum, level, p), validate_setting(datum, level, p)
+        assert direct == checked and hash(direct) == hash(checked)
+        assert repr(direct) == repr(checked)
+        assert _fields_of(direct, SETTING_FIELDS) == _fields_of(checked, SETTING_FIELDS)
+        assert direct.level_data is datum.level_data(level)
 
 
 def test_datum_compares_on_field_places_and_m():
