@@ -32,7 +32,6 @@ from .groups import (
 )
 from .numberfield import (
     FieldSpec,
-    LevelData,
     Place,
     QuaternionData,
     SettingError,
@@ -66,7 +65,6 @@ __all__ = [
     "sp_order",
     "unitary_order",
     "FieldSpec",
-    "LevelData",
     "Place",
     "QuaternionData",
     "SettingError",

@@ -83,37 +83,45 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
 
     where every ramified place lies away from p by validation.  Positive
     for every valid setting (the zeta signs cancel the leading sign),
-    which is checked.  It does not depend on p: it is computed on the
-    first call for a level and kept in the setting's LevelData.
+    which is checked.
     """
-    data = setting.level_data
-    if data.constant is None:
-        quaternion = setting.quaternion
-        d, m = data.degree, data.m
-        sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
-        value = Fraction(sign, 2 ** (m * d))
-        for i, term in enumerate(quaternion.zeta_values, start=1):
-            for v in quaternion.ramified_places:
-                term *= v.residue_cardinality**i + (-1) ** i
-            value *= term
-        if value <= 0:
-            raise InternalCheckError(f"bound constant {value} is not positive")
-        data.constant = value
-    return data.constant
+    quaternion = setting.quaternion
+    d, m = setting.degree, setting.m
+    sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
+    value = Fraction(sign, 2 ** (m * d))
+    for i, term in enumerate(quaternion.zeta_values, start=1):
+        for v in quaternion.ramified_places:
+            term *= v.residue_cardinality**i + (-1) ** i
+        value *= term
+    if value <= 0:
+        raise InternalCheckError(f"bound constant {value} is not positive")
+    return value
 
 
-def _scaled_constant(setting: ShimuraSetting) -> tuple[int, int]:
-    """(C_B.numerator * |G(Z/NZ)|, C_B.denominator), with the asymptotic
-    exponent, filled once per level in the setting's LevelData."""
-    data = setting.level_data
-    if data.scaled_constant is None:
-        constant = bound_constant(setting)
-        data.scaled_constant = (
-            constant.numerator * level_group_order(setting),
-            constant.denominator,
-        )
-        data.exponent = asymptotic_exponent(data.degree, data.m)
-    return data.scaled_constant
+class _LevelPart:
+    """The p-independent part of the bound at one (datum, level N):
+    constant (C_B), group_order (|G(Z/NZ)|), scaled_constant, the pair
+    (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every count of a
+    record is divided against, and exponent (d*m^2 + d*m + 1)."""
+
+    __slots__ = ("constant", "group_order", "scaled_constant", "exponent")
+
+    def __init__(self, setting: ShimuraSetting):
+        constant = self.constant = bound_constant(setting)
+        order = self.group_order = level_group_order(setting)
+        self.scaled_constant = (constant.numerator * order, constant.denominator)
+        self.exponent = asymptotic_exponent(setting.degree, setting.m)
+
+
+def _level_part(setting: ShimuraSetting) -> _LevelPart:
+    """The setting's _LevelPart, built on the first record of its (datum,
+    level) and kept in the datum's _levels for every later p."""
+    levels = setting.quaternion._levels
+    try:
+        return levels[setting.level]
+    except KeyError:
+        part = levels[setting.level] = _LevelPart(setting)
+        return part
 
 
 def superspecial_mass(setting: ShimuraSetting) -> int:
@@ -127,12 +135,14 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
     anything else raises InternalCheckError.
     """
     factor = 1
-    for j in range(1, setting.level_data.m + 1):
+    for j in range(1, setting.quaternion.m + 1):
         for v in setting.delta_prime_at_p:
             factor *= v.residue_cardinality**j + (-1) ** j
         for v in setting.even_places_at_p:
             factor *= v.residue_cardinality**j + 1
-    return _positive_integer(_scaled_constant(setting), factor, "superspecial mass")
+    return _positive_integer(
+        _level_part(setting).scaled_constant, factor, "superspecial mass"
+    )
 
 
 def final_bound(setting: ShimuraSetting) -> BoundReport:
@@ -143,12 +153,12 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
           * prod (q_v -+ 1) * prod_j prod_v (q_v^j +- 1)
     and must agree exactly with mass * irr_count * dim_bound; the two
     p-factors are computed independently and compared.  C * |G(Z/NZ)|
-    and the exponent come from the setting's LevelData, filled on the
-    first record of a level; each record computes only its p-factors and
-    divides them against that shared pair.
+    and the exponent come from the per-level part, built on the first
+    record of a (datum, level); each record computes only its p-factors
+    and divides them against that shared pair.
     """
-    data, p = setting.level_data, setting.p
-    d, m = data.degree, data.m
+    part, p, quaternion = _level_part(setting), setting.p, setting.quaternion
+    d, m = quaternion.field.degree, quaternion.m
     inside, outside = setting.delta_prime_at_p, setting.even_places_at_p
 
     factor = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1)
@@ -161,7 +171,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             factor *= v.residue_cardinality**j + 1
         for v in inside:
             factor *= v.residue_cardinality**j + (-1) ** j
-    bound = _positive_integer(_scaled_constant(setting), factor, "final bound")
+    bound = _positive_integer(part.scaled_constant, factor, "final bound")
 
     mass = superspecial_mass(setting)
     irr = irr_count(setting)
@@ -173,14 +183,14 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
         )
     return BoundReport(
         setting=setting,
-        zeta_values=setting.quaternion.zeta_values,
-        constant=data.constant,
-        level_group_order=data.group_order,
+        zeta_values=quaternion.zeta_values,
+        constant=part.constant,
+        level_group_order=part.group_order,
         mass=mass,
         irr_count=irr,
         dim_bound=dim,
         final_bound=bound,
-        asymptotic_exponent=data.exponent,
+        asymptotic_exponent=part.exponent,
     )
 
 

@@ -84,15 +84,27 @@ def _require(doc: dict, key: str, kind, where: str = "config"):
     return value
 
 
+def _refuse_unknown(doc: dict, known: tuple[str, ...], where: str) -> None:
+    # a misspelt optional field would otherwise be read as absent
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+
+
 def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
+    _refuse_unknown(
+        doc, ("field", "quaternion_ramification", "m", "N", "p", "p_sweep"), "config"
+    )
 
     field_doc = _require(doc, "field", dict)
     kind = _require(field_doc, "kind", str, "field")
     if kind == "rational":
+        _refuse_unknown(field_doc, ("kind",), "field")
         fld = FieldSpec.rationals()
     elif kind == "real_quadratic":
+        _refuse_unknown(field_doc, ("kind", "disc"), "field")
         disc = _require(field_doc, "disc", int, "field")
         try:
             fld = FieldSpec.real_quadratic(disc)
@@ -113,6 +125,7 @@ def parse_config(doc) -> RunConfig:
         where = f"quaternion_ramification[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: must be an object")
+        _refuse_unknown(entry, ("prime", "residue_degree"), where)
         ramification.append(
             (
                 _require(entry, "prime", int, where),
@@ -133,6 +146,7 @@ def parse_config(doc) -> RunConfig:
         single_p = _require(doc, "p", int)
     else:
         sweep_doc = _require(doc, "p_sweep", dict)
+        _refuse_unknown(sweep_doc, ("from", "to"), "p_sweep")
         lo = _require(sweep_doc, "from", int, "p_sweep")
         hi = _require(sweep_doc, "to", int, "p_sweep")
         if lo < 2 or hi < lo:
@@ -196,11 +210,12 @@ def compute_records(
     """All records in ascending p, plus the process exit status; with
     oracle_check a completed oracle check that disagrees is a fault.
 
-    The quaternion datum is built once per run, and its LevelData at the
-    run's level on the first prime that reaches it: the zeta values, the
-    level_not_coprime verdict, C_B, |G(Z/NZ)| and the growth exponent are
+    The quaternion datum is built once per run, with the ramified primes
+    and discriminant product that validation reads; the bound's per-level
+    part (C_B, |G(Z/NZ)| and the growth exponent) is built on the first
+    record that passes validation, and the zeta values with it.  Both are
     shared by every record.  Each prime adds only the checks on N and p,
-    its places and p-factors."""
+    one gcd for level_not_coprime, its places and p-factors."""
     records = []
     successes = 0
     fault = False

@@ -61,23 +61,18 @@ def level_group_order(setting: ShimuraSetting) -> int:
     one similitude unit shared by all places over ell.  The lift exponent
     per extra power of ell is the relative dimension 2m^2 + m of the
     symplectic factor, which is smooth at primes coprime to the
-    discriminant data (enforced by validation).  The order does not
-    depend on p: it is computed on the first call for a level and kept in
-    the setting's LevelData.
+    discriminant data (enforced by validation).
     """
-    data = setting.level_data
-    if data.group_order is None:
-        m = data.m
-        lift_dim = 2 * m * m + m
-        order = 1
-        for ell, a in factorize(setting.level):
-            local = ell ** (a - 1) * (ell - 1)
-            for w in split_prime(setting.field, ell):
-                qw = w.residue_cardinality
-                local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
-            order *= local
-        data.group_order = order
-    return data.group_order
+    m = setting.m
+    lift_dim = 2 * m * m + m
+    order = 1
+    for ell, a in factorize(setting.level):
+        local = ell ** (a - 1) * (ell - 1)
+        for w in split_prime(setting.field, ell):
+            qw = w.residue_cardinality
+            local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
+        order *= local
+    return order
 
 
 def irr_count(setting: ShimuraSetting) -> int:
@@ -91,18 +86,19 @@ def irr_count(setting: ShimuraSetting) -> int:
     number of p-regular conjugacy classes (the enumeration oracle
     verifies that on every small instance).
     """
-    data, p = setting.level_data, setting.p
+    p, quaternion = setting.p, setting.quaternion
     center = p - 1
     for v in setting.even_places_at_p:
         center *= v.residue_cardinality - 1
     for v in setting.delta_prime_at_p:
         center *= v.residue_cardinality + 1
-    return p ** (data.degree * (data.m - 1)) * center
+    return p ** (quaternion.field.degree * (quaternion.m - 1)) * center
 
 
 def dim_bound(setting: ShimuraSetting) -> int:
     """p^(dm(m-1)/2): the p-Sylow order of the residual automorphism
     group, an upper bound for the dimension of any of its simple
     modules in characteristic p."""
-    data = setting.level_data
-    return setting.p ** (data.degree * data.m * (data.m - 1) // 2)
+    quaternion = setting.quaternion
+    m = quaternion.m
+    return setting.p ** (quaternion.field.degree * m * (m - 1) // 2)

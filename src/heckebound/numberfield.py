@@ -26,7 +26,6 @@ __all__ = [
     "FieldSpec",
     "Place",
     "QuaternionData",
-    "LevelData",
     "ShimuraSetting",
     "split_prime",
     "resolve_ramification",
@@ -49,14 +48,16 @@ def _fail(code: str, message: str):
 
 class FieldSpec(_Value):
     """The rationals (discriminant 1) or a real quadratic field given by
-    its positive fundamental discriminant."""
+    its positive fundamental discriminant; degree, 1 or 2, is derived
+    from it on construction."""
 
-    __slots__ = ("discriminant",)
-    _fields = __slots__
+    __slots__ = ("discriminant", "degree")
+    _fields = __slots__[:1]
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, discriminant: int):
         object.__setattr__(self, "discriminant", discriminant)
+        object.__setattr__(self, "degree", 1 if discriminant == 1 else 2)
         if discriminant == 1:
             return
         if discriminant > 200_000:
@@ -81,10 +82,6 @@ class FieldSpec(_Value):
         if discriminant == 1:
             _fail("bad_discriminant", "real quadratic field needs discriminant > 1")
         return cls(discriminant)
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.discriminant == 1 else 2
 
     @property
     def is_rational(self) -> bool:
@@ -161,11 +158,15 @@ class QuaternionData(_Value):
     """A totally indefinite quaternion algebra over the field, given by
     its finite ramified places, kept sorted, and the module rank m.
 
-    Besides its three fields it holds _levels, the memo of level_data,
-    and the cached zeta_values (hence the __dict__ slot); neither is
-    compared, hashed or shown."""
+    Besides its three fields it holds what validation reads of it:
+    ramified_primes, the residue primes of the ramified places, and
+    bad_product, the field discriminant times the residue prime of each
+    ramified place; the cached zeta_values (hence the __dict__ slot);
+    and _levels, an empty dict in which bounds keeps the bound's
+    per-level part.  None of these is compared, hashed or shown."""
 
-    __slots__ = ("field", "ramified_places", "m", "_levels", "__dict__")
+    __slots__ = ("field", "ramified_places", "m", "ramified_primes", "bad_product",
+                 "_levels", "__dict__")
     _fields = ("field", "ramified_places", "m")
     __setattr__ = __delattr__ = _read_only
 
@@ -210,6 +211,12 @@ class QuaternionData(_Value):
         setter(self, "field", field)
         setter(self, "ramified_places", tuple(sorted(ramified_places)))
         setter(self, "m", m)
+        setter(self, "ramified_primes",
+               frozenset(v.residue_prime for v in ramified_places))
+        bad = field.discriminant
+        for v in ramified_places:
+            bad *= v.residue_prime
+        setter(self, "bad_product", bad)
         setter(self, "_levels", {})
 
     @cached_property
@@ -217,14 +224,6 @@ class QuaternionData(_Value):
         """(zeta_F(-1), zeta_F(-3), ..., zeta_F(1-2m)), computed on first
         use and shared by every prime p of a run."""
         return tuple(zeta_special_value(self.field, j) for j in range(1, self.m + 1))
-
-    def level_data(self, level: int) -> LevelData:
-        """The datum's LevelData at this level, built on first use and
-        shared by every prime p of a run."""
-        data = self._levels.get(level)
-        if data is None:
-            data = self._levels[level] = LevelData(self, level)
-        return data
 
 
 def resolve_ramification(
@@ -238,13 +237,14 @@ def resolve_ramification(
     over a split prime.
     """
     used: list[Place] = []
+    seen: set[Place] = set()
     for ell, f in pairs:
         if not _proven_prime(ell, "ramification entry", "ramified_prime_too_large"):
             _fail("ramified_prime_not_prime", f"ramification entry {ell} is not prime")
         candidates = [
             v
             for v in _places_over(fld, ell)
-            if v.residue_degree == f and v not in used
+            if v.residue_degree == f and v not in seen
         ]
         if not candidates:
             actual = [v.residue_degree for v in _places_over(fld, ell)]
@@ -254,63 +254,21 @@ def resolve_ramification(
                 f"(splitting gives degrees {actual})",
             )
         used.append(candidates[0])
+        seen.add(candidates[0])
     return tuple(used)
-
-
-class LevelData:
-    """Everything validation and bound assembly know of a (quaternion
-    datum, level N) pair before p is given.
-
-    Built once per level by QuaternionData.level_data, which
-    validate_setting calls only for a level that passed the checks on N:
-    the residue primes of the ramified places (ramified_primes), the
-    level_not_coprime verdict (coprime_error), and d and m.  The
-    p-independent part of the bound is filled on first use, once per
-    level: constant (C_B, by bounds.bound_constant), group_order
-    (|G(Z/NZ)|, by groups.level_group_order), scaled_constant, the
-    integer pair (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every
-    count of a record is divided against, and exponent (d*m^2 + d*m + 1).
-    """
-
-    __slots__ = ("degree", "m", "ramified_primes", "coprime_error", "constant",
-                 "group_order", "scaled_constant", "exponent")
-
-    def __init__(self, quaternion: QuaternionData, level: int):
-        fld = quaternion.field
-        self.degree = fld.degree
-        self.m = quaternion.m
-        self.ramified_primes = frozenset(
-            v.residue_prime for v in quaternion.ramified_places
-        )
-        bad = fld.discriminant
-        for v in quaternion.ramified_places:
-            bad *= v.residue_prime
-        self.coprime_error = None
-        if gcd(level, bad) != 1:
-            self.coprime_error = (
-                "level_not_coprime",
-                f"level {level} shares a factor with the ramified primes and "
-                f"field discriminant (product {bad}); no closed form is "
-                "available for the level group order at such primes",
-            )
-        self.constant: Fraction | None = None
-        self.group_order: int | None = None
-        self.scaled_constant: tuple[int, int] | None = None
-        self.exponent: int | None = None
 
 
 class ShimuraSetting(_Value):
     """The tuple (F, Delta_B, m, N, p), given as (quaternion, level, p),
-    with the rest derived on construction: level_data, the datum's
-    LevelData at N, shared by every p, and the places over p,
+    with the rest derived on construction: the places over p,
     delta_prime_at_p those of odd residue degree and even_places_at_p
     the others.  delta_prime_away, the ramification set of the quaternion
     algebra, lies away from p by validation.  The constructor checks
     nothing; validate_setting checks the tuple, then builds it.  Settings
     compare and hash on (quaternion, level, p) alone."""
 
-    __slots__ = ("quaternion", "level", "p", "level_data", "places_over_p",
-                 "delta_prime_at_p", "even_places_at_p")
+    __slots__ = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p",
+                 "even_places_at_p")
     _fields = __slots__[:3]
     _derived = __slots__[3:]
 
@@ -318,7 +276,6 @@ class ShimuraSetting(_Value):
         self.quaternion = quaternion
         self.level = level
         self.p = p
-        self.level_data = quaternion.level_data(level)
         places = self.places_over_p = tuple(_places_over(quaternion.field, p))
         self.delta_prime_at_p = tuple(v for v in places if v.residue_degree % 2 == 1)
         self.even_places_at_p = tuple(v for v in places if v.residue_degree % 2 == 0)
@@ -375,14 +332,14 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     level_too_small, level_too_large, p_too_large, p_not_prime,
     p_divides_level, p_ramified_in_field, p_in_ramification_set,
     level_not_coprime.  The checks on N and p are check_level_and_prime,
-    as for siegel_bound; the datum's LevelData, built once per level that
-    passes them, holds the ramified primes and the level_not_coprime
-    verdict.  Per p this proves p prime, tests p against N, the field
-    discriminant and the ramified places, and builds the setting, which
-    splits p.  The p-independent checks, including that every ramified
-    place is a place of the field, ran once when the QuaternionData was
-    built (codes m_not_positive, m_too_large, odd_ramification_set,
-    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
+    as for siegel_bound; the rest read the datum's ramified_primes and
+    take one gcd of N with its bad_product.  Per p this proves p prime,
+    tests p against N, the field discriminant and the ramified places,
+    and builds the setting, which splits p.  The p-independent checks,
+    including that every ramified place is a place of the field, ran
+    once when the QuaternionData was built (codes m_not_positive,
+    m_too_large, odd_ramification_set, duplicate_place,
+    ramified_prime_too_large, ramified_prime_not_prime,
     residue_degree_mismatch).
     """
     check_level_and_prime(level, p)
@@ -392,12 +349,17 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
             "p_ramified_in_field",
             f"p = {p} ramifies in the field of discriminant {fld.discriminant}",
         )
-    data = quaternion.level_data(level)
-    if p in data.ramified_primes:
+    if p in quaternion.ramified_primes:
         _fail(
             "p_in_ramification_set",
             f"p = {p} lies under a ramified place of the quaternion algebra",
         )
-    if data.coprime_error is not None:
-        _fail(*data.coprime_error)
+    bad = quaternion.bad_product
+    if gcd(level, bad) != 1:
+        _fail(
+            "level_not_coprime",
+            f"level {level} shares a factor with the ramified primes and "
+            f"field discriminant (product {bad}); no closed form is "
+            "available for the level group order at such primes",
+        )
     return ShimuraSetting(quaternion, level, p)

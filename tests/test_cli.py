@@ -24,7 +24,7 @@ import heckebound.groups as groups_mod
 import heckebound.numberfield as numberfield_mod
 import heckebound.oracle as oracle_mod
 from heckebound.arith import is_prime
-from heckebound.bounds import bound_constant, final_bound
+from heckebound.bounds import final_bound
 from heckebound.cli import (
     EXIT_ALL_FAILED,
     EXIT_CONFIG,
@@ -423,6 +423,106 @@ def test_deeply_nested_config_is_a_config_error(tmp_path, monkeypatch, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc, line", [
+    # a misspelt key would otherwise leave the algebra unramified
+    ({"field": {"kind": "rational"}, "m": 1, "N": 5, "p": 7,
+      "quaternion_ramificaton": [{"prime": 2, "residue_degree": 1},
+                                 {"prime": 3, "residue_degree": 1}]},
+     "config: unknown field 'quaternion_ramificaton'"),
+    (dict(SIEGEL_DOC, field={"kind": "rational", "disc": 5}),
+     "field: unknown field 'disc'"),
+    (dict(SIEGEL_DOC, field={"kind": "real_quadratic", "disc": 5, "degree": 2}),
+     "field: unknown field 'degree'"),
+    (dict(SIEGEL_DOC, quaternion_ramification=[
+        {"prime": 2, "residue_degree": 1},
+        {"prime": 3, "residue_degree": 1, "index": 1},
+    ]), "quaternion_ramification[1]: unknown field 'index'"),
+    (dict(SWEEP_DOC, p_sweep={"from": 2, "to": 20, "step": 2}),
+     "p_sweep: unknown field 'step'"),
+])
+def test_unknown_config_field_is_refused(tmp_path, monkeypatch, capsys, doc, line):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert str(exc.value) == line
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    for source in (str(cfg), "-"):
+        assert main([source]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {line}"]
+
+
+def test_many_ramification_entries_resolve_in_linear_time(tmp_path):
+    # 20 000 distinct ramified primes over Q, away from N = 3 and p = 5;
+    # a list scan for the used places made this a run of minutes
+    primes = arith_mod.primes_between(7, 250_000)[:20_000]
+    assert len(primes) == 20_000
+    pairs = [(ell, 1) for ell in reversed(primes)]
+    assert resolve_ramification(FieldSpec(1), pairs) == tuple(
+        numberfield_mod.Place(ell, 1) for ell, _ in pairs
+    )
+    doc = dict(SIEGEL_DOC, quaternion_ramification=[
+        {"prime": ell, "residue_degree": f} for ell, f in pairs
+    ])
+    start = time.perf_counter()
+    status, text = run_cli(tmp_path, doc)
+    elapsed = time.perf_counter() - start
+    assert status == EXIT_OK
+    (record,) = json.loads(text)
+    assert "error" not in record
+    assert len(record["delta_prime"]["away"]) == 20_000
+    assert elapsed < 8, elapsed
+
+
+def _profiled_calls(functions, run):
+    """run(), returning the number of calls to each of functions, however
+    the caller reached it."""
+    codes = {f.__code__: f.__qualname__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def test_run_where_every_record_fails_builds_no_level_part():
+    # Q(sqrt5) ramified at both places over 11: at N = 22 every p up to 30
+    # fails validation, so nothing of the bound is computed
+    doc = {
+        "field": {"kind": "real_quadratic", "disc": 5},
+        "quaternion_ramification": [{"prime": 11, "residue_degree": 1}] * 2,
+        "m": 2,
+        "N": 22,
+        "p_sweep": {"from": 2, "to": 30},
+    }
+    watched = (bounds_mod.bound_constant, groups_mod.level_group_order,
+               arith_mod.zeta_special_value)
+    config = parse_config(doc)
+    (records, status), counts = _profiled_calls(watched, lambda: compute_records(config))
+    assert status == EXIT_ALL_FAILED
+    assert [(r.p, r.error.code) for r in records] == [
+        (2, "p_divides_level"), (3, "level_not_coprime"), (5, "p_ramified_in_field"),
+        (7, "level_not_coprime"), (11, "p_divides_level"),
+    ] + [(p, "level_not_coprime") for p in (13, 17, 19, 23, 29)]
+    assert counts == {"bound_constant": 0, "level_group_order": 0,
+                      "zeta_special_value": 0}
+    # at N = 6 the same datum builds the part once, on its first record
+    config = parse_config(dict(doc, N=6))
+    (records, status), counts = _profiled_calls(watched, lambda: compute_records(config))
+    assert status == EXIT_OK
+    assert counts == {"bound_constant": 1, "level_group_order": 1,
+                      "zeta_special_value": 2}
+
+
 @pytest.mark.parametrize("flip", ["irr_count", "zeta"])
 def test_broken_exact_identity_exits_with_fault_code(tmp_path, monkeypatch, capsys, flip):
     if flip == "irr_count":
@@ -669,7 +769,7 @@ def test_p_independent_work_happens_once_per_run(monkeypatch):
     quaternion = QuaternionData(FieldSpec(5), (), 2)
     s1 = validate_setting(quaternion, 3, 7)
     s2 = validate_setting(quaternion, 3, 11)
-    assert bound_constant(s1) is bound_constant(s2)
+    assert final_bound(s1).constant is final_bound(s2).constant
 
 
 def test_level_past_limit_is_a_coded_error_not_a_hang(tmp_path):

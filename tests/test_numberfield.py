@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 
 from heckebound.arith import is_prime, kronecker
+from heckebound.bounds import final_bound
 from heckebound.numberfield import (
     FieldSpec,
     Place,
@@ -217,16 +218,20 @@ def test_validate_idempotent():
 
 def test_primes_of_one_datum_share_one_level_data():
     quaternion = simple_quaternion(R5, m=2, ram=resolve_ramification(R5, [(11, 1), (11, 1)]))
+    # what validation reads is the datum's own, fixed when it is built
+    assert quaternion.ramified_primes == {11}
+    assert quaternion.bad_product == 5 * 11 * 11
     s7, s13 = validate_setting(quaternion, 6, 7), validate_setting(quaternion, 6, 13)
-    assert s7.level_data is s13.level_data
-    assert s7.level_data is quaternion.level_data(6)
-    assert (s7.level_data.degree, s7.level_data.m) == (2, 2)
-    assert s7.level_data.ramified_primes == {11}
+    assert not quaternion._levels  # validation builds no per-level part
+    # the bound's per-level part is built on the first record and shared
+    c7 = final_bound(s7).constant
+    assert list(quaternion._levels) == [6]
+    assert final_bound(s13).constant is c7
     # another level, or an equal datum built afresh, has its own
-    assert validate_setting(quaternion, 7, 13).level_data is not s7.level_data
+    assert final_bound(validate_setting(quaternion, 7, 13)).constant is not c7
     fresh = simple_quaternion(R5, m=2, ram=quaternion.ramified_places)
     assert fresh == quaternion
-    assert validate_setting(fresh, 6, 7).level_data is not s7.level_data
+    assert final_bound(validate_setting(fresh, 6, 7)).constant is not c7
 
 
 def test_delta_prime_parity_partition():

@@ -23,7 +23,7 @@ RAM = ((11, 1), (11, 1))
 
 
 def _datum():
-    # a fresh datum each call: equal to every other one, with its own LevelData
+    # a fresh datum each call: equal to every other one, with its own per-level memo
     return QuaternionData(R5, resolve_ramification(R5, list(RAM)), 2)
 
 
@@ -31,8 +31,8 @@ def _fields_of(value, names):
     return tuple(getattr(value, name) for name in names)
 
 
-SETTING_FIELDS = ("quaternion", "level", "p", "level_data", "places_over_p",
-                  "delta_prime_at_p", "even_places_at_p")
+SETTING_FIELDS = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p",
+                  "even_places_at_p")
 REPORT_FIELDS = ("setting", "zeta_values", "constant", "level_group_order", "mass",
                  "irr_count", "dim_bound", "final_bound", "asymptotic_exponent")
 
@@ -57,7 +57,7 @@ def test_settings_compare_on_datum_level_and_p_only():
     a, b = _datum(), _datum()
     assert a is not b and a == b and hash(a) == hash(b)
     s, t = validate_setting(a, 3, 19), validate_setting(b, 3, 19)
-    assert s.level_data is not t.level_data
+    assert final_bound(s).constant is not final_bound(t).constant
     assert s == t and hash(s) == hash(t)
     assert hash(s) == hash((s.quaternion, 3, 19))
     assert s != validate_setting(a, 3, 29)
@@ -67,19 +67,19 @@ def test_settings_compare_on_datum_level_and_p_only():
 
 
 def test_setting_built_directly_is_the_validated_setting():
-    # the constructor derives the level datum and the places over p itself
+    # the constructor derives the places over p itself
     datum = _datum()
     for level, p in ((3, 19), (3, 2), (4, 7), (6, 29)):
         direct, checked = ShimuraSetting(datum, level, p), validate_setting(datum, level, p)
         assert direct == checked and hash(direct) == hash(checked)
         assert repr(direct) == repr(checked)
         assert _fields_of(direct, SETTING_FIELDS) == _fields_of(checked, SETTING_FIELDS)
-        assert direct.level_data is datum.level_data(level)
+        assert final_bound(direct).constant is final_bound(checked).constant
 
 
 def test_datum_compares_on_field_places_and_m():
     a = _datum()
-    a.level_data(3)
+    final_bound(validate_setting(a, 3, 19))  # fills a's per-level memo
     b = _datum()
     assert a == b and hash(a) == hash((R5, a.ramified_places, 2))
     assert a != QuaternionData(R5, a.ramified_places, 1)
@@ -156,7 +156,7 @@ def test_reprs():
     s = validate_setting(datum, 3, 19)
     setting_text = (
         f"ShimuraSetting(quaternion={datum_text}, level=3, p=19, "
-        f"level_data={s.level_data!r}, places_over_p=(Place(19^1,0), Place(19^1,1)), "
+        "places_over_p=(Place(19^1,0), Place(19^1,1)), "
         "delta_prime_at_p=(Place(19^1,0), Place(19^1,1)), even_places_at_p=())"
     )
     assert repr(s) == setting_text
@@ -175,4 +175,4 @@ def test_values_survive_pickling():
     for value in (QuadraticCharacter(5), R5, Place(11, 1, 1), s.quaternion, s, final_bound(s)):
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
-        assert repr(copy).split(" level_data=")[0] == repr(value).split(" level_data=")[0]
+        assert repr(copy) == repr(value)
