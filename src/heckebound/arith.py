@@ -291,12 +291,24 @@ _PSI = (
 )
 
 
+# (lo, flags) of the last window primes_between sieved: flags[n - lo] is 1
+# exactly when n is in the list it returned.  Each call replaces the pair;
+# windows are never merged.
+_sieved: tuple[int, bytearray] = (0, bytearray())
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first k prime bases, k the least with n < psi_k.
 
     Proven deterministic for n < psi_12 = 318665857834031151167461; at or
     above that bound the answer is a 12-base strong-probable-prime test.
+    An n inside the last window primes_between sieved is answered from
+    that window's flags, which hold the same answer, so a swept prime is
+    proven once.
     """
+    lo, flags = _sieved
+    if 0 <= n - lo < len(flags):
+        return flags[n - lo] == 1
     if n < 2:
         return False
     if gcd(n, _BASES_PRODUCT) != 1:
@@ -329,8 +341,11 @@ def primes_between(lo: int, hi: int) -> list[int]:
     The window is crossed off by the primes up to b = min(isqrt(hi),
     10^5), themselves sieved.  A survivor below (b + 1)^2 has no prime
     factor up to its square root and is prime; one at or above it (only
-    when hi > 10^10) is decided by is_prime.
+    when hi > 10^10) is decided by is_prime.  The window's flags are kept
+    until the next call, so is_prime answers for any n in [lo, hi]
+    without a second Miller-Rabin test.
     """
+    global _sieved
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -344,11 +359,14 @@ def primes_between(lo: int, hi: int) -> list[int]:
     for q in itertools.compress(range(b + 1), small):
         start = max(q * q, -(-lo // q) * q)
         window[start - lo::q] = bytes(len(range(start, hi + 1, q)))
-    proven = (b + 1) ** 2
-    return [
-        n for n in itertools.compress(range(lo, hi + 1), window)
-        if n < proven or is_prime(n)
-    ]
+    # the survivors from (b + 1)^2 on are proven before the window is kept,
+    # so is_prime cannot read a survivor's flag as its own proof
+    start = max(lo, (b + 1) ** 2)
+    for n in itertools.compress(range(start, hi + 1), window[start - lo:]):
+        if not is_prime(n):
+            window[n - lo] = 0
+    _sieved = (lo, window)
+    return list(itertools.compress(range(lo, hi + 1), window))
 
 
 def von_staudt_clausen_denominator(n: int) -> int:

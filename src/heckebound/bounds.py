@@ -89,10 +89,14 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
     d, m = setting.degree, setting.m
     sign = -1 if (d * m * (m + 1) // 2) % 2 else 1
     value = Fraction(sign, 2 ** (m * d))
-    for i, term in enumerate(quaternion.zeta_values, start=1):
+    # the integer product of the local factors first, so each zeta value
+    # meets one Fraction product, not one per ramified place
+    for i, zeta in enumerate(quaternion.zeta_values, start=1):
+        sign_i = (-1) ** i
+        local = 1
         for v in quaternion.ramified_places:
-            term *= v.residue_cardinality**i + (-1) ** i
-        value *= term
+            local *= v.residue_cardinality**i + sign_i
+        value *= zeta * local
     if value <= 0:
         raise InternalCheckError(f"bound constant {value} is not positive")
     return value

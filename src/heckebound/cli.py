@@ -31,7 +31,6 @@ from .numberfield import (
     Place,
     QuaternionData,
     SettingError,
-    resolve_ramification,
     validate_setting,
 )
 
@@ -225,10 +224,8 @@ def compute_records(
     # prime, ahead of the per-p checks
     quaternion, quaternion_error = None, None
     try:
-        quaternion = QuaternionData(
-            field=config.field,
-            ramified_places=resolve_ramification(config.field, config.ramification),
-            m=config.m,
+        quaternion = QuaternionData.from_ramification(
+            config.field, config.ramification, config.m
         )
     except SettingError as exc:
         quaternion_error = exc

@@ -101,10 +101,13 @@ class FieldSpec(_Value):
 class Place(_Value):
     """A finite place, identified by its residue prime, residue degree,
     and an index separating the two places over a split prime.  Places
-    are ordered by these fields in turn, then by ramified."""
+    are ordered by these fields in turn, then by ramified.  The residue
+    cardinality q_v = residue_prime^residue_degree is derived on
+    construction and is neither compared, hashed nor shown."""
 
-    __slots__ = ("residue_prime", "residue_degree", "index", "ramified")
-    _fields = __slots__
+    __slots__ = ("residue_prime", "residue_degree", "index", "ramified",
+                 "residue_cardinality")
+    _fields = __slots__[:4]
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, residue_prime: int, residue_degree: int, index: int = 0,
@@ -114,15 +117,12 @@ class Place(_Value):
         setter(self, "residue_degree", residue_degree)
         setter(self, "index", index)
         setter(self, "ramified", ramified)
+        setter(self, "residue_cardinality", residue_prime**residue_degree)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() < other._key()
-
-    @property
-    def residue_cardinality(self) -> int:
-        return self.residue_prime ** self.residue_degree
 
     def __repr__(self) -> str:
         tag = "r" if self.ramified else str(self.index)
@@ -163,7 +163,12 @@ class QuaternionData(_Value):
     bad_product, the field discriminant times the residue prime of each
     ramified place; the cached zeta_values (hence the __dict__ slot);
     and _levels, an empty dict in which bounds keeps the bound's
-    per-level part.  None of these is compared, hashed or shown."""
+    per-level part.  None of these is compared, hashed or shown.
+
+    The constructor proves each ramified place's residue prime and
+    re-derives its splitting; from_ramification builds the datum from
+    the user's (prime, residue degree) pairs, which resolve_ramification
+    has already checked that way."""
 
     __slots__ = ("field", "ramified_places", "m", "ramified_primes", "bad_product",
                  "_levels", "__dict__")
@@ -171,28 +176,7 @@ class QuaternionData(_Value):
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
-        if m < 1:
-            _fail("m_not_positive", f"module rank m must be >= 1, got {m}")
-        # the zeta power sums grow like D*m^2 and the bound's decimal text
-        # like (d*m^2)^2; these two caps keep one record under about two
-        # seconds for every N <= 10^12 and p <= 10^18 (measured in ROADMAP)
-        limit = min(
-            isqrt(2_500 // field.degree),
-            isqrt(3_200_000 // field.discriminant),
-        )
-        if m > limit:
-            _fail(
-                "m_too_large",
-                f"module rank m must be <= {limit} for this field, got {m}",
-            )
-        if len(ramified_places) % 2 != 0:
-            _fail(
-                "odd_ramification_set",
-                "a totally indefinite quaternion algebra is ramified at an "
-                f"even number of finite places, got {len(ramified_places)}",
-            )
-        if len(set(ramified_places)) != len(ramified_places):
-            _fail("duplicate_place", "ramified places must be pairwise distinct")
+        _check_rank_and_count(field, ramified_places, m)
         for v in ramified_places:
             if not _proven_prime(
                 v.residue_prime, "ramified prime", "ramified_prime_too_large"
@@ -207,6 +191,23 @@ class QuaternionData(_Value):
                     "residue_degree_mismatch",
                     f"{v!r} is not a place of the field",
                 )
+        self._set_fields(field, ramified_places, m)
+
+    @classmethod
+    def from_ramification(
+        cls, field: FieldSpec, pairs: list[tuple[int, int]], m: int
+    ) -> "QuaternionData":
+        """The datum of resolve_ramification(field, pairs) and m, with the
+        same errors in the same order as QuaternionData(field,
+        resolve_ramification(field, pairs), m); each entry's prime is
+        proven once, by resolve_ramification."""
+        places = resolve_ramification(field, pairs)
+        _check_rank_and_count(field, places, m)
+        datum = cls.__new__(cls)
+        datum._set_fields(field, places, m)
+        return datum
+
+    def _set_fields(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
         setter = object.__setattr__
         setter(self, "field", field)
         setter(self, "ramified_places", tuple(sorted(ramified_places)))
@@ -224,6 +225,34 @@ class QuaternionData(_Value):
         """(zeta_F(-1), zeta_F(-3), ..., zeta_F(1-2m)), computed on first
         use and shared by every prime p of a run."""
         return tuple(zeta_special_value(self.field, j) for j in range(1, self.m + 1))
+
+
+def _check_rank_and_count(
+    field: FieldSpec, ramified_places: tuple[Place, ...], m: int
+) -> None:
+    # the datum's checks that read no single place, in their documented order
+    if m < 1:
+        _fail("m_not_positive", f"module rank m must be >= 1, got {m}")
+    # the zeta power sums grow like D*m^2 and the bound's decimal text
+    # like (d*m^2)^2; these two caps keep one record under about two
+    # seconds for every N <= 10^12 and p <= 10^18 (measured in ROADMAP)
+    limit = min(
+        isqrt(2_500 // field.degree),
+        isqrt(3_200_000 // field.discriminant),
+    )
+    if m > limit:
+        _fail(
+            "m_too_large",
+            f"module rank m must be <= {limit} for this field, got {m}",
+        )
+    if len(ramified_places) % 2 != 0:
+        _fail(
+            "odd_ramification_set",
+            "a totally indefinite quaternion algebra is ramified at an "
+            f"even number of finite places, got {len(ramified_places)}",
+        )
+    if len(set(ramified_places)) != len(ramified_places):
+        _fail("duplicate_place", "ramified places must be pairwise distinct")
 
 
 def resolve_ramification(
@@ -277,8 +306,11 @@ class ShimuraSetting(_Value):
         self.level = level
         self.p = p
         places = self.places_over_p = tuple(_places_over(quaternion.field, p))
-        self.delta_prime_at_p = tuple(v for v in places if v.residue_degree % 2 == 1)
-        self.even_places_at_p = tuple(v for v in places if v.residue_degree % 2 == 0)
+        # F is Galois over Q, so every place over p has the same residue degree
+        if places[0].residue_degree % 2:
+            self.delta_prime_at_p, self.even_places_at_p = places, ()
+        else:
+            self.delta_prime_at_p, self.even_places_at_p = (), places
 
     @property
     def delta_prime_away(self) -> tuple[Place, ...]:
@@ -333,13 +365,14 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
     p_divides_level, p_ramified_in_field, p_in_ramification_set,
     level_not_coprime.  The checks on N and p are check_level_and_prime,
     as for siegel_bound; the rest read the datum's ramified_primes and
-    take one gcd of N with its bad_product.  Per p this proves p prime,
-    tests p against N, the field discriminant and the ramified places,
-    and builds the setting, which splits p.  The p-independent checks,
-    including that every ramified place is a place of the field, ran
-    once when the QuaternionData was built (codes m_not_positive,
-    m_too_large, odd_ramification_set, duplicate_place,
-    ramified_prime_too_large, ramified_prime_not_prime,
+    take one gcd of N with its bad_product.  Per p this proves p prime
+    (for a p in the window arith.primes_between sieved last, is_prime
+    reads the sieve's proof), tests p against N, the field discriminant
+    and the ramified places, and builds the setting, which splits p.
+    The p-independent checks, including that every ramified place is a
+    place of the field, ran once when the QuaternionData was built
+    (codes m_not_positive, m_too_large, odd_ramification_set,
+    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
     residue_degree_mismatch).
     """
     check_level_and_prime(level, p)

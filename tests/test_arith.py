@@ -437,10 +437,13 @@ def test_is_prime_agrees_with_twelve_bases(n):
 )
 def test_primes_between_is_the_is_prime_filter(base, offset, width):
     # windows both sieved to their square root and above 10^10, where
-    # survivors of the partial sieve go to is_prime
+    # survivors of the partial sieve go to is_prime; the reference is the
+    # twelve-base test, since is_prime answers from the window just sieved
     lo = base + offset
     hi = lo + width
-    assert primes_between(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert primes_between(lo, hi) == [
+        n for n in range(lo, hi + 1) if _is_prime_12_bases(n)
+    ]
 
 
 def test_primes_between_matches_a_full_sieve():
@@ -452,6 +455,47 @@ def test_primes_between_matches_a_full_sieve():
     # is_prime can reject
     square = 100003**2
     assert primes_between(square - 10, square + 10) == [
-        n for n in range(square - 10, square + 11) if is_prime(n)
+        n for n in range(square - 10, square + 11) if _is_prime_12_bases(n)
     ]
     assert square not in primes_between(square - 10, square + 10)
+
+
+# (lo, hi) windows: below 10^5, from below 2, across 10^10 and at 10^18,
+# and the prime gap 10000600003 .. 10000600037 around 100003^2, the one
+# survivor of the partial sieve there, which the window must hold as composite
+_WINDOWS = (
+    (1_000, 3_000),
+    (-5, 60),
+    (10**10 - 300, 10**10 + 300),
+    (10**18, 10**18 + 200),
+    (10_000_600_004, 10_000_600_036),
+)
+
+
+@pytest.mark.parametrize("lo, hi", _WINDOWS)
+def test_is_prime_after_a_sieve_agrees_with_twelve_bases(lo, hi):
+    primes = primes_between(lo, hi)
+    if lo == 10_000_600_004:
+        assert primes == []
+    for n in range(lo - 50, hi + 51):
+        assert is_prime(n) == _is_prime_12_bases(n), n
+
+
+def test_a_second_window_replaces_the_first(monkeypatch):
+    # counts the Miller-Rabin modular powers of is_prime
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pow(*args)
+
+    primes_between(1_000, 1_100)
+    monkeypatch.setattr(arith, "pow", counted, raising=False)
+    assert is_prime(1_009) and not is_prime(1_011)
+    assert calls[0] == 0
+    primes_between(5_000, 5_100)
+    assert is_prime(5_003) and calls[0] == 0
+    # 1009 lies outside the kept window now: Miller-Rabin proves it again
+    assert is_prime(1_009)
+    assert calls[0] == 1
+    assert arith._sieved[0] == 5_000 and len(arith._sieved[1]) == 101

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import heckebound.bounds as bounds_mod
 import heckebound.numberfield as numberfield_mod
-from heckebound.arith import InternalCheckError, is_fundamental_discriminant
+from heckebound.arith import (
+    InternalCheckError,
+    is_fundamental_discriminant,
+    is_prime,
+    zeta_special_value,
+)
 from heckebound.bounds import (
     asymptotic_check,
     asymptotic_exponent,
@@ -22,6 +27,7 @@ from heckebound.numberfield import (
     FieldSpec,
     QuaternionData,
     SettingError,
+    ShimuraSetting,
     resolve_ramification,
     split_prime,
     validate_setting,
@@ -331,3 +337,34 @@ def test_random_settings_satisfy_the_exact_identities(datum_and_level, start):
     exponent = d * m * m + d * m + 1
     samples = _next_settings(datum, level, start, exponent + 2, degree_one=True)
     assert detect_p_degree(samples) == exponent
+
+
+def _direct_bound_constant(datum):
+    # the formula term by term: one Fraction product per local factor
+    d, m = datum.field.degree, datum.m
+    value = Fraction((-1) ** (d * m * (m + 1) // 2), 2 ** (m * d))
+    for i in range(1, m + 1):
+        value *= zeta_special_value(datum.field, i)
+        for v in datum.ramified_places:
+            value *= Fraction(v.residue_cardinality**i + (-1) ** i)
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((1, 5, 8, 13)),
+    st.lists(st.sampled_from(range(40)), max_size=24, unique=True),
+    st.integers(1, 5),
+)
+def test_bound_constant_is_the_direct_product(disc, picks, m):
+    # random ramification sets of the places over the primes below 100
+    fld = FieldSpec(disc)
+    places = [v for ell in range(2, 100) if is_prime(ell) and disc % ell
+              for v in split_prime(fld, ell)]
+    ram = [places[k % len(places)] for k in picks]
+    ram = tuple(dict.fromkeys(ram))[: len(set(ram)) // 2 * 2]
+    datum = QuaternionData(fld, ram, m)
+    p = next(q for q in range(101, 200) if is_prime(q) and disc % q)
+    constant = bound_constant(ShimuraSetting(datum, 3, p))
+    assert constant == _direct_bound_constant(datum) > 0
+

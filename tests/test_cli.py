@@ -8,7 +8,7 @@ import resource
 import subprocess
 import sys
 import time
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -476,6 +476,46 @@ def test_many_ramification_entries_resolve_in_linear_time(tmp_path):
     assert elapsed < 8, elapsed
 
 
+def test_each_ramification_entry_is_proven_once():
+    # the datum's places come from resolve_ramification, which proves each
+    # entry; the datum does not prove them again
+    primes = arith_mod.primes_between(7, 2_000)[:200]
+    ram = [{"prime": ell, "residue_degree": 1} for ell in primes]
+    counts = []
+    for doc in (SIEGEL_DOC, dict(SIEGEL_DOC, quaternion_ramification=ram)):
+        arith_mod.primes_between(2, 3)  # keep no window that holds the entries
+        config = parse_config(doc)
+        (records, status), calls = _profiled_calls(
+            (arith_mod.is_prime,), lambda: compute_records(config)
+        )
+        assert status == EXIT_OK
+        counts.append(calls["is_prime"])
+    assert counts[1] - counts[0] == len(primes)
+
+
+def test_each_swept_prime_is_proven_once(monkeypatch):
+    # past (10^5 + 1)^2 the sieve proves its survivors by Miller-Rabin;
+    # validation reads that proof from the kept window and adds no
+    # modular power
+    doc = dict(SWEEP_DOC, p_sweep={"from": 10**11, "to": 10**11 + 600})
+    config = parse_config(doc)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(arith_mod, "pow", counted, raising=False)
+    arith_mod.primes_between(2, 3)
+    primes = arith_mod.primes_between(*config.sweep)
+    sieve_calls, calls[0] = calls[0], 0
+    arith_mod.primes_between(2, 3)
+    records, status = compute_records(config)
+    assert status == EXIT_OK
+    assert [r.p for r in records] == primes and len(primes) > 20
+    assert 0 < calls[0] <= sieve_calls
+
+
 def _profiled_calls(functions, run):
     """run(), returning the number of calls to each of functions, however
     the caller reached it."""
@@ -855,6 +895,12 @@ def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):
 _FIELDS = (1, 5, 8, 13)
 
 
+def _trial_division_prime(n):
+    # a sweep's reference primes: is_prime answers from the window the
+    # sweep itself sieved, so it would check the sweep against itself
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 @st.composite
 def _sweep_configs(draw):
     disc = draw(st.sampled_from(_FIELDS))
@@ -892,7 +938,7 @@ def test_shared_datum_matches_fresh_per_prime_records(doc):
     records = json.loads(render_json(config, records))
     lo, hi = config.sweep
     assert [r["input"]["p"] for r in records] == [
-        p for p in range(lo, hi + 1) if is_prime(p)
+        p for p in range(lo, hi + 1) if _trial_division_prime(p)
     ]
     for record in records:
         p = record["input"]["p"]
@@ -1096,7 +1142,7 @@ def test_sweep_error_records_follow_the_documented_order(datum, lo, width):
     config = parse_config(doc)
     records, status = compute_records(config)
     assert [r.p for r in records] == [
-        p for p in range(lo, lo + width + 1) if is_prime(p)
+        p for p in range(lo, lo + width + 1) if _trial_division_prime(p)
     ]
     codes = [r.error.code if r.error else None for r in records]
     assert codes == [_reference_code(fld, ram, level, r.p) for r in records]

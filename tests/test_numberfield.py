@@ -2,6 +2,8 @@ import itertools
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckebound.arith import is_prime, kronecker
 from heckebound.bounds import final_bound
@@ -262,3 +264,27 @@ def test_field_spec_validation():
         with pytest.raises(SettingError) as err:
             FieldSpec.real_quadratic(disc)
         assert err.value.code == "disc_too_large"
+
+
+def _datum_outcome(build):
+    try:
+        datum = build()
+    except SettingError as exc:
+        return exc.code, str(exc)
+    return datum, datum.ramified_primes, datum.bad_product
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((Q, R5, R8, FieldSpec(13))),
+    st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13, 17, 19, PSI_12)),
+                       st.integers(1, 3)), max_size=6),
+    st.integers(-1, 52),
+)
+def test_datum_from_ramification_is_the_datum_of_the_resolved_places(fld, pairs, m):
+    # the same datum, or the same first error, as resolving the pairs and
+    # building the datum from the places
+    assert _datum_outcome(lambda: QuaternionData.from_ramification(fld, pairs, m)) == (
+        _datum_outcome(lambda: QuaternionData(fld, resolve_ramification(fld, pairs), m))
+    )
+

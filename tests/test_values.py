@@ -176,3 +176,24 @@ def test_values_survive_pickling():
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
         assert repr(copy) == repr(value)
+
+
+def test_place_residue_cardinality_is_derived_and_not_compared():
+    # q_v is a slot filled on construction: equality, hash, pickle and
+    # repr read the four fields alone, and q_v cannot be assigned
+    for v, q in ((Place(7, 2), 49), (Place(11, 1, index=1), 11),
+                 (Place(5, 1, ramified=True), 5)):
+        assert v.residue_cardinality == q
+        assert v == Place(v.residue_prime, v.residue_degree, v.index, v.ramified)
+        assert hash(v) == hash((v.residue_prime, v.residue_degree, v.index, v.ramified))
+        assert v.__reduce__() == (Place, (v.residue_prime, v.residue_degree, v.index,
+                                          v.ramified))
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v and copy.residue_cardinality == q
+        with pytest.raises(AttributeError):
+            v.residue_cardinality = q + 1
+        with pytest.raises(AttributeError):
+            del v.residue_cardinality
+        assert v.residue_cardinality == q
+    assert repr(Place(7, 2)) == "Place(7^2,0)"
+    assert "residue_cardinality" not in Place._fields
