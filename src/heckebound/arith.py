@@ -223,18 +223,13 @@ def generalized_bernoulli(n: int, chi: QuadraticCharacter) -> Fraction:
     return total / d
 
 
-def _dirichlet_l_negative(n: int, chi: QuadraticCharacter) -> Fraction:
-    # L(1-n, chi) = -B_{n,chi}/n for n >= 1
-    return -generalized_bernoulli(n, chi) / n
-
-
 def zeta_special_value(field: "FieldSpec", j: int) -> Fraction:
     """zeta_F(1-2j) for the rationals or a real quadratic field F.
 
-    Over the rationals this is -B_{2j}/(2j); for real quadratic F with
-    character chi_D it is the product zeta(1-2j) * L(1-2j, chi_D).  The
-    result is nonzero of sign (-1)^(d*j); a violation raises
-    InternalCheckError.
+    Over the rationals this is -B_{2j}/(2j); for real quadratic F it is
+    the product zeta(1-2j) * L(1-2j, chi_D), with chi_D the character the
+    field spec built once.  The result is nonzero of sign (-1)^(d*j); a
+    violation raises InternalCheckError.
     """
     if j < 1:
         raise ValueError("zeta argument index j must be >= 1")
@@ -243,13 +238,25 @@ def zeta_special_value(field: "FieldSpec", j: int) -> Fraction:
         raise ValueError(f"unsupported field degree {d}")
     value = -bernoulli(2 * j) / (2 * j)
     if d == 2:
-        value *= _dirichlet_l_negative(2 * j, field.quadratic_character)
+        # L(1-2j, chi_D) = -B_{2j,chi_D}/(2j)
+        value *= -generalized_bernoulli(2 * j, field.quadratic_character) / (2 * j)
     expected_sign = -1 if (d * j) % 2 else 1
     if value == 0 or (value > 0) != (expected_sign > 0):
         raise InternalCheckError(
             f"zeta_F(1-2j) sign violated for disc={field.discriminant}, j={j}"
         )
     return value
+
+
+def balanced_product(factors) -> int:
+    """The product of the integers, 1 for none, multiplied in pairs round
+    by round: operands of like size keep it near-linear in the size of
+    the result, where a running product is quadratic."""
+    values = list(factors) or [1]
+    while len(values) > 1:
+        values = [a * b for a, b in
+                  itertools.zip_longest(values[::2], values[1::2], fillvalue=1)]
+    return values[0]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

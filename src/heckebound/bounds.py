@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import InternalCheckError, _Value, bernoulli, factorize
+from .arith import InternalCheckError, _Value, balanced_product, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
 from .numberfield import SettingError, ShimuraSetting, check_level_and_prime
 
@@ -93,10 +93,9 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
     # meets one Fraction product, not one per ramified place
     for i, zeta in enumerate(quaternion.zeta_values, start=1):
         sign_i = (-1) ** i
-        local = 1
-        for v in quaternion.ramified_places:
-            local *= v.residue_cardinality**i + sign_i
-        value *= zeta * local
+        value *= zeta * balanced_product(
+            v.residue_cardinality**i + sign_i for v in quaternion.ramified_places
+        )
     if value <= 0:
         raise InternalCheckError(f"bound constant {value} is not positive")
     return value

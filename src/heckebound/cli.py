@@ -291,39 +291,6 @@ def _places_csv(places: tuple[Place, ...]) -> str:
     return ";".join(f"{v.residue_prime}^{v.residue_degree}" for v in places)
 
 
-class _SharedCells:
-    """The p-independent fields of a run's successful records."""
-
-    __slots__ = ("zeta_F", "C_B", "level_group_order", "asymptotic_exponent", "away")
-
-    def __init__(
-        self,
-        zeta_F: list[str],
-        C_B: str,
-        level_group_order: str,
-        asymptotic_exponent: int,
-        away: tuple[Place, ...],
-    ):
-        self.zeta_F = zeta_F
-        self.C_B = C_B
-        self.level_group_order = level_group_order
-        self.asymptotic_exponent = asymptotic_exponent
-        self.away = away
-
-
-def _shared_cells(records: list[Record]) -> _SharedCells | None:
-    report = next((r.report for r in records if r.report is not None), None)
-    if report is None:
-        return None
-    return _SharedCells(
-        zeta_F=[_frac_str(z) for z in report.zeta_values],
-        C_B=_frac_str(report.constant),
-        level_group_order=str(report.level_group_order),
-        asymptotic_exponent=report.asymptotic_exponent,
-        away=report.setting.delta_prime_away,
-    )
-
-
 def render_json(config: RunConfig, records: list[Record]) -> str:
     """The records as json.dumps(..., indent=2) would lay out their
     documents, with the shared text built once."""
@@ -346,19 +313,21 @@ def render_json(config: RunConfig, records: list[Record]) -> str:
     )
     # the echo without its closing brace, then p
     head = '  {\n    "input": ' + echo.rpartition("\n")[0] + ',\n      "p": '
-    shared = _shared_cells(records)
-    if shared is not None:
+    first = next((r.report for r in records if r.report is not None), None)
+    if first is not None:
+        zeta_text = _json_at([_frac_str(z) for z in first.zeta_values], 2)
         before_mass = (
-            f'\n    }},\n    "zeta_F": {_json_at(shared.zeta_F, 2)},'
-            f'\n    "C_B": {json.dumps(shared.C_B)},'
-            f'\n    "level_group_order": {json.dumps(shared.level_group_order)},'
+            f'\n    }},\n    "zeta_F": {zeta_text},'
+            f'\n    "C_B": "{_frac_str(first.constant)}",'
+            f'\n    "level_group_order": "{first.level_group_order}",'
             '\n    "mass": "'
         )
         before_at_p = (
-            f'",\n    "asymptotic_exponent": {shared.asymptotic_exponent},'
+            f'",\n    "asymptotic_exponent": {first.asymptotic_exponent},'
             '\n    "delta_prime": {\n      "at_p": '
         )
-        after_at_p = f',\n      "away": {_places_json(shared.away)}\n    }}'
+        away = _places_json(first.setting.delta_prime_away)
+        after_at_p = f',\n      "away": {away}\n    }}'
     parts = []
     for r in records:
         if r.error is not None:
@@ -403,13 +372,15 @@ def render_csv(records: list[Record]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    shared = _shared_cells(records)
-    if shared is not None:
-        zeta_cell = ";".join(shared.zeta_F)
-        away_cell = _places_csv(shared.away)
+    first = next((r.report for r in records if r.report is not None), None)
+    if first is not None:
+        zeta_cell = ";".join(_frac_str(z) for z in first.zeta_values)
+        constant_cell = _frac_str(first.constant)
+        away_cell = _places_csv(first.setting.delta_prime_away)
+    error_padding = [""] * (len(_CSV_COLUMNS) - 2)
     for r in records:
         if r.error is not None:
-            writer.writerow([r.p, r.error.code] + [""] * 11)
+            writer.writerow([r.p, r.error.code] + error_padding)
             continue
         if r.oracle is None:
             oracle_cell = ""
@@ -422,13 +393,13 @@ def render_csv(records: list[Record]) -> str:
             r.p,
             "",
             zeta_cell,
-            shared.C_B,
-            shared.level_group_order,
+            constant_cell,
+            first.level_group_order,
             report.mass,
             report.irr_count,
             report.dim_bound,
             report.final_bound,
-            shared.asymptotic_exponent,
+            first.asymptotic_exponent,
             _places_csv(report.setting.delta_prime_at_p),
             away_cell,
             oracle_cell,

@@ -7,7 +7,7 @@ Sylow dimension bound.
 from __future__ import annotations
 
 from .arith import factorize
-from .numberfield import ShimuraSetting, split_prime
+from .numberfield import ShimuraSetting, _places_over
 
 __all__ = [
     "gl_order",
@@ -61,14 +61,16 @@ def level_group_order(setting: ShimuraSetting) -> int:
     one similitude unit shared by all places over ell.  The lift exponent
     per extra power of ell is the relative dimension 2m^2 + m of the
     symplectic factor, which is smooth at primes coprime to the
-    discriminant data (enforced by validation).
+    discriminant data (enforced by validation).  The primes of N are
+    proven by factorize's trial division, so they are split without a
+    second primality test.
     """
     m = setting.m
     lift_dim = 2 * m * m + m
     order = 1
     for ell, a in factorize(setting.level):
         local = ell ** (a - 1) * (ell - 1)
-        for w in split_prime(setting.field, ell):
+        for w in _places_over(setting.field, ell):
             qw = w.residue_cardinality
             local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
         order *= local

@@ -10,12 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import gcd, isqrt
+from operator import attrgetter
 
 from .arith import (
     QuadraticCharacter,
     _read_only,
     _Value,
-    is_fundamental_discriminant,
+    balanced_product,
     is_prime,
     kronecker,
     zeta_special_value,
@@ -48,16 +49,20 @@ def _fail(code: str, message: str):
 
 class FieldSpec(_Value):
     """The rationals (discriminant 1) or a real quadratic field given by
-    its positive fundamental discriminant; degree, 1 or 2, is derived
-    from it on construction."""
+    its positive fundamental discriminant.  Derived on construction, and
+    neither compared, hashed nor shown: degree, 1 or 2, and
+    quadratic_character, None over the rationals and otherwise chi_D,
+    whose constructor is the one proof that D is fundamental."""
 
-    __slots__ = ("discriminant", "degree")
+    __slots__ = ("discriminant", "degree", "quadratic_character")
     _fields = __slots__[:1]
     __setattr__ = __delattr__ = _read_only
 
     def __init__(self, discriminant: int):
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "degree", 1 if discriminant == 1 else 2)
+        setter = object.__setattr__
+        setter(self, "discriminant", discriminant)
+        setter(self, "degree", 1 if discriminant == 1 else 2)
+        setter(self, "quadratic_character", None)
         if discriminant == 1:
             return
         if discriminant > 200_000:
@@ -67,7 +72,9 @@ class FieldSpec(_Value):
                 "disc_too_large",
                 f"discriminant must be <= 200000, got {discriminant}",
             )
-        if discriminant < 1 or not is_fundamental_discriminant(discriminant):
+        try:
+            setter(self, "quadratic_character", QuadraticCharacter(discriminant))
+        except ValueError:
             _fail(
                 "bad_discriminant",
                 f"{discriminant} is not a positive fundamental discriminant",
@@ -86,10 +93,6 @@ class FieldSpec(_Value):
     @property
     def is_rational(self) -> bool:
         return self.discriminant == 1
-
-    @property
-    def quadratic_character(self) -> QuadraticCharacter:
-        return QuadraticCharacter(self.discriminant)
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -127,6 +130,9 @@ class Place(_Value):
     def __repr__(self) -> str:
         tag = "r" if self.ramified else str(self.index)
         return f"Place({self.residue_prime}^{self.residue_degree},{tag})"
+
+
+_place_order = attrgetter(*Place._fields)
 
 
 def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
@@ -210,14 +216,14 @@ class QuaternionData(_Value):
     def _set_fields(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
         setter = object.__setattr__
         setter(self, "field", field)
-        setter(self, "ramified_places", tuple(sorted(ramified_places)))
+        # one key per place, read from the fields Place orders by
+        setter(self, "ramified_places",
+               tuple(sorted(ramified_places, key=_place_order)))
         setter(self, "m", m)
         setter(self, "ramified_primes",
                frozenset(v.residue_prime for v in ramified_places))
-        bad = field.discriminant
-        for v in ramified_places:
-            bad *= v.residue_prime
-        setter(self, "bad_product", bad)
+        setter(self, "bad_product", field.discriminant
+               * balanced_product(v.residue_prime for v in ramified_places))
         setter(self, "_levels", {})
 
     @cached_property

@@ -5,13 +5,14 @@ from functools import cache
 from math import comb, gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckebound.arith as arith
 from heckebound.arith import (
     InternalCheckError,
     QuadraticCharacter,
+    balanced_product,
     bernoulli,
     generalized_bernoulli,
     is_fundamental_discriminant,
@@ -413,6 +414,18 @@ def _is_prime_12_bases(n: int) -> bool:
         else:
             return False
     return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), max_size=70))
+@example([])
+@example([7])
+def test_balanced_product_is_the_sequential_product(factors):
+    expected = 1
+    for x in factors:
+        expected *= x
+    assert balanced_product(factors) == expected
+    assert balanced_product(iter(factors)) == expected
 
 
 @settings(max_examples=500, deadline=None)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -454,12 +455,20 @@ def test_unknown_config_field_is_refused(tmp_path, monkeypatch, capsys, doc, lin
         assert captured.err.splitlines() == [f"error: {line}"]
 
 
-def test_many_ramification_entries_resolve_in_linear_time(tmp_path):
+def _shuffled(items):
+    items = list(items)
+    random.Random(0).shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("order", [reversed, _shuffled], ids=["descending", "shuffled"])
+def test_many_ramification_entries_resolve_in_linear_time(tmp_path, order):
     # 20 000 distinct ramified primes over Q, away from N = 3 and p = 5;
-    # a list scan for the used places made this a run of minutes
+    # a list scan for the used places made this a run of minutes, and a
+    # shuffled order is what a sort by pairwise comparisons pays for
     primes = arith_mod.primes_between(7, 250_000)[:20_000]
     assert len(primes) == 20_000
-    pairs = [(ell, 1) for ell in reversed(primes)]
+    pairs = [(ell, 1) for ell in order(primes)]
     assert resolve_ramification(FieldSpec(1), pairs) == tuple(
         numberfield_mod.Place(ell, 1) for ell, _ in pairs
     )
@@ -474,6 +483,42 @@ def test_many_ramification_entries_resolve_in_linear_time(tmp_path):
     assert "error" not in record
     assert len(record["delta_prime"]["away"]) == 20_000
     assert elapsed < 8, elapsed
+
+
+def test_datum_sorts_its_places_with_one_key_each(monkeypatch):
+    # Place._key builds the tuple equality and hashing read; sorting by
+    # Place.__lt__ would build two per comparison, n log n in all
+    primes = arith_mod.primes_between(7, 20_000)[:2_000]
+    pairs = [(ell, 1) for ell in _shuffled(primes)]
+    calls = [0]
+    real = numberfield_mod.Place._key
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(numberfield_mod.Place, "_key", counted)
+    datum = QuaternionData.from_ramification(FieldSpec(1), pairs, 1)
+    assert [v.residue_prime for v in datum.ramified_places] == primes
+    # the hashes of resolve_ramification's used set and of the duplicate check
+    assert calls[0] <= 4 * len(primes), calls[0]
+
+
+def test_field_discriminant_is_proven_once(monkeypatch):
+    # FieldSpec builds its character, the one proof that D is fundamental;
+    # the zeta values read it and do not prove D again
+    calls = []
+    real = arith_mod.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith_mod, "factorize", counted)
+    doc = dict(SIEGEL_DOC, field={"kind": "real_quadratic", "disc": 5}, m=3, p=7)
+    records, status = compute_records(parse_config(doc))
+    assert status == EXIT_OK and len(records[0].report.zeta_values) == 3
+    assert calls == [5]
 
 
 def test_each_ramification_entry_is_proven_once():

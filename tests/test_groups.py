@@ -2,6 +2,8 @@ from math import gcd
 
 import pytest
 
+import heckebound.arith as arith_mod
+import heckebound.numberfield as numberfield_mod
 from heckebound.groups import (
     dim_bound,
     gl_order,
@@ -63,6 +65,20 @@ def test_level_group_order_values():
     assert level_group_order(setting(R5, 1, 3, 2)) == 1440
     # 7 splits in Q(sqrt 8): two Sp factors over F_7
     assert level_group_order(setting(R8, 1, 7, 3)) == 6 * 336 * 336
+
+
+def test_level_group_order_proves_no_prime_of_the_level(monkeypatch):
+    # factorize's trial division proves the primes of N; splitting them
+    # runs no second primality test
+    s = setting(Q, 1, 3 * 5 * 7 * 11, 2)
+    calls = []
+    for module in (arith_mod, numberfield_mod):
+        real = module.is_prime
+        monkeypatch.setattr(module, "is_prime",
+                            lambda n, real=real: calls.append(n) or real(n))
+    # |GSp_2(Z/ell)| = (ell - 1) * |SL_2(F_ell)| for each ell
+    assert level_group_order(s) == 2 * 24 * 4 * 120 * 6 * 336 * 10 * 1320
+    assert calls == []
 
 
 def test_level_group_order_multiplicative():

@@ -105,6 +105,10 @@ def test_distinct_types_with_equal_fields_differ():
     assert FieldSpec(5).__eq__(QuadraticCharacter(5)) is NotImplemented
     assert FieldSpec(5) != 5 and Place(7, 1) != (7, 1, 0, False)
     assert hash(FieldSpec(5)) == hash(QuadraticCharacter(5)) == hash((5,))
+    # the field's character is derived once, on construction, and is not a field
+    assert R5.quadratic_character is R5.quadratic_character == QuadraticCharacter(5)
+    assert FieldSpec(1).quadratic_character is None
+    assert FieldSpec._fields == ("discriminant",)
     assert hash(Place(7, 1, 1)) == hash((7, 1, 1, False))
 
 
@@ -126,7 +130,7 @@ def test_place_ordering_is_by_prime_degree_index_then_ramified():
 
 @pytest.mark.parametrize("value, names", [
     (QuadraticCharacter(5), ("discriminant",)),
-    (FieldSpec(5), ("discriminant",)),
+    (FieldSpec(5), ("discriminant", "degree", "quadratic_character")),
     (Place(7, 1), ("residue_prime", "residue_degree", "index", "ramified")),
     (_datum(), ("field", "ramified_places", "m")),
 ])
@@ -176,6 +180,9 @@ def test_values_survive_pickling():
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
         assert repr(copy) == repr(value)
+    assert R5.__reduce__() == (FieldSpec, (5,))
+    assert pickle.loads(pickle.dumps(R5)).quadratic_character == QuadraticCharacter(5)
+    assert pickle.loads(pickle.dumps(FieldSpec(1))).quadratic_character is None
 
 
 def test_place_residue_cardinality_is_derived_and_not_compared():
