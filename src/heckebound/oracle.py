@@ -10,9 +10,13 @@ span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
 its count and GSp_2m(Z/N), and one row builder makes the hermitian and
 the alternating masks.  One unitary search finds the similitudes of
 factor 1; those of factor r are these scaled by a lam of norm r.  A group
-multiplies only in one closure walk, which computes x g as one lookup per
-position of x in tables of g built on demand; its conjugacy classes and
-element orders are read off the walk's spanning tree by index lookups.
+multiplies only in one closure walk, which maps all its elements through
+a generator g in one pass: each position's column of values goes through
+a table of g built on demand.  Candidate generators come from a seeded
+Fisher-Yates shuffle run forward, drawn only as far as the walk needs
+them.  Conjugacy classes and element orders are read off the walk's
+spanning tree by index lookups.  The unitary search's matrices share
+their row tuples, one object per distinct row.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so a
 typo in a descriptor cannot start a runaway enumeration.
@@ -25,7 +29,6 @@ import itertools
 import random
 from collections import deque
 from math import gcd, prod
-from operator import getitem
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
@@ -236,19 +239,23 @@ def _matrix_right(ring):
 
 class FqMatrixGroup:
     """A fully enumerated finite group of matrices (or of matrices with
-    a shared similitude unit).  Elements are flat tuples of positions,
-    and right(g) returns one lookup per position such that x g is
-    tuple(map(getitem, right(g), x)): each row of x g is that row of x
-    times g, and a similitude unit is multiplied mod p.
+    a shared similitude unit).  Elements are flat tuples of positions, all
+    of one length, and right(g) returns one lookup per position such that
+    position i of x g is right(g)[i][x[i]]: each row of x g is that row of
+    x times g, and a similitude unit is multiplied mod p.
 
     The elements are numbered once, and one closure walk is the only
-    place that multiplies: generators are drawn from a `random.Random(0)`
-    shuffle of the element indices and added until their closure under
-    right multiplication is the whole element set, which certifies the
-    generating set.  The walk builds right(g) once per generator g, keeps
-    each right action x -> x g as an index list, checked to permute the
-    elements, and its spanning tree (a Schreier tree) records every
-    element as parent * generator.
+    place that multiplies: candidates are drawn from the element indices
+    by a Fisher-Yates shuffle run forward with `random.Random(0)`, one
+    draw per candidate taken, and each one outside the closure so far is
+    added as a generator, until the closure under right multiplication
+    is the whole element set, which certifies the generating set.  The
+    walk builds right(g) once per generator g and maps the element set
+    through it in one pass, column by column over the positions, into
+    the right action x -> x g as an index list; the list is checked to
+    land in the element set and to permute it before the walk reads it.
+    The walk's spanning tree (a Schreier tree) records every element as
+    parent * generator.
     Everything else is read off the tree by index lookups.  The order of
     x is the number of passes of x's tree word through the right actions
     that bring the identity back.  Conjugacy classes are orbits under
@@ -269,6 +276,8 @@ class FqMatrixGroup:
             raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
         if identity not in self._index:
             raise InternalCheckError(f"{descriptor}: identity not in element set")
+        if len(set(map(len, self.elements))) != 1:
+            raise InternalCheckError(f"{descriptor}: elements differ in length")
 
     @property
     def order(self) -> int:
@@ -295,52 +304,50 @@ class FqMatrixGroup:
         lists, the walk's spanning tree (element i is parent[i] *
         generator letter[i]) and its elements in reach order, the
         identity first."""
-        elements, index, right = self.elements, self._index, self.right
+        elements, right, find = self.elements, self.right, self._index.get
         n = len(elements)
-        root = index[self.identity]
+        columns = tuple(zip(*elements, strict=True))  # the values at each position
+        root = self._index[self.identity]
         parent = [-1] * n
         letter = [-1] * n
         applied = [0] * n  # generators already applied to each reached element
         reached = bytearray(n)
         reached[root] = 1
         closure = [root]
-        tables: list = []  # right(g) per generator g
         actions: list[list[int]] = []
         candidates = list(range(n))
-        random.Random(0).shuffle(candidates)
-        for c in candidates:
+        draw = random.Random(0).randrange
+        for i in range(n):
             if len(closure) == n:
                 break
+            j = draw(i, n)  # Fisher-Yates run forward: one draw per candidate taken
+            candidates[i], candidates[j] = candidates[j], candidates[i]
+            c = candidates[i]
             if reached[c]:
                 continue
-            tables.append(right(elements[c]))
-            actions.append([-1] * n)
-            queue = deque(closure)
-            while queue:
-                a = queue.popleft()
-                x = elements[a]
-                for k in range(applied[a], len(tables)):
-                    b = index.get(tuple(map(getitem, tables[k], x)))
-                    if b is None:
-                        raise InternalCheckError(
-                            f"{self.descriptor}: generated closure does not match "
-                            "the enumerated element set"
-                        )
-                    actions[k][a] = b
+            # x g for every x at once: each position's column through its table
+            images = zip(*(map(t.__getitem__, col)
+                           for t, col in zip(right(elements[c]), columns)))
+            act = list(map(find, images))
+            if None in act:
+                raise InternalCheckError(
+                    f"{self.descriptor}: generated closure does not match "
+                    "the enumerated element set"
+                )
+            if len(set(act)) != n:
+                raise InternalCheckError(
+                    f"{self.descriptor}: a generator does not permute the elements"
+                )
+            actions.append(act)
+            gens = len(actions)
+            for a in closure:  # breadth first: the list grows while it is walked
+                for k in range(applied[a], gens):
+                    b = actions[k][a]
                     if not reached[b]:
                         reached[b] = 1
                         parent[b], letter[b] = a, k
                         closure.append(b)
-                        queue.append(b)
-                applied[a] = len(tables)
-        for act in actions:
-            hit = bytearray(n)
-            for b in act:
-                hit[b] = 1
-            if 0 in hit:
-                raise InternalCheckError(
-                    f"{self.descriptor}: a generator does not permute the elements"
-                )
+                applied[a] = gens
         return actions, parent, letter, closure
 
     def conjugacy_classes(self) -> list[list]:
@@ -350,10 +357,11 @@ class FqMatrixGroup:
             left = [act.index(reach[0])] * len(act)  # g^-1 x, from g^-1 at the root
             for x in reach[1:]:
                 left[x] = actions[letter[x]][left[parent[x]]]
-            conjugations.append([act[y] for y in left])
-        assigned = bytearray(len(self.elements))
+            conjugations.append(list(map(act.__getitem__, left)))
+        elements = self.elements
+        assigned = bytearray(len(elements))
         classes = []
-        for x in range(len(self.elements)):
+        for x in range(len(elements)):
             if assigned[x]:
                 continue
             assigned[x] = 1
@@ -364,7 +372,7 @@ class FqMatrixGroup:
                     if not assigned[z]:
                         assigned[z] = 1
                         orbit.append(z)
-            classes.append(sorted(self.elements[i] for i in orbit))
+            classes.append(sorted(map(elements.__getitem__, orbit)))
         return classes
 
 
@@ -476,7 +484,8 @@ def _hermitian_matrices(
     the root's scan, then each inner node's children's scans.  The
     root's children's charge, made before the mask table is built,
     covers the table; each depth-1 node is charged as its mask row is
-    completed."""
+    completed.  The matrices share their row tuples: each distinct row is
+    one object, whichever matrices and targets it occurs in."""
     _check_rank(m)
     q2 = f.order
     spent = _charge(what, q2, m)
@@ -518,10 +527,11 @@ def _hermitian_matrices(
     # x -> lam x for one lam per norm; descending, so norm 1 keeps lam = 1
     scale = {mul[x][frob[x]]: mul[x] for x in range(q2 - 1, 0, -1)}
     out: dict[int, list[tuple]] = {t: [] for t in targets}
+    share = {}.setdefault  # one tuple per distinct row, shared by the matrices
     for t in out.keys() & scale.keys():
         scaled = [tuple(scale[t][x] for x in v) for v in pool]
         columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
-        out[t] = [tuple(zip(*c)) for c in columns]  # columns -> rows
+        out[t] = [tuple(share(r, r) for r in zip(*c)) for c in columns]  # to rows
     return out
 
 

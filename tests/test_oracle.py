@@ -7,6 +7,8 @@ from operator import getitem
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import heckebound.oracle as oracle_mod
 from heckebound.arith import InternalCheckError
@@ -18,7 +20,12 @@ from heckebound.groups import (
     sp_order,
     unitary_order,
 )
-from heckebound.numberfield import FieldSpec, QuaternionData, validate_setting
+from heckebound.numberfield import (
+    FieldSpec,
+    QuaternionData,
+    SettingError,
+    validate_setting,
+)
 from heckebound.oracle import (
     FqMatrixGroup,
     StateSpaceError,
@@ -491,18 +498,27 @@ def test_hermitian_search_skips_before_its_work(fld, m, level, p, reason):
 
 def brute_force_hermitian(f, m: int) -> dict[int, list[tuple]]:
     """Reference for the mask search: every m x m matrix A over f, kept
-    under t when A^t conj(A) = t*I for a nonzero t."""
-    rows = list(itertools.product(range(f.order), repeat=m))
-    conj = {r: tuple(f.frob[x] for x in r) for r in rows}
-    scalar = {
-        tuple(tuple(t if i == j else 0 for j in range(m)) for i in range(m)): t
-        for t in range(1, f.order)
-    }
+    under t when A^t conj(A) = t*I for a nonzero t.  Entry (i, j) of
+    A^t conj(A) is the hermitian dot of columns i and j, read from a table
+    of sum_k u_k conj(v_k) over every pair of vectors u, v of f^m, so each
+    matrix is checked by at most m^2 lookups."""
+    add, mul, frob = f.add, f.mul, f.frob
+    vectors = list(itertools.product(range(f.order), repeat=m))
+    dot = []
+    for u in vectors:
+        row = []
+        for v in vectors:
+            s = 0
+            for x, y in zip(u, v):
+                s = add[s][mul[x][frob[y]]]
+            row.append(s)
+        dot.append(row)
+    entries = [(i, j) for i in range(m) for j in range(m)]
     out: dict[int, list[tuple]] = {}
-    for a in itertools.product(rows, repeat=m):
-        t = scalar.get(mat_mul(f, tuple(zip(*a)), tuple(conj[r] for r in a)))
-        if t is not None:
-            out.setdefault(t, []).append(a)
+    for cols in itertools.product(range(len(vectors)), repeat=m):
+        t = dot[cols[0]][cols[0]]
+        if t and all(dot[cols[i]][cols[j]] == (t if i == j else 0) for i, j in entries):
+            out.setdefault(t, []).append(tuple(zip(*(vectors[c] for c in cols))))
     return out
 
 
@@ -534,6 +550,15 @@ def test_similitude_factors_come_from_one_hermitian_search(monkeypatch):
     group = enumerate_similitude_product(setting(Q, 2, 3, 7))
     assert calls == [small_field(7, 2)]
     assert group.order == 6 * unitary_order(2, 7)
+
+
+def test_similitude_matrices_share_their_row_tuples():
+    # GU_2(F_7): 16 128 elements of two rows each, but only 2 016 distinct
+    # rows, the vectors of norm r in F_49^2 for r = 1..6; each is one object
+    group = enumerate_similitude_product(setting(Q, 2, 3, 7))
+    rows = [row for x in group.elements for row in x[:-1]]
+    assert len(rows) == 32_256
+    assert len(set(rows)) == len({id(row) for row in rows}) == 2_016
 
 
 # --- group structure queries -------------------------------------------------
@@ -588,6 +613,15 @@ def test_group_faults_raise_internal_check_error():
         not_closed.conjugacy_classes()
 
 
+def test_ragged_elements_raise_internal_check_error():
+    # the walk reads the elements column by column, so they must all have
+    # the same number of positions
+    identity = ((1,),)
+    with pytest.raises(InternalCheckError, match="^ragged: elements differ in length$"):
+        FqMatrixGroup("ragged", [identity, ((2,), (3,))], reference_right(zmod(5)),
+                      identity)
+
+
 def test_non_group_closure_raises_internal_check_error():
     # {1, 0} in Z/5 is closed under products, but x -> x * 0 is no permutation
     identity = ((1,),)
@@ -603,6 +637,26 @@ def test_trivial_group_class_count():
     for p in (2, 3, 5):
         assert p_regular_class_count(trivial, p) == 1
         assert sylow_p_order(trivial, p) == 1
+
+
+def test_p_regular_count_reads_the_classes_once_per_group(monkeypatch):
+    # p_regular_class_count goes through FqMatrixGroup.conjugacy_classes,
+    # once per group: the benchmark's traced pass requires that span,
+    # oracle.FqMatrixGroup.conjugacy_classes, on oracle_check and reads
+    # oracle.class_count_total from its result
+    calls = []
+    real = FqMatrixGroup.conjugacy_classes
+
+    def spy(group):
+        calls.append(group)
+        return real(group)
+
+    monkeypatch.setattr(FqMatrixGroup, "conjugacy_classes", spy)
+    groups = [enumerate_gl(2, 3), enumerate_unitary(2, 2)]
+    assert [p_regular_class_count(group, 2) for group in groups] == [2, 6]
+    assert calls == groups
+    assert verify_setting_with_oracle(setting(Q, 1, 3, 5)) == {"verified": True}
+    assert len(calls) == 3
 
 
 def test_p_regular_count_unitary_example():
@@ -663,6 +717,36 @@ def test_m3_residual_group_verifies():
     assert group.order == 48_384
     assert p_regular_class_count(group, 3) == irr_count(s)
     assert verify_setting_with_oracle(s) == {"verified": True}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((Q, R5, R8)),
+    st.one_of(st.tuples(st.just(1), st.sampled_from((2, 3, 5, 7))),
+              st.tuples(st.just(2), st.sampled_from((2, 3, 5)))),
+    st.integers(3, 8),
+)
+def _oracle_verifies_or_skips(fld, m_and_p, level):
+    m, p = m_and_p
+    try:
+        s = setting(fld, m, level, p)
+    except SettingError:
+        reject()
+    result = verify_setting_with_oracle(s)
+    assert result == {"verified": True} or (
+        set(result) == {"verified", "skipped"}
+        and result["verified"] is False and result["skipped"]
+    ), result
+
+
+def test_random_valid_settings_verify_or_skip_with_a_reason():
+    # fields, ranks, primes and levels drawn independently, the invalid
+    # tuples rejected by validation: every valid one is verified, or
+    # skipped with a reason (GL_2(F_25) over Q(sqrt8) at p = 5 is over
+    # the element limit), and the whole test stays within 2 s
+    t0 = time.monotonic()
+    _oracle_verifies_or_skips()
+    assert time.monotonic() - t0 < 2.0
 
 
 def direct_conjugacy_classes(group: FqMatrixGroup, product) -> list[list]:
