@@ -234,8 +234,6 @@ def zeta_special_value(field: "FieldSpec", j: int) -> Fraction:
     if j < 1:
         raise ValueError("zeta argument index j must be >= 1")
     d = field.degree
-    if d not in (1, 2):
-        raise ValueError(f"unsupported field degree {d}")
     value = -bernoulli(2 * j) / (2 * j)
     if d == 2:
         # L(1-2j, chi_D) = -B_{2j,chi_D}/(2j)

@@ -8,8 +8,8 @@ rows, and for the residual group the rows of each place's matrix, then
 the similitude unit.  GL_m(F_q) comes from a search over rows outside the
 span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
 its count and GSp_2m(Z/N), and one row builder makes the hermitian and
-the alternating masks.  One unitary search finds the similitudes of
-factor 1; those of factor r are these scaled by a lam of norm r.  A group
+the alternating masks.  One unitary search finds U_m(F_p), and the
+residual group scales that pool at assembly.  A group
 multiplies only in one closure walk, which maps all its elements through
 a generator g in one pass: each position's column of values goes through
 a table of g built on demand.  Candidate generators come from a seeded
@@ -28,7 +28,7 @@ import functools
 import itertools
 import random
 from collections import deque
-from math import gcd, prod
+from math import gcd
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
@@ -116,7 +116,6 @@ class SmallField:
             raise ValueError(f"field order must be at most {MAX_FIELD_ORDER}")
         self.p = p
         self.e = e
-        self.one = 1
 
         # F_p[x]/(f) is a field exactly when f is irreducible, so the first
         # tail (in itertools.product order) whose ring has no zero divisors,
@@ -469,14 +468,10 @@ def _pairing_masks(left, right, ring, swap, values):
     return masks, rows()
 
 
-def _hermitian_matrices(
-    f: SmallField, m: int, targets: list[int], what: str
-) -> dict[int, list[tuple]]:
-    """All A with A^t conj(A) = t*I for each t in targets.  One depth-first
-    search finds the t = 1 solutions, whose columns have hermitian norm 1
-    and are pairwise orthogonal; A -> lam*A maps them onto those for
-    t = lam conj(lam), sorted by columns as a norm-t search lists them.  A t
-    off the fixed field, which holds the diagonal of A^t conj(A), gets [].
+def _hermitian_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
+    """All A with A^t conj(A) = I, in the order one depth-first search
+    finds them: their columns have hermitian norm 1 and are pairwise
+    orthogonal, and are chosen in increasing pool order.
 
     Each pool vector gets the bitmask of the pool vectors orthogonal to
     it, so a node's children are the AND of its columns' masks.  The
@@ -485,7 +480,7 @@ def _hermitian_matrices(
     root's children's charge, made before the mask table is built,
     covers the table; each depth-1 node is charged as its mask row is
     completed.  The matrices share their row tuples: each distinct row is
-    one object, whichever matrices and targets it occurs in."""
+    one object."""
     _check_rank(m)
     q2 = f.order
     spent = _charge(what, q2, m)
@@ -524,15 +519,8 @@ def _hermitian_matrices(
             extend(avail & masks[i], (*chosen, i))
 
     extend((1 << size) - 1, ())
-    # x -> lam x for one lam per norm; descending, so norm 1 keeps lam = 1
-    scale = {mul[x][frob[x]]: mul[x] for x in range(q2 - 1, 0, -1)}
-    out: dict[int, list[tuple]] = {t: [] for t in targets}
     share = {}.setdefault  # one tuple per distinct row, shared by the matrices
-    for t in out.keys() & scale.keys():
-        scaled = [tuple(scale[t][x] for x in v) for v in pool]
-        columns = sorted(tuple(scaled[i] for i in s) for s in solutions)
-        out[t] = [tuple(share(r, r) for r in zip(*c)) for c in columns]  # to rows
-    return out
+    return [tuple(share(r, r) for r in zip(*(pool[i] for i in s))) for s in solutions]
 
 
 def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
@@ -542,7 +530,7 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
         raise ValueError(f"U_{m}(F_{q}) needs F_{q * q}, past the field-order limit "
                          f"{MAX_FIELD_ORDER}")
     f = small_field(base.p, 2 * base.e)
-    elems = _hermitian_matrices(f, m, [f.one], f"U_{m}(F_{q})")[f.one]
+    elems = _hermitian_matrices(f, m, f"U_{m}(F_{q})")
     return FqMatrixGroup(f"U_{m}(F_{q})", elems, _matrix_right(f), mat_identity(m))
 
 
@@ -660,7 +648,10 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     invertible at places of even residue degree, and A_v^t conj(A_v) = r*I
     at places of odd residue degree.  Matrices live over F_{p^2} at every
     place (residue degrees are 1 or 2 here), so a single table field
-    serves all components."""
+    serves all components.  F is Galois, so every place over p has one
+    residue degree and one pool serves them all: GL_m(F_{p^2}) for every
+    r, or U_m(F_p), whose layer of factor r is lam*A for one lam with
+    lam conj(lam) = r."""
     p, m = setting.p, setting.m
     if p > MAX_FIELD_CHAR:
         raise StateSpaceError(
@@ -668,28 +659,24 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
             f"{MAX_FIELD_CHAR}"
         )
     f = small_field(p, 2)
-    units = list(range(1, p))
+    units = range(1, p)
+    places = setting.places_over_p
     inside = setting.delta_prime_at_p
-    if inside:  # one pool serves every place of odd residue degree
-        hermitian = _hermitian_matrices(
-            f, m, units, f"similitude factor over {inside!r}"
-        )
-
-    pools: list[dict[int, list[tuple]]] = []
-    for v in setting.places_over_p:
-        if v in inside:
-            pools.append(hermitian)
-        else:
-            full = _invertible_matrices(f, m, f"linear factor over {v!r}")
-            pools.append({r: full for r in units})
-
-    _check_elements(
-        sum(prod(len(pool[r]) for pool in pools) for r in units),
-        "similitude product assembly",
-    )
+    if inside:
+        pool = _hermitian_matrices(f, m, f"similitude factor over {inside!r}")
+    else:
+        pool = _invertible_matrices(f, m, f"linear factor over {places[0]!r}")
+    _check_elements((p - 1) * len(pool) ** len(places), "similitude product assembly")
+    layers = [pool] * (p - 1)
+    if inside:  # lam*A through one row table of lam*I per r: one object per row
+        # one lam per norm; descending, so norm 1 keeps lam = 1
+        lams = {f.mul[x][f.frob[x]]: x for x in range(f.order - 1, 0, -1)}
+        tables = [_RowTable(f, [[lams[r] if i == j else 0 for j in range(m)]
+                                for i in range(m)]) for r in units]
+        layers = [[tuple(map(t.__getitem__, a)) for a in pool] for t in tables]
     elems = []
-    for r in units:  # flat codes: the rows of A_v for each place v, then r
-        for combo in itertools.product(*(pool[r] for pool in pools)):
+    for r, layer in zip(units, layers):  # flat codes: the rows of A_v per place, then r
+        for combo in itertools.product(layer, repeat=len(places)):
             elems.append((*itertools.chain(*combo), r))
 
     def right(g):
@@ -699,7 +686,7 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
         tables.append([x * g[-1] % p for x in range(p)])
         return tables
 
-    identity = (*mat_identity(m) * len(pools), 1)
+    identity = (*mat_identity(m) * len(places), 1)
     descriptor = (
         f"residual group (disc {setting.field.discriminant}, m={m}, p={p})"
     )
