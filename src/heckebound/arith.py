@@ -5,15 +5,18 @@ odd integers (degree <= 2 totally real fields).
 The zeta kernel is integer-only: Bernoulli numbers come from tangent
 numbers and generalized Bernoulli numbers from integer power sums of the
 character, so ``fractions.Fraction`` appears only in the final few terms.
-No floating point.
+The character's values come from the Kronecker symbol at the primes up to
+D and complete multiplicativity; the power sums of the last discriminant
+are kept, one multiplication pass per new even exponent.  No floating
+point.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, isqrt
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -194,12 +197,71 @@ class QuadraticCharacter(_Value):
         return f"QuadraticCharacter({self.discriminant})"
 
 
-@lru_cache(maxsize=1)
-def _character_support(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (a, chi_D(a)) with 1 <= a <= D and chi_D(a) != 0.  Only
-    the table of the last D is kept (about 16 MB near D = 200 000): the m
-    calls of one datum are consecutive."""
-    return tuple((a, c) for a in range(1, d + 1) if (c := kronecker(d, a)))
+# the character table's byte codes 0, 1, 2 stand for chi = 0, 1, -1
+_CHI_VALUES = (0, 1, -1)
+_NEGATED = bytes.maketrans(b"\1\2", b"\2\1")
+
+
+def _character_table(d: int) -> list[int]:
+    """[chi_D(0), chi_D(1), ..., chi_D(D)], with the Kronecker symbol
+    evaluated at the primes l <= D alone.
+
+    (D/.) is completely multiplicative in its lower argument, so chi_D(a)
+    is the product of chi_D(l) over the prime powers l^k dividing a.  The
+    codes start at 1; each prime l dividing D zeroes its multiples, and
+    each l with chi_D(l) = -1 negates the multiples of every power
+    l^k <= D, one bytearray slice per power.
+    """
+    codes = bytearray([1]) * (d + 1)
+    codes[0] = 0
+    for ell in itertools.compress(range(d + 1), _prime_flags(d)):
+        c = kronecker(d, ell)
+        if c == 0:
+            codes[ell::ell] = bytes(len(range(ell, d + 1, ell)))
+        elif c < 0:
+            q = ell
+            while q <= d:
+                codes[q::q] = codes[q::q].translate(_NEGATED)
+                q *= ell
+    return list(map(_CHI_VALUES.__getitem__, codes))
+
+
+# (D, squares, terms, sums) of the last discriminant generalized_bernoulli
+# read: squares lists a^2 for the a in [1, D] with chi_D(a) != 0, terms
+# the chi_D(a) * a^j over them for the largest even j read, and
+# sums = (S_0, S_1, ...) with S_i = sum_a chi_D(a) a^i.  A call needing a
+# higher index replaces the tuple; none mutates it.  The m calls of one
+# datum are consecutive, so they share one table.
+_power_sums: tuple[int, list[int], list[int], tuple[int, ...]] = (0, [], [], ())
+
+
+def _power_sums_to(d: int, j: int) -> tuple[int, ...]:
+    """(S_0, S_1, ...) of chi_D, through at least S_j.
+
+    An even index costs one multiplication pass over the support of chi.
+    An odd one costs none: chi_D is even, so a -> D - a gives
+    S_i = sum_k C(i, k) D^(i-k) (-1)^k S_k, where for odd i the k = i term
+    is -S_i, and 2 S_i is the sum of the lower terms.
+    """
+    global _power_sums
+    key, squares, terms, sums = _power_sums
+    if key != d:
+        table = _character_table(d)
+        support = list(itertools.compress(range(d + 1), table))
+        squares = list(map(mul, support, support))
+        terms = list(filter(None, table))
+        sums = (sum(terms),)
+    while len(sums) <= j:
+        i = len(sums)
+        if i % 2:
+            lower = sum((-1) ** k * comb(i, k) * d ** (i - k) * s
+                        for k, s in enumerate(sums))
+            sums += (lower // 2,)
+        else:
+            terms = list(map(mul, terms, squares))
+            sums += (sum(terms),)
+    _power_sums = (d, squares, terms, sums)
+    return sums
 
 
 def generalized_bernoulli(n: int, chi: QuadraticCharacter) -> Fraction:
@@ -208,18 +270,19 @@ def generalized_bernoulli(n: int, chi: QuadraticCharacter) -> Fraction:
 
     Expanding B_n(x) gives sum_k C(n, k) B_k D^(k-1) S_{n-k} with the
     integer power sums S_j = sum_a chi(a) a^j; only the terms with
-    B_k != 0 are formed.
+    B_k != 0 are formed.  The sums are read from the last discriminant's
+    kept S_0, S_1, ..., extended to S_n when n is new, so the m calls of
+    one datum take m + 1 passes over the support of chi in all.
     """
     if n < 1:
         raise ValueError("generalized Bernoulli index must be >= 1")
     d = chi.discriminant
-    support = _character_support(d)
+    sums = _power_sums_to(d, n)
     total = Fraction(0)
     for k in range(n + 1):
         b = bernoulli(k)
         if b:
-            power_sum = sum(c * a ** (n - k) for a, c in support)
-            total += comb(n, k) * d**k * power_sum * b
+            total += comb(n, k) * d**k * sums[n - k] * b
     return total / d
 
 
@@ -340,6 +403,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_flags(n: int) -> bytearray:
+    """flags[k] = 1 exactly when k is a prime, for 0 <= k <= n (n >= 1):
+    the sieve of Eratosthenes, one slice per prime up to isqrt(n)."""
+    flags = bytearray([1]) * (n + 1)
+    flags[:2] = b"\0\0"
+    for q in range(2, isqrt(n) + 1):
+        if flags[q]:
+            flags[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    return flags
+
+
 def primes_between(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi], from one bytearray sieve of the window.
 
@@ -355,13 +429,8 @@ def primes_between(lo: int, hi: int) -> list[int]:
     if hi < lo:
         return []
     b = min(isqrt(hi), 10**5)
-    small = bytearray([1]) * (b + 1)
-    small[:2] = b"\0\0"
-    for q in range(2, isqrt(b) + 1):
-        if small[q]:
-            small[q * q::q] = bytes(len(range(q * q, b + 1, q)))
     window = bytearray([1]) * (hi - lo + 1)
-    for q in itertools.compress(range(b + 1), small):
+    for q in itertools.compress(range(b + 1), _prime_flags(b)):
         start = max(q * q, -(-lo // q) * q)
         window[start - lo::q] = bytes(len(range(start, hi + 1, q)))
     # the survivors from (b + 1)^2 on are proven before the window is kept,

@@ -66,8 +66,9 @@ class FieldSpec(_Value):
         if discriminant == 1:
             return
         if discriminant > 200_000:
-            # the zeta kernel is linear in the discriminant; 200 000 keeps
-            # one record with m <= 4 under about two seconds
+            # the zeta kernel's character table and power sums are linear
+            # in the discriminant; at 199 997 a CLI record with m = 4 takes
+            # about 0.5 s, 0.2 s of it the zeta values
             _fail(
                 "disc_too_large",
                 f"discriminant must be <= 200000, got {discriminant}",
@@ -239,9 +240,11 @@ def _check_rank_and_count(
     # the datum's checks that read no single place, in their documented order
     if m < 1:
         _fail("m_not_positive", f"module rank m must be >= 1, got {m}")
-    # the zeta power sums grow like D*m^2 and the bound's decimal text
-    # like (d*m^2)^2; these two caps keep one record under about two
-    # seconds for every N <= 10^12 and p <= 10^18 (measured in ROADMAP)
+    # the zeta power sums grow like D*m^2 (m + 1 passes over about D
+    # integers of up to 2m*log2(D) bits: 0.03 s at D = 2609, m = 35) and
+    # the bound's decimal text like (d*m^2)^2; these two caps keep one
+    # record under about two seconds for every N <= 10^12 and p <= 10^18
+    # (measured in ROADMAP)
     limit = min(
         isqrt(2_500 // field.degree),
         isqrt(3_200_000 // field.discriminant),

@@ -26,7 +26,9 @@ from heckebound.numberfield import FieldSpec
 
 # Reference routes for the differential tests: the defining O(n^2)
 # Bernoulli recurrence, and B_{n,chi} as a sum of Bernoulli-polynomial
-# values, one per residue a (the kernel sums power sums, one per index k).
+# values, one per residue a, with the Kronecker symbol at every a (the
+# kernel reads integer power sums of the character, kept for the last
+# discriminant, from a table built by multiplicativity).
 REFERENCE_LIMIT = 300
 
 
@@ -302,26 +304,75 @@ def test_zeta_minus_three_against_divisor_sums():
         assert zeta_special_value(fld, 2) == _siegel_zeta(d, 2), d
 
 
-def test_zeta_at_large_discriminant_is_fast():
-    # the Bernoulli-polynomial route took about 4.5 s here
-    arith._character_support.cache_clear()
+_NO_POWER_SUMS = (0, [], [], ())
+
+
+def test_zeta_at_large_discriminant_is_fast(monkeypatch):
+    # the Bernoulli-polynomial route takes about 2 s here, power sums
+    # redone per index with a Kronecker symbol per residue about 0.3 s,
+    # and the kept power sums over the multiplicative table about 0.07 s
+    monkeypatch.setattr(arith, "_power_sums", _NO_POWER_SUMS)
     start = time.perf_counter()
     value = zeta_special_value(FieldSpec.real_quadratic(100001), 1)
     assert time.perf_counter() - start < 3
     assert value == _siegel_zeta(100001, 1)
 
 
-def test_character_support_keeps_only_the_last_discriminant():
-    support = arith._character_support
-    support.cache_clear()
+def test_power_sums_keep_only_the_last_discriminant(monkeypatch):
+    built = []
+    build = arith._character_table
+
+    def spy(d):
+        built.append(d)
+        return build(d)
+
+    monkeypatch.setattr(arith, "_character_table", spy)
+    monkeypatch.setattr(arith, "_power_sums", _NO_POWER_SUMS)
     m = 4
     for j in range(1, m + 1):
         zeta_special_value(FieldSpec.real_quadratic(5), j)
-    info = support.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (m - 1, 1, 1)
+    assert built == [5]
+    assert arith._power_sums[0] == 5 and len(arith._power_sums[3]) == 2 * m + 1
     zeta_special_value(FieldSpec.real_quadratic(8), 1)
-    info = support.cache_info()
-    assert (info.misses, info.currsize) == (2, 1)
+    assert built == [5, 8]
+    d, squares, terms, sums = arith._power_sums
+    # chi_8 is nonzero at 1, 3, 5, 7 with values 1, -1, -1, 1
+    assert (d, squares, terms, len(sums)) == (8, [1, 9, 25, 49], [1, -9, -25, 49], 3)
+
+
+def test_character_table_is_the_kronecker_symbol():
+    # near the limit 200 000: the composite 199 997 = 7 * 28 571, and
+    # 199 996, the largest fundamental D = 0 mod 4, where chi_D(2) = 0
+    assert 199_997 == 7 * 28_571
+    assert is_fundamental_discriminant(199_996)
+    assert not is_fundamental_discriminant(200_000)
+    for d in FUNDAMENTAL_BELOW_3000 + [199_997, 199_996]:
+        assert arith._character_table(d) == [kronecker(d, a) for a in range(d + 1)], d
+
+
+@pytest.mark.parametrize("d", (5, 8, 12, 13, 2609, 3001))
+def test_power_sums_are_the_direct_sums(monkeypatch, d):
+    monkeypatch.setattr(arith, "_power_sums", _NO_POWER_SUMS)
+    sums = arith._power_sums_to(d, 12)
+    chi = [kronecker(d, a) for a in range(d + 1)]
+    for j in range(13):
+        assert sums[j] == sum(chi[a] * a**j for a in range(1, d + 1)), (d, j)
+
+
+def test_generalized_bernoulli_in_interleaved_order(monkeypatch):
+    # a second discriminant replaces the first one's sums, and a return to
+    # the first at a lower index rebuilds them
+    monkeypatch.setattr(arith, "_power_sums", _NO_POWER_SUMS)
+    for d, n in ((13, 8), (12, 2), (13, 4)):
+        assert generalized_bernoulli(n, QuadraticCharacter(d)) == (
+            reference_generalized_bernoulli(n, d)
+        ), (d, n)
+
+
+def test_zeta_at_the_limit_against_divisor_sums():
+    fld = FieldSpec.real_quadratic(199_997)
+    for j in (1, 2):
+        assert zeta_special_value(fld, j) == _siegel_zeta(199_997, j), j
 
 
 def test_zeta_sign_law():

@@ -28,6 +28,7 @@ from heckebound.numberfield import (
 )
 from heckebound.oracle import (
     FqMatrixGroup,
+    SmallField,
     StateSpaceError,
     _charge,
     _hermitian_matrices,
@@ -214,6 +215,49 @@ def test_small_field_rejects_out_of_range():
     with pytest.raises(ValueError):
         small_field(4, 1)
 
+
+
+def _break_identity(f):
+    # add[1][0] with its mirror, so commutativity still holds at (0, 1)
+    f.add[1][0] = f.add[0][1] = 0
+
+
+def _break_commutativity(f):
+    f.mul[2][3] = 2
+
+
+def _break_associativity(f):
+    # x * (x + 1) is 1 in F_4; both products 2 keep the table symmetric
+    f.mul[2][3] = f.mul[3][2] = 2
+
+
+def _set_frob(images):
+    def corrupt(f):
+        f.frob = images
+    return corrupt
+
+
+# each corruption of F_4 = SmallField(2, 2), elements 0, 1, x = 2 and
+# x + 1 = 3 with frob = [0, 1, 3, 2], and the axiom its check names
+_FIELD_CORRUPTIONS = (
+    (_break_identity, "identity law"),
+    (_break_commutativity, "commutativity"),
+    (_break_associativity, "associativity or distributivity"),
+    (_set_frob([0, 2, 3, 1]), "involutivity of the automorphism"),
+    (_set_frob([1, 0, 2, 3]), "additivity or multiplicativity of the automorphism"),
+    (_set_frob([0, 1, 2, 3]), "fixed-field size"),
+)
+
+
+def test_small_field_check_names_each_broken_axiom():
+    # a fresh field each time: the cached small_field(2, 2) stays intact
+    for corrupt, axiom in _FIELD_CORRUPTIONS:
+        f = SmallField(2, 2)
+        corrupt(f)
+        with pytest.raises(InternalCheckError) as info:
+            f._verify()
+        assert str(info.value) == f"SmallField(2^2): {axiom} fails"
+    assert small_field(2, 2).frob == [0, 1, 3, 2]
 
 # --- closed-form orders vs enumeration --------------------------------------
 
