@@ -133,16 +133,18 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
         C * |G(Z/NZ)| * prod_{j=1}^{m} prod_{v | p, f_v odd} (q_v^j + (-1)^j)
                                         * prod_{v | p, f_v even} (q_v^j + 1).
 
-    The divisor part of the derived discriminant away from p sits in C.
+    Every place over p has one residue degree f, so with eps = (-1)^f
+    both products are prod_{v | p} prod_{j=1}^{m} (q_v^j + eps^j).  The
+    divisor part of the derived discriminant away from p sits in C.
     Being a cardinality the mass must come out a positive integer, and
     anything else raises InternalCheckError.
     """
+    eps = -1 if setting.delta_prime_at_p else 1
     factor = 1
-    for j in range(1, setting.quaternion.m + 1):
-        for v in setting.delta_prime_at_p:
-            factor *= v.residue_cardinality**j + (-1) ** j
-        for v in setting.even_places_at_p:
-            factor *= v.residue_cardinality**j + 1
+    for v in setting.places_over_p:
+        q = v.residue_cardinality
+        for j in range(1, setting.m + 1):
+            factor *= q**j + eps**j
     return _positive_integer(
         _level_part(setting).scaled_constant, factor, "superspecial mass"
     )
@@ -153,8 +155,11 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
 
     The bound is assembled from the closed form
         C * |G(Z/NZ)| * p^(d(m+2)(m-1)/2) * (p-1)
-          * prod (q_v -+ 1) * prod_j prod_v (q_v^j +- 1)
-    and must agree exactly with mass * irr_count * dim_bound; the two
+          * prod_{v | p, f_v odd}  (q_v + 1) * prod_{j=1}^{m} (q_v^j + (-1)^j)
+          * prod_{v | p, f_v even} (q_v - 1) * prod_{j=1}^{m} (q_v^j + 1),
+    that is, with eps = (-1)^f for the one residue degree f of the
+    places over p, prod_{v | p} (q_v - eps) * prod_{j=1}^{m} (q_v^j + eps^j).
+    It must agree exactly with mass * irr_count * dim_bound; the two
     p-factors are computed independently and compared.  C * |G(Z/NZ)|
     and the exponent come from the per-level part, built on the first
     record of a (datum, level); each record computes only its p-factors
@@ -162,18 +167,14 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     """
     part, p, quaternion = _level_part(setting), setting.p, setting.quaternion
     d, m = quaternion.field.degree, quaternion.m
-    inside, outside = setting.delta_prime_at_p, setting.even_places_at_p
+    eps = -1 if setting.delta_prime_at_p else 1
 
     factor = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1)
-    for v in outside:
-        factor *= v.residue_cardinality - 1
-    for v in inside:
-        factor *= v.residue_cardinality + 1
-    for j in range(1, m + 1):
-        for v in outside:
-            factor *= v.residue_cardinality**j + 1
-        for v in inside:
-            factor *= v.residue_cardinality**j + (-1) ** j
+    for v in setting.places_over_p:
+        q = v.residue_cardinality
+        factor *= q - eps
+        for j in range(1, m + 1):
+            factor *= q**j + eps**j
     bound = _positive_integer(part.scaled_constant, factor, "final bound")
 
     mass = superspecial_mass(setting)

@@ -155,10 +155,10 @@ def parse_config(doc) -> RunConfig:
         # the window is sieved in one bytearray and every record is held
         # until the end; 300 000 integers keep an m = 2 run under 5 s and 120 MB
         # (the widest windows from 2, from 10^18 and below psi_12, ramified or
-        # not, peak at 4.4 s and 113 MB, measured from a 10 MB launcher
+        # not, peak at 1.4 s and 113 MB, measured from a 13 MB launcher
         # process on 2 cores, Python 3.11).
         # A record's cost grows with m, so from m = 3 the window is 1 200 000
-        # // m^2 integers (the widest from 10^18 measured under 2.5 s up to
+        # // m^2 integers (the widest from 10^18 measured under 1 s up to
         # m = 50); above m = 50 every record is the datum's m_too_large
         scaled = 3 <= m <= 50
         width = 1_200_000 // m**2 if scaled else 300_000

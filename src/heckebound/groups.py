@@ -84,16 +84,17 @@ def irr_count(setting: ShimuraSetting) -> int:
         p^(d(m-1)) * (p-1) * prod_{v | p, f_v even} (q_v - 1)
                            * prod_{v | p, f_v odd}  (q_v + 1),
 
-    i.e. p^(semisimple rank) times the center order.  This equals the
-    number of p-regular conjugacy classes (the enumeration oracle
-    verifies that on every small instance).
+    i.e. p^(semisimple rank) times the center order.  Every place over p
+    has one residue degree f, so with eps = (-1)^f both products are
+    prod_{v | p} (q_v - eps).  This equals the number of p-regular
+    conjugacy classes (the enumeration oracle verifies that on every
+    small instance).
     """
     p, quaternion = setting.p, setting.quaternion
+    eps = -1 if setting.delta_prime_at_p else 1
     center = p - 1
-    for v in setting.even_places_at_p:
-        center *= v.residue_cardinality - 1
-    for v in setting.delta_prime_at_p:
-        center *= v.residue_cardinality + 1
+    for v in setting.places_over_p:
+        center *= v.residue_cardinality - eps
     return p ** (quaternion.field.degree * (quaternion.m - 1)) * center
 
 

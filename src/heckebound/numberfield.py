@@ -1,14 +1,14 @@
 """Totally real base fields of degree <= 2, prime splitting, quaternion
 ramification data, and the validated input tuple for the bound pipeline.
 
-Places are modelled as (residue prime, residue degree, index) only; all
-downstream formulas consume just the residue cardinalities q_v.
+Places are modelled as (residue prime, residue degree, index, ramified)
+only; all downstream formulas consume just the residue cardinalities q_v.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -101,13 +101,14 @@ class FieldSpec(_Value):
         return f"FieldSpec(Q(sqrt({self.discriminant})))"
 
 
-@total_ordering
 class Place(_Value):
     """A finite place, identified by its residue prime, residue degree,
-    and an index separating the two places over a split prime.  Places
-    are ordered by these fields in turn, then by ramified.  The residue
-    cardinality q_v = residue_prime^residue_degree is derived on
-    construction and is neither compared, hashed nor shown."""
+    an index separating the two places over a split prime, and whether
+    it lies over a prime ramified in the field.  Places compare for
+    equality only; a quaternion datum sorts its ramified places by these
+    fields in turn.  The residue cardinality q_v =
+    residue_prime^residue_degree is derived on construction and is
+    neither compared, hashed nor shown."""
 
     __slots__ = ("residue_prime", "residue_degree", "index", "ramified",
                  "residue_cardinality")
@@ -122,11 +123,6 @@ class Place(_Value):
         setter(self, "index", index)
         setter(self, "ramified", ramified)
         setter(self, "residue_cardinality", residue_prime**residue_degree)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() < other._key()
 
     def __repr__(self) -> str:
         tag = "r" if self.ramified else str(self.index)
@@ -217,7 +213,7 @@ class QuaternionData(_Value):
     def _set_fields(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
         setter = object.__setattr__
         setter(self, "field", field)
-        # one key per place, read from the fields Place orders by
+        # one key per place: its fields in turn
         setter(self, "ramified_places",
                tuple(sorted(ramified_places, key=_place_order)))
         setter(self, "m", m)
@@ -298,15 +294,17 @@ def resolve_ramification(
 
 class ShimuraSetting(_Value):
     """The tuple (F, Delta_B, m, N, p), given as (quaternion, level, p),
-    with the rest derived on construction: the places over p,
-    delta_prime_at_p those of odd residue degree and even_places_at_p
-    the others.  delta_prime_away, the ramification set of the quaternion
-    algebra, lies away from p by validation.  The constructor checks
-    nothing; validate_setting checks the tuple, then builds it.  Settings
-    compare and hash on (quaternion, level, p) alone."""
+    with the rest derived on construction: places_over_p, the places of
+    F over p, and delta_prime_at_p, the part Delta'_p of them of odd
+    residue degree.  F is Galois over Q, so every place over p has one
+    residue degree f and delta_prime_at_p is either all of places_over_p
+    (f odd) or empty (f even); the bound's p-factors read the one sign
+    (-1)^f from it.  delta_prime_away, the ramification set of the
+    quaternion algebra, lies away from p by validation.  The constructor
+    checks nothing; validate_setting checks the tuple, then builds it.
+    Settings compare and hash on (quaternion, level, p) alone."""
 
-    __slots__ = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p",
-                 "even_places_at_p")
+    __slots__ = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p")
     _fields = __slots__[:3]
     _derived = __slots__[3:]
 
@@ -315,11 +313,7 @@ class ShimuraSetting(_Value):
         self.level = level
         self.p = p
         places = self.places_over_p = tuple(_places_over(quaternion.field, p))
-        # F is Galois over Q, so every place over p has the same residue degree
-        if places[0].residue_degree % 2:
-            self.delta_prime_at_p, self.even_places_at_p = places, ()
-        else:
-            self.delta_prime_at_p, self.even_places_at_p = (), places
+        self.delta_prime_at_p = places if places[0].residue_degree % 2 else ()
 
     @property
     def delta_prime_away(self) -> tuple[Place, ...]:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heckebound.bounds as bounds_mod
@@ -22,7 +22,7 @@ from heckebound.bounds import (
     siegel_bound,
     superspecial_mass,
 )
-from heckebound.groups import dim_bound, irr_count
+from heckebound.groups import dim_bound, irr_count, level_group_order
 from heckebound.numberfield import (
     FieldSpec,
     QuaternionData,
@@ -337,6 +337,33 @@ def test_random_settings_satisfy_the_exact_identities(datum_and_level, start):
     exponent = d * m * m + d * m + 1
     samples = _next_settings(datum, level, start, exponent + 2, degree_one=True)
     assert detect_p_degree(samples) == exponent
+
+
+# the examples: Q(sqrt5) at p = 2 (inert, the algebra ramified at both
+# places over 11) and at p = 11 (split), and Q at p = 5
+@settings(max_examples=50, deadline=None)
+@given(_random_datum(), st.integers(2, 10**6))
+@example((QuaternionData(R5, resolve_ramification(R5, [(11, 1), (11, 1)]), 2), 3), 2)
+@example((QuaternionData(R5, (), 3), 3), 11)
+@example((QuaternionData(Q, (), 2), 3), 5)
+def test_mass_and_closed_form_are_the_per_place_products(datum_and_level, start):
+    # the paper's p-products, each place's factor read from its own residue
+    # degree f: (q+1) and prod_j (q^j + (-1)^j) at odd f, (q-1) and
+    # prod_j (q^j + 1) at even f; a sign error made in both the mass and
+    # the closed form keeps final = mass * irr * dim, so this pins each
+    datum, level = datum_and_level
+    s = _next_settings(datum, level, start, 1)[0]
+    p, d, m = s.p, datum.field.degree, datum.m
+    center = products = 1
+    for v in s.places_over_p:
+        q, odd = v.residue_cardinality, v.residue_degree % 2
+        center *= q + 1 if odd else q - 1
+        for j in range(1, m + 1):
+            products *= q**j + ((-1) ** j if odd else 1)
+    scale = bound_constant(s) * level_group_order(s)
+    assert superspecial_mass(s) == scale * products
+    closed = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1) * center * products
+    assert final_bound(s).final_bound == scale * closed
 
 
 def _direct_bound_constant(datum):

@@ -486,8 +486,9 @@ def test_many_ramification_entries_resolve_in_linear_time(tmp_path, order):
 
 
 def test_datum_sorts_its_places_with_one_key_each(monkeypatch):
-    # Place._key builds the tuple equality and hashing read; sorting by
-    # Place.__lt__ would build two per comparison, n log n in all
+    # Place._key builds the tuple equality and hashing read; the datum
+    # sorts by one attrgetter key per place and never calls it, so the
+    # calls counted here are the hashes alone
     primes = arith_mod.primes_between(7, 20_000)[:2_000]
     pairs = [(ell, 1) for ell in _shuffled(primes)]
     calls = [0]

@@ -1,6 +1,6 @@
 """Value semantics of the public types: constructor signatures, the
-fields that equality and hashing use, Place ordering, read-only fields,
-reprs and pickling."""
+fields that equality and hashing use, the order in which a quaternion
+datum sorts its places, read-only fields, reprs and pickling."""
 
 import inspect
 import pickle
@@ -31,8 +31,7 @@ def _fields_of(value, names):
     return tuple(getattr(value, name) for name in names)
 
 
-SETTING_FIELDS = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p",
-                  "even_places_at_p")
+SETTING_FIELDS = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p")
 REPORT_FIELDS = ("setting", "zeta_values", "constant", "level_group_order", "mass",
                  "irr_count", "dim_bound", "final_bound", "asymptotic_exponent")
 
@@ -113,19 +112,18 @@ def test_distinct_types_with_equal_fields_differ():
 
 
 def test_place_ordering_is_by_prime_degree_index_then_ramified():
-    chain = [Place(2, 2), Place(5, 1), Place(5, 1, index=1), Place(7, 1),
-             Place(7, 1, ramified=True), Place(7, 2)]
-    for i, v in enumerate(chain):
-        for w in chain[i + 1:]:
-            assert v < w and v <= w and w > v and w >= v
-            assert not (w < v or w <= v or v > w or v >= w)
-        assert v <= v and v >= v and not (v < v or v > v)
-        assert v <= Place(v.residue_prime, v.residue_degree, v.index, v.ramified)
-    assert sorted(chain[::-1]) == chain
-    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
-        assert getattr(Place(7, 1), op)((7, 1, 0, False)) is NotImplemented
+    # the one order that stays is the datum's: its ramified places sorted
+    # by residue prime, residue degree, index, then ramified; over Q(sqrt5)
+    # 2 and 7 are inert, 5 ramifies, and 11 and 19 split (one place over
+    # 19 makes the count even, as a datum requires)
+    chain = (Place(2, 2), Place(5, 1, ramified=True), Place(7, 2), Place(11, 1),
+             Place(11, 1, index=1), Place(19, 1))
+    assert QuaternionData(R5, chain[::-1], 1).ramified_places == chain
+    # places themselves compare for equality only
     with pytest.raises(TypeError):
-        Place(7, 1) < (7, 1)
+        Place(7, 1) < Place(5, 1)
+    with pytest.raises(TypeError):
+        sorted(chain[::-1])
 
 
 @pytest.mark.parametrize("value, names", [
@@ -161,7 +159,7 @@ def test_reprs():
     setting_text = (
         f"ShimuraSetting(quaternion={datum_text}, level=3, p=19, "
         "places_over_p=(Place(19^1,0), Place(19^1,1)), "
-        "delta_prime_at_p=(Place(19^1,0), Place(19^1,1)), even_places_at_p=())"
+        "delta_prime_at_p=(Place(19^1,0), Place(19^1,1)))"
     )
     assert repr(s) == setting_text
     r = final_bound(s)
