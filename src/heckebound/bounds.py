@@ -13,7 +13,12 @@ from fractions import Fraction
 
 from .arith import InternalCheckError, _Value, balanced_product, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
-from .numberfield import SettingError, ShimuraSetting, check_level_and_prime
+from .numberfield import (
+    FieldSpec,
+    ShimuraSetting,
+    _check_rank_and_count,
+    check_level_and_prime,
+)
 
 __all__ = [
     "InternalCheckError",
@@ -207,8 +212,10 @@ def siegel_bound(m: int, level: int, p: int) -> int:
           * prod_{j=1}^{m} (p^j + (-1)^j),
         C = (-1)^(m(m+1)/2) / 2^m * prod_{i=1}^{m} zeta(1-2i).
     """
-    if m < 1:
-        raise SettingError("m_not_positive", f"genus m must be >= 1, got {m}")
+    # the datum's rank checks over Q, then the setting's on N and p: the
+    # inputs QuaternionData(Q, (), m) and validate_setting accept, with
+    # their codes in their order
+    _check_rank_and_count(FieldSpec.rationals(), (), m)
     check_level_and_prime(level, p)
 
     constant = Fraction((-1) ** (m * (m + 1) // 2), 2**m)

@@ -3,16 +3,18 @@
 Finite fields of order at most 49 and the rings Z/N are table rings of
 one shape: the order and the add, mul and neg tables of
 (Z/n)[x]/(x^e + t(x)).  Matrix groups are enumerated straight from their
-defining conditions.  An element is a flat tuple of positions: a matrix's
-rows, and for the residual group the rows of each place's matrix, then
-the similitude unit.  GL_m(F_q) comes from a search over rows outside the
-span of the rows above.  One symplectic basis search builds Sp_2m(F_q),
-its count and GSp_2m(Z/N), and one row builder makes the hermitian and
-the alternating masks.  One unitary search finds U_m(F_p), and the
-residual group scales that pool at assembly.  A group
+defining conditions.  An element is the tuple of rows of a block-diagonal
+matrix over one table ring: one square block for a matrix group, and for
+the residual group each place's m x m block, then the similitude unit r
+as the 1 x 1 block (r,).  GL_m(F_q) comes from a search over rows
+outside the span of the rows above.  One symplectic basis search builds
+Sp_2m(F_q), its count and GSp_2m(Z/N), and one row builder makes the
+hermitian and the alternating masks.  One unitary search finds U_m(F_p),
+and the residual group scales that pool at assembly.  A group
 multiplies only in one closure walk, which maps all its elements through
-a generator g in one pass: each position's column of values goes through
-a table of g built on demand.  Candidate generators come from a seeded
+a generator g in one pass: each row's column of values goes through a
+table of the block of g that holds the row, built on demand.  Candidate
+generators come from a seeded
 Fisher-Yates shuffle run forward, drawn only as far as the walk needs
 them.  Conjugacy classes and element orders are read off the walk's
 spanning tree by index lookups.  The unitary search's matrices share
@@ -226,22 +228,18 @@ class _RowTable(dict):
         return out
 
 
-def _matrix_right(ring):
-    """right(g) of a matrix group over a table ring: every row of x g is
-    that row of x times g, so one row table serves all positions."""
-    return lambda g: [_RowTable(ring, g)] * len(g)
-
-
 # ---------------------------------------------------------------------------
 # enumerated groups
 # ---------------------------------------------------------------------------
 
 class FqMatrixGroup:
-    """A fully enumerated finite group of matrices (or of matrices with
-    a shared similitude unit).  Elements are flat tuples of positions, all
-    of one length, and right(g) returns one lookup per position such that
-    position i of x g is right(g)[i][x[i]]: each row of x g is that row of
-    x times g, and a similitude unit is multiplied mod p.
+    """A fully enumerated finite group of block-diagonal matrices over a
+    table ring.  Elements are tuples of rows, all of one length, and a run
+    of b rows of length b is one square block: a matrix group's elements
+    are one block, the residual group's one m x m block per place, then
+    the 1 x 1 block (r,) of the similitude unit.  right(g) returns one row
+    table per row such that row i of x g is right(g)[i][x[i]], row i of x
+    times the block of g that holds row i.
 
     The elements are numbered once, and one closure walk is the only
     place that multiplies: candidates are drawn from the element indices
@@ -250,7 +248,7 @@ class FqMatrixGroup:
     added as a generator, until the closure under right multiplication
     is the whole element set, which certifies the generating set.  The
     walk builds right(g) once per generator g and maps the element set
-    through it in one pass, column by column over the positions, into
+    through it in one pass, column by column over the rows, into
     the right action x -> x g as an index list; the list is checked to
     land in the element set and to permute it before the walk reads it.
     The walk's spanning tree (a Schreier tree) records every element as
@@ -265,10 +263,10 @@ class FqMatrixGroup:
     maps is closed under conjugation by the generators themselves.
     """
 
-    def __init__(self, descriptor: str, elements, right, identity):
+    def __init__(self, descriptor: str, elements, ring, identity):
         self.descriptor = descriptor
         self.elements = list(elements)
-        self.right = right
+        self.ring = ring
         self.identity = identity
         self._index = {x: i for i, x in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
@@ -281,6 +279,16 @@ class FqMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def right(self, g) -> list:
+        """One row table per row of g: the b rows of each b x b block
+        share the table of that block."""
+        tables = []
+        while len(tables) < len(g):
+            i = len(tables)
+            block = g[i:i + len(g[i])]
+            tables += [_RowTable(self.ring, block)] * len(block)
+        return tables
 
     def element_order(self, x) -> int:
         actions, parent, letter, reach = self._closure_walk
@@ -305,7 +313,7 @@ class FqMatrixGroup:
         identity first."""
         elements, right, find = self.elements, self.right, self._index.get
         n = len(elements)
-        columns = tuple(zip(*elements, strict=True))  # the values at each position
+        columns = tuple(zip(*elements, strict=True))  # the values at each row
         root = self._index[self.identity]
         parent = [-1] * n
         letter = [-1] * n
@@ -324,7 +332,7 @@ class FqMatrixGroup:
             c = candidates[i]
             if reached[c]:
                 continue
-            # x g for every x at once: each position's column through its table
+            # x g for every x at once: each row's column through its table
             images = zip(*(map(t.__getitem__, col)
                            for t, col in zip(right(elements[c]), columns)))
             act = list(map(find, images))
@@ -434,8 +442,7 @@ def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
 def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     f = field_of_order(q)
     what = f"GL_{m}(F_{q})"
-    return FqMatrixGroup(what, _invertible_matrices(f, m, what), _matrix_right(f),
-                         mat_identity(m))
+    return FqMatrixGroup(what, _invertible_matrices(f, m, what), f, mat_identity(m))
 
 
 def _pairing_masks(left, right, ring, swap, values):
@@ -531,7 +538,7 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
                          f"{MAX_FIELD_ORDER}")
     f = small_field(base.p, 2 * base.e)
     elems = _hermitian_matrices(f, m, f"U_{m}(F_{q})")
-    return FqMatrixGroup(f"U_{m}(F_{q})", elems, _matrix_right(f), mat_identity(m))
+    return FqMatrixGroup(f"U_{m}(F_{q})", elems, f, mat_identity(m))
 
 
 # --- symplectic groups ------------------------------------------------------
@@ -594,7 +601,7 @@ def _basis_group(what: str, ring, m: int, multipliers) -> FqMatrixGroup:
             for j in _iter_bits(pair[i] & avail):
                 elems.append(tuple(zip(*chosen, vectors[i], vectors[j])))
                 _check_elements(len(elems), what)
-    return FqMatrixGroup(what, elems, _matrix_right(ring), mat_identity(2 * m))
+    return FqMatrixGroup(what, elems, ring, mat_identity(2 * m))
 
 
 def _sp_field(m: int, q: int) -> SmallField:
@@ -646,12 +653,13 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     """The finite group attached to a superspecial point of a validated
     setting: tuples ((A_v)_v, r) with r a unit mod p, A_v unrestricted
     invertible at places of even residue degree, and A_v^t conj(A_v) = r*I
-    at places of odd residue degree.  Matrices live over F_{p^2} at every
-    place (residue degrees are 1 or 2 here), so a single table field
-    serves all components.  F is Galois, so every place over p has one
-    residue degree and one pool serves them all: GL_m(F_{p^2}) for every
-    r, or U_m(F_p), whose layer of factor r is lam*A for one lam with
-    lam conj(lam) = r."""
+    at places of odd residue degree.  An element is the block-diagonal
+    matrix of the A_v and the 1 x 1 block (r,), all over F_{p^2} (residue
+    degrees are 1 or 2 here); F_p is its subfield of codes 0..p-1, so the
+    table field multiplies the units mod p.  F is Galois, so every place
+    over p has one residue degree and one pool serves them all:
+    GL_m(F_{p^2}) for every r, or U_m(F_p), whose layer of factor r is
+    lam*A for one lam with lam conj(lam) = r."""
     p, m = setting.p, setting.m
     if p > MAX_FIELD_CHAR:
         raise StateSpaceError(
@@ -675,22 +683,15 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
                                 for i in range(m)]) for r in units]
         layers = [[tuple(map(t.__getitem__, a)) for a in pool] for t in tables]
     elems = []
-    for r, layer in zip(units, layers):  # flat codes: the rows of A_v per place, then r
+    for r, layer in zip(units, layers):  # the rows of A_v per place, then (r,)
+        unit = (r,)
         for combo in itertools.product(layer, repeat=len(places)):
-            elems.append((*itertools.chain(*combo), r))
-
-    def right(g):
-        tables = []
-        for k in range(0, len(g) - 1, m):  # one row table per place
-            tables += [_RowTable(f, g[k:k + m])] * m
-        tables.append([x * g[-1] % p for x in range(p)])
-        return tables
-
-    identity = (*mat_identity(m) * len(places), 1)
+            elems.append((*itertools.chain(*combo), unit))
+    identity = (*mat_identity(m) * len(places), (1,))
     descriptor = (
         f"residual group (disc {setting.field.discriminant}, m={m}, p={p})"
     )
-    return FqMatrixGroup(descriptor, elems, right, identity)
+    return FqMatrixGroup(descriptor, elems, f, identity)
 
 
 # ---------------------------------------------------------------------------

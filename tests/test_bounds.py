@@ -194,6 +194,20 @@ def test_siegel_validation():
     assert err.value.code == "p_too_large"
 
 
+def test_siegel_rank_checks_are_the_datums():
+    # the rank cap over Q is the datum's, so both routes accept the same m
+    # with the same codes, rank before level and prime
+    for m, code in ((0, "m_not_positive"), (51, "m_too_large")):
+        for level, p in ((3, 5), (2, 6)):  # (2, 6) fails two later checks
+            with pytest.raises(SettingError) as err:
+                siegel_bound(m, level, p)
+            assert err.value.code == code
+        with pytest.raises(SettingError) as err:
+            QuaternionData(Q, (), m)
+        assert err.value.code == code
+    assert siegel_bound(50, 3, 5) == final_bound(setting(Q, 50, 3, 5)).final_bound
+
+
 def test_asymptotic_check_true_cases():
     assert asymptotic_check(sweep(Q, 1, 3, 97))
     assert asymptotic_check(sweep(Q, 2, 3, 97))

@@ -251,10 +251,10 @@ def test_delta_prime_parity_partition():
 
 
 def test_field_spec_validation():
-    with pytest.raises(SettingError):
-        FieldSpec.real_quadratic(9)
-    with pytest.raises(SettingError):
-        FieldSpec.real_quadratic(1)
+    for disc in (9, 1):  # a square; the rationals' discriminant
+        with pytest.raises(SettingError) as err:
+            FieldSpec.real_quadratic(disc)
+        assert err.value.code == "bad_discriminant"
     assert FieldSpec.real_quadratic(8).degree == 2
     assert Q.degree == 1
     assert FieldSpec.real_quadratic(199_997).degree == 2

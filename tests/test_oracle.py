@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import time
-from operator import getitem
 from types import SimpleNamespace
 
 import pytest
@@ -32,9 +31,11 @@ from heckebound.oracle import (
     StateSpaceError,
     _charge,
     _hermitian_matrices,
-    _matrix_right,
+    _iter_bits,
     _pairing_masks,
     _ring_tables,
+    _RowTable,
+    _symplectic_bases,
     count_symplectic_matrices,
     enumerate_gl,
     enumerate_gsp_modn,
@@ -188,9 +189,9 @@ def test_mat_mul_over_zmod_tables_is_the_integer_product(n):
                       for j in range(size))
                 for i in range(size)
             )
-            tables = _matrix_right(zn)(b)
-            assert tuple(map(getitem, tables, a)) == expected == mat_mul(zn, a, b)
-            assert set(tables[0]) == set(a)  # filled by the lookups alone
+            table = _RowTable(zn, b)
+            assert tuple(map(table.__getitem__, a)) == expected == mat_mul(zn, a, b)
+            assert set(table) == set(a)  # filled by the lookups alone
 
 
 def test_charge_decides_huge_powers_from_the_exponent():
@@ -317,6 +318,34 @@ def test_gsp_enumeration_matches_level_group_order(level):
     p = 7 if level != 7 else 11
     s = setting(Q, 1, level, p)
     assert enumerate_gsp_modn(1, level).order == level_group_order(s)
+
+
+def quadratic_residue_ring(disc: int, level: int) -> SimpleNamespace:
+    """O_F/N for F = Q(sqrt D) as (Z/N)[x]/(x^2 + t(x)), x the generator
+    (1 + sqrt D)/2 of O_F, a root of x^2 - x - (D - 1)/4, for D = 1 mod 4,
+    and sqrt D / 2, a root of x^2 - D/4, for D = 0 mod 4."""
+    tail = (-(disc - 1) // 4, -1) if disc % 4 == 1 else (-disc // 4, 0)
+    return _ring_tables(level, 2, tuple(t % level for t in tail))
+
+
+# N = 3 inert (D = 5) and split (D = 13); N = 4 inert (D = 5) and split (D = 17)
+QUADRATIC_LEVELS = [(disc, level) for disc in (5, 8, 12, 13, 17, 21)
+                    for level in (3, 4, 5) if math.gcd(disc, level) == 1]
+
+
+@pytest.mark.parametrize("disc,level", QUADRATIC_LEVELS)
+def test_gsp_over_quadratic_residue_rings_matches_level_group_order(disc, level):
+    # |GSp_2(O_F/N)| with the multipliers (Z/N)^x, the constants of the
+    # ring: the last column of each basis counted by popcount, as
+    # count_symplectic_matrices does, so nothing is stored
+    ring = quadratic_residue_ring(disc, level)
+    units = [c for c in range(1, level) if math.gcd(c, level) == 1]
+    _, bases = _symplectic_bases(ring, 1, units)
+    count = sum((pair[i] & avail).bit_count() for _, avail, pair in bases
+                for i in _iter_bits(avail))
+    p = next(q for q in (7, 11) if disc % q)
+    s = setting(FieldSpec.real_quadratic(disc), 1, level, p)
+    assert count == level_group_order(s)
 
 
 def test_gsp_over_z2_is_sp_over_f2():
@@ -586,7 +615,7 @@ def test_similitude_layers_match_brute_force(p, m):
     expected = brute_force_hermitian(small_field(p, 2), m)
     assert sorted(expected) == list(range(1, p))
     for r in range(1, p):
-        found = sorted(x[:-1] for x in group.elements if x[-1] == r)
+        found = sorted(x[:-1] for x in group.elements if x[-1] == (r,))
         assert found == sorted(expected[r]), r
 
 
@@ -637,26 +666,9 @@ def test_conjugacy_partition_sanity():
             assert group.order % size == 0
 
 
-class ReferenceRows(dict):
-    """row -> row * g by the reference mat_mul, filled on lookup."""
-
-    def __init__(self, ring, g):
-        super().__init__()
-        self.ring, self.g = ring, g
-
-    def __missing__(self, row):
-        self[row] = out = mat_mul(self.ring, (row,), self.g)[0]
-        return out
-
-
-def reference_right(ring):
-    """right(g) of a matrix group from the reference product."""
-    return lambda g: [ReferenceRows(ring, g)] * len(g)
-
-
 def test_group_faults_raise_internal_check_error():
     identity = ((1,),)
-    z5 = reference_right(zmod(5))
+    z5 = zmod(5)
     with pytest.raises(InternalCheckError, match="duplicate"):
         FqMatrixGroup("doubled", [identity, identity], z5, identity)
     with pytest.raises(InternalCheckError, match="identity"):
@@ -669,25 +681,23 @@ def test_group_faults_raise_internal_check_error():
 
 def test_ragged_elements_raise_internal_check_error():
     # the walk reads the elements column by column, so they must all have
-    # the same number of positions
+    # the same number of rows
     identity = ((1,),)
     with pytest.raises(InternalCheckError, match="^ragged: elements differ in length$"):
-        FqMatrixGroup("ragged", [identity, ((2,), (3,))], reference_right(zmod(5)),
-                      identity)
+        FqMatrixGroup("ragged", [identity, ((2,), (3,))], zmod(5), identity)
 
 
 def test_non_group_closure_raises_internal_check_error():
     # {1, 0} in Z/5 is closed under products, but x -> x * 0 is no permutation
     identity = ((1,),)
-    monoid = FqMatrixGroup("monoid", [identity, ((0,),)], reference_right(zmod(5)),
-                           identity)
+    monoid = FqMatrixGroup("monoid", [identity, ((0,),)], zmod(5), identity)
     with pytest.raises(InternalCheckError, match="permute"):
         monoid.conjugacy_classes()
 
 
 def test_trivial_group_class_count():
     identity = ((1,),)
-    trivial = FqMatrixGroup("trivial", [identity], reference_right(zmod(5)), identity)
+    trivial = FqMatrixGroup("trivial", [identity], zmod(5), identity)
     for p in (2, 3, 5):
         assert p_regular_class_count(trivial, p) == 1
         assert sylow_p_order(trivial, p) == 1
@@ -825,13 +835,14 @@ def direct_conjugacy_classes(group: FqMatrixGroup, product) -> list[list]:
 
 
 def similitude_product(f, m: int, p: int):
-    """Reference product of flat residual-group codes: the m-row block of
-    each place by mat_mul, the similitude units mod p."""
+    """Reference product of residual-group elements: the m-row block of
+    each place by mat_mul, the 1 x 1 blocks of the similitude units mod p
+    by integer arithmetic, so the unit is kept apart from the tables."""
     def product(a, b):
         out = []
         for k in range(0, len(a) - 1, m):
             out += mat_mul(f, a[k:k + m], b[k:k + m])
-        return (*out, a[-1] * b[-1] % p)
+        return (*out, (a[-1][0] * b[-1][0] % p,))
     return product
 
 
@@ -916,7 +927,7 @@ def test_walk_actions_match_the_reference_product():
         for (g, tables), act in zip(made, actions):
             for a, x in enumerate(group.elements):
                 assert group.elements[act[a]] == product(x, g), group.descriptor
-            for table in {id(t): t for t in tables if isinstance(t, dict)}.values():
+            for table in {id(t): t for t in tables}.values():
                 occurred = {x[i] for x in group.elements
                             for i, t in enumerate(tables) if t is table}
                 assert set(table) == occurred, group.descriptor

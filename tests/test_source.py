@@ -2,11 +2,13 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "heckebound"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "heckebound"
 
 
 def _trees():
@@ -25,6 +27,46 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_no_optimize_mode_branches_in_src():
+    # python -O also compiles `if __debug__:` blocks away, and code that
+    # reads sys.flags.optimize can skip a check itself
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "__debug__")
+        or (isinstance(node, ast.Attribute) and node.attr == "optimize"
+            and getattr(node.value, "attr", getattr(node.value, "id", None)) == "flags")
+    ]
+    assert offenders == []
+
+
+# the argument of each call that names a SettingError code
+_CODE_ARGUMENTS = {"_fail": 0, "SettingError": 0, "_proven_prime": 2}
+
+
+def test_every_error_code_is_documented_in_readme():
+    codes = set()
+    for _, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            position = _CODE_ARGUMENTS.get(name)
+            if position is None or len(node.args) <= position:
+                continue
+            arg = node.args[position]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                codes.add(arg.value)
+    # one code from each kind of call site, so the scan cannot come up empty
+    assert {"m_not_positive", "p_too_large", "classes_mod_too_large"} <= codes
+    # the code column of README's error-code table, one backticked word
+    # per row, so p_too_large cannot pass by matching a longer name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\|[^|]*\| `([a-z_]+)` \|", readme, re.MULTILINE))
+    assert sorted(codes - documented) == []
 
 
 def test_no_module_imports_dataclasses():
