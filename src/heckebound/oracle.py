@@ -10,14 +10,18 @@ as the 1 x 1 block (r,).  GL_m(F_q) comes from a search over rows
 outside the span of the rows above.  One symplectic basis search builds
 Sp_2m(F_q), its count and GSp_2m(Z/N), and one row builder makes the
 hermitian and the alternating masks.  One unitary search finds U_m(F_p),
-and the residual group scales that pool at assembly.  A group
-multiplies only in one closure walk, which maps all its elements through
-a generator g in one pass: each row's column of values goes through a
-table of the block of g that holds the row, built on demand.  Candidate
-generators come from a seeded
-Fisher-Yates shuffle run forward, drawn only as far as the walk needs
-them.  Conjugacy classes and element orders are read off the walk's
-spanning tree by index lookups.  The unitary search's matrices share
+and the residual group scales that pool at assembly.  One column kernel,
+_ring_sums, does the table arithmetic on whole rows: sum_k c_k * column_k
+for every entry at once, one map per term.  It gives each row of the
+pairing masks and each row table.  A group multiplies only in one
+closure walk, which maps all its elements through a generator g in one
+pass: each row's column of values goes through a table of the block of
+g that holds the row, built over the distinct rows at the block's
+positions.  Candidate generators come from a seeded Fisher-Yates
+shuffle run forward, drawn only as far as the walk needs them, and the
+walk's breadth-first search goes a layer at a time.  Conjugacy classes
+and element orders are read off the walk's spanning tree by index
+lookups.  The unitary search's matrices share
 their row tuples, one object per distinct row.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so a
@@ -31,6 +35,7 @@ import itertools
 import random
 from collections import deque
 from math import gcd
+from operator import getitem
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
@@ -106,7 +111,8 @@ class SmallField:
     in [0, p^e) encoding coefficient vectors in base p, so the prime
     subfield is encoded by 0..p-1 itself.
 
-    Field axioms are checked exhaustively at construction.  For even e
+    Field axioms are checked exhaustively at construction, a whole table
+    at a time: every pair and triple of elements.  For even e
     the tables carry the inverting automorphism x -> x^(p^(e/2)), whose
     fixed subfield has exactly p^(e/2) elements (also checked).
     """
@@ -140,6 +146,10 @@ class SmallField:
         self._verify()
 
     def _verify(self):
+        """Every axiom on every pair and triple of elements, a whole table
+        at a time: each row becomes bytes, and padded to 256 bytes it is a
+        bytes.translate table, so row.translate(T[a]) maps every entry x
+        of a row to add[a][x] (or mul[a][x]) in one call."""
         q = self.order
         add, mul = self.add, self.mul
         rng = range(q)
@@ -147,36 +157,46 @@ class SmallField:
         def fail(axiom):
             raise InternalCheckError(f"{self!r}: {axiom} fails")
 
+        add_cols, mul_cols = list(zip(*add)), list(zip(*mul))
         for a in rng:
             if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
                 fail("identity law")
-            for b in rng:
-                if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
-                    fail("commutativity")
+            if tuple(add[a]) != add_cols[a] or tuple(mul[a]) != mul_cols[a]:
+                fail("commutativity")
+        pad = bytes(256 - q)
+        add_rows, mul_rows = [bytes(r) for r in add], [bytes(r) for r in mul]
+        add_by, mul_by = [r + pad for r in add_rows], [r + pad for r in mul_rows]
+        add_flat, mul_flat = b"".join(add_rows), b"".join(mul_rows)
         for a in rng:
-            for b in rng:
-                ab, mab = add[a][b], mul[a][b]
-                for c in rng:
-                    if (
-                        add[ab][c] != add[a][add[b][c]]
-                        or mul[mab][c] != mul[a][mul[b][c]]
-                        or mul[a][add[b][c]] != add[mab][mul[a][c]]
-                    ):
-                        fail("associativity or distributivity")
+            # all (b, c) at once.  Read b outer, the flat tables give
+            # (a + b) + c = a + (b + c) and (a b) c = a (b c); read c outer,
+            # with + commutative, a (b + c) = (a b) + (a c) = (a c) + (a b)
+            sums = b"".join(map(add_rows.__getitem__, add[a]))
+            products = b"".join(map(mul_rows.__getitem__, mul[a]))
+            spread = b"".join(map(mul_rows[a].translate, map(add_by.__getitem__, mul[a])))
+            if (
+                sums != add_flat.translate(add_by[a])
+                or products != mul_flat.translate(mul_by[a])
+                or spread != add_flat.translate(mul_by[a])
+            ):
+                fail("associativity or distributivity")
         if self.frob is not None:
             frob = self.frob
+            images = bytes(frob)
+            frob_by = images + pad
             fixed = 0
             for a in rng:
                 if frob[frob[a]] != a:
                     fail("involutivity of the automorphism")
                 if frob[a] == a:
                     fixed += 1
-                for b in rng:
-                    if (
-                        frob[add[a][b]] != add[frob[a]][frob[b]]
-                        or frob[mul[a][b]] != mul[frob[a]][frob[b]]
-                    ):
-                        fail("additivity or multiplicativity of the automorphism")
+                # all b at once: frob(a + b) = frob(a) + frob(b), and for a b
+                fa = frob[a]
+                if (
+                    add_rows[a].translate(frob_by) != images.translate(add_by[fa])
+                    or mul_rows[a].translate(frob_by) != images.translate(mul_by[fa])
+                ):
+                    fail("additivity or multiplicativity of the automorphism")
             if fixed != self.p ** (self.e // 2):
                 fail("fixed-field size")
 
@@ -207,25 +227,27 @@ def mat_identity(m: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
-class _RowTable(dict):
-    """row -> row * g over a table ring: a row is multiplied out on its
-    first lookup and stored, so each row that occurs costs one product."""
+def _ring_sums(ring, coeffs, columns):
+    """sum_k coeffs[k] * columns[k][t] over a table ring, for every t at
+    once: one map per nonzero term, folded through the add table.  The
+    columns are sequences of one length; the sums come as an iterator."""
+    add, mul = ring.add, ring.mul
+    total = None
+    for c, col in zip(coeffs, columns, strict=True):
+        if c:
+            term = map(mul[c].__getitem__, col)
+            if total is not None:
+                term = map(getitem, map(add.__getitem__, total), term)
+            total = term
+    return itertools.repeat(0, len(columns[0])) if total is None else total
 
-    def __init__(self, ring, g):
-        super().__init__()
-        self.add, self.mul = ring.add, ring.mul
-        self.columns = tuple(zip(*g))
 
-    def __missing__(self, row):
-        add, mul = self.add, self.mul
-        out = []
-        for col in self.columns:
-            s = 0
-            for x, y in zip(row, col):
-                s = add[s][mul[x][y]]
-            out.append(s)
-        self[row] = out = tuple(out)
-        return out
+def _row_table(ring, block, rows) -> dict:
+    """row -> row * block over a commutative table ring, for each of the
+    given distinct rows: one _ring_sums pass over the rows' columns per
+    column of the block."""
+    columns = tuple(zip(*rows))
+    return dict(zip(rows, zip(*(_ring_sums(ring, col, columns) for col in zip(*block)))))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +261,7 @@ class FqMatrixGroup:
     are one block, the residual group's one m x m block per place, then
     the 1 x 1 block (r,) of the similitude unit.  right(g) returns one row
     table per row such that row i of x g is right(g)[i][x[i]], row i of x
-    times the block of g that holds row i.
+    times the block of g that holds row i, for every element x.
 
     The elements are numbered once, and one closure walk is the only
     place that multiplies: candidates are drawn from the element indices
@@ -252,8 +274,12 @@ class FqMatrixGroup:
     the right action x -> x g as an index list; the list is checked to
     land in the element set and to permute it before the walk reads it.
     The walk's spanning tree (a Schreier tree) records every element as
-    parent * generator.
-    Everything else is read off the tree by index lookups.  The order of
+    parent * generator.  It is grown breadth first, a layer at a time:
+    a new generator's action is mapped over the whole closure so far,
+    then every generator's over each new layer, and an element reached
+    for the first time takes the layer element and generator that
+    reached it as its parent and letter.  Everything else is read off
+    the tree by index lookups.  The order of
     x is the number of passes of x's tree word through the right actions
     that bring the identity back.  Conjugacy classes are orbits under
     x -> g^-1 x g = R_g(g^-1 x) for the generators g only, where g^-1 is
@@ -282,13 +308,31 @@ class FqMatrixGroup:
 
     def right(self, g) -> list:
         """One row table per row of g: the b rows of each b x b block
-        share the table of that block."""
+        share the table of that block, which holds the distinct rows that
+        occur at the block's positions."""
         tables = []
-        while len(tables) < len(g):
-            i = len(tables)
-            block = g[i:i + len(g[i])]
-            tables += [_RowTable(self.ring, block)] * len(block)
+        for start, rows in self._block_rows:
+            block = g[start:start + len(g[start])]
+            tables += [_row_table(self.ring, block, rows)] * len(block)
         return tables
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """The elements' values at each row; the closure walk drops them
+        once its actions are built."""
+        return tuple(zip(*self.elements, strict=True))
+
+    @functools.cached_property
+    def _block_rows(self) -> list[tuple[int, list]]:
+        """(first row, distinct rows at its positions) for each square
+        block, read off the columns."""
+        columns, out, start = self._columns, [], 0
+        while start < len(columns):
+            size = len(self.identity[start])
+            rows = dict.fromkeys(itertools.chain(*columns[start:start + size]))
+            out.append((start, list(rows)))
+            start += size
+        return out
 
     def element_order(self, x) -> int:
         actions, parent, letter, reach = self._closure_walk
@@ -313,11 +357,10 @@ class FqMatrixGroup:
         identity first."""
         elements, right, find = self.elements, self.right, self._index.get
         n = len(elements)
-        columns = tuple(zip(*elements, strict=True))  # the values at each row
+        columns = self._columns
         root = self._index[self.identity]
         parent = [-1] * n
         letter = [-1] * n
-        applied = [0] * n  # generators already applied to each reached element
         reached = bytearray(n)
         reached[root] = 1
         closure = [root]
@@ -332,10 +375,10 @@ class FqMatrixGroup:
             c = candidates[i]
             if reached[c]:
                 continue
-            # x g for every x at once: each row's column through its table
-            images = zip(*(map(t.__getitem__, col)
-                           for t, col in zip(right(elements[c]), columns)))
-            act = list(map(find, images))
+            # x g for every x at once: each row's column through its table;
+            # the tables go as soon as the action is read off
+            act = list(map(find, zip(*(map(t.__getitem__, col)
+                                       for t, col in zip(right(elements[c]), columns)))))
             if None in act:
                 raise InternalCheckError(
                     f"{self.descriptor}: generated closure does not match "
@@ -346,15 +389,21 @@ class FqMatrixGroup:
                     f"{self.descriptor}: a generator does not permute the elements"
                 )
             actions.append(act)
-            gens = len(actions)
-            for a in closure:  # breadth first: the list grows while it is walked
-                for k in range(applied[a], gens):
-                    b = actions[k][a]
-                    if not reached[b]:
-                        reached[b] = 1
-                        parent[b], letter[b] = a, k
-                        closure.append(b)
-                applied[a] = gens
+            # breadth first, a layer at a time: the new generator on the
+            # whole closure so far, then every generator on each new layer;
+            # the closure grows only once a layer is done, so it can be one
+            layer, letters = closure, [len(actions) - 1]
+            while layer and len(closure) < n:
+                grown = []
+                for k in letters:
+                    for a, b in zip(layer, map(actions[k].__getitem__, layer)):
+                        if not reached[b]:
+                            reached[b] = 1
+                            parent[b], letter[b] = a, k
+                            grown.append(b)
+                closure += grown
+                layer, letters = grown, range(len(actions))
+        del self._columns  # needed only while the actions are built
         return actions, parent, letter, closure
 
     def conjugacy_classes(self) -> list[list]:
@@ -445,31 +494,31 @@ def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     return FqMatrixGroup(what, _invertible_matrices(f, m, what), f, mat_identity(m))
 
 
-def _pairing_masks(left, right, ring, swap, values):
+def _pairing_masks(left, right, ring, values):
     """Orthogonality bitmasks of the pairing <i, j> = sum_k left[i][k] *
-    right[j][k] over a table ring, with <j, i> = swap[<i, j>].  Returns
-    masks, a list indexed by ring element: masks[s][i] has bit j set for
-    every j != i with <i, j> = s, for each s in values (None elsewhere),
-    and a generator that fills them.  It evaluates each unordered pair
-    once and yields i as soon as row i is complete: rows j < i set their
-    bits in it earlier, and its own pass covers every j > i."""
-    add, mul = ring.add, ring.mul
-    size = len(left)
-    masks = [[0] * size if s in values else None for s in range(ring.order)]
+    right[j][k] over a table ring of order at most 256, so that a row of
+    values is bytes; the budgets keep every caller at or below 56, for
+    GSp_2(Z/56).  Returns masks, a list indexed by ring element:
+    masks[s][i] has bit j set for every j != i with <i, j> = s, for each
+    s in values (None elsewhere), and a generator that fills them.  Row i
+    is computed whole, one _ring_sums pass over right's columns, and
+    translated to the binary digits of each mask; i is yielded once its
+    own pass ends."""
+    if ring.order > 256:
+        raise InternalCheckError(
+            f"pairing masks need a ring of order at most 256, got {ring.order}"
+        )
+    columns = tuple(zip(*right))
+    masks = [[0] * len(left) if s in values else None for s in range(ring.order)]
+    # the digit 1 at the entries of value s, 0 elsewhere
+    picks = [(masks[s], b"0" * s + b"1" + b"0" * (255 - s)) for s in values]
 
     def rows():
         for i, u in enumerate(left):
-            bit = 1 << i
-            for j, v in enumerate(right[i + 1:], i + 1):
-                s = 0
-                for x, y in zip(u, v):
-                    s = add[s][mul[x][y]]
-                hit = masks[s]
-                if hit is not None:
-                    hit[i] |= 1 << j
-                hit = masks[swap[s]]
-                if hit is not None:
-                    hit[j] |= bit
+            row = bytes(_ring_sums(ring, u, columns))
+            others = ~(1 << i)
+            for hit, pick in picks:
+                hit[i] = int(row.translate(pick)[::-1], 2) & others
             yield i
 
     return masks, rows()
@@ -485,9 +534,9 @@ def _hermitian_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     search is charged in pool scans, before the work they stand for:
     the root's scan, then each inner node's children's scans.  The
     root's children's charge, made before the mask table is built,
-    covers the table; each depth-1 node is charged as its mask row is
-    completed.  The matrices share their row tuples: each distinct row is
-    one object."""
+    covers the table; each depth-1 node is charged once its mask row's
+    own pass has ended.  The matrices share their row tuples: each
+    distinct row is one object."""
     _check_rank(m)
     q2 = f.order
     spent = _charge(what, q2, m)
@@ -505,9 +554,9 @@ def _hermitian_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     masks = [0] * size
     if m >= 2:
         spent = _charge(what, size, 2, spent)  # the root's children's scans
-        # the pool against its conjugates: <v, u> = conj(<u, v>)
+        # the pool against its conjugates: <u, v> = sum_k u_k conj(v_k)
         conj = [[frob[y] for y in v] for v in pool]
-        by_value, rows = _pairing_masks(pool, conj, f, frob, (0,))
+        by_value, rows = _pairing_masks(pool, conj, f, (0,))
         masks = by_value[0]
         for i in rows:
             if m >= 3:  # depth-1 node i, whose children are its row's bits
@@ -559,10 +608,10 @@ def _symplectic_bases(ring, m: int, multipliers, what: str | None = None):
     n = 2 * m
     vectors = list(itertools.product(range(ring.order), repeat=n))
     neg = ring.neg
-    # J-twisted vectors against vectors: <u, v> = (Ju) . v, <v, u> = -<u, v>
+    # J-twisted vectors against vectors: <u, v> = (Ju) . v
     twisted = [tuple(x for k in range(0, n, 2) for x in (neg[u[k + 1]], u[k]))
                for u in vectors]
-    masks, rows = _pairing_masks(twisted, vectors, ring, neg, (0, *multipliers))
+    masks, rows = _pairing_masks(twisted, vectors, ring, (0, *multipliers))
     if what is not None and m == 1:  # e_1 = i, f_1 any bit of masks[c][i]
         count = 0
         for i in rows:
@@ -679,8 +728,9 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     if inside:  # lam*A through one row table of lam*I per r: one object per row
         # one lam per norm; descending, so norm 1 keeps lam = 1
         lams = {f.mul[x][f.frob[x]]: x for x in range(f.order - 1, 0, -1)}
-        tables = [_RowTable(f, [[lams[r] if i == j else 0 for j in range(m)]
-                                for i in range(m)]) for r in units]
+        rows = list(dict.fromkeys(itertools.chain(*pool)))
+        tables = [_row_table(f, [[lams[r] if i == j else 0 for j in range(m)]
+                                 for i in range(m)], rows) for r in units]
         layers = [[tuple(map(t.__getitem__, a)) for a in pool] for t in tables]
     elems = []
     for r, layer in zip(units, layers):  # the rows of A_v per place, then (r,)

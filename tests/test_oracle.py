@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -34,7 +35,7 @@ from heckebound.oracle import (
     _iter_bits,
     _pairing_masks,
     _ring_tables,
-    _RowTable,
+    _row_table,
     _symplectic_bases,
     count_symplectic_matrices,
     enumerate_gl,
@@ -189,9 +190,9 @@ def test_mat_mul_over_zmod_tables_is_the_integer_product(n):
                       for j in range(size))
                 for i in range(size)
             )
-            table = _RowTable(zn, b)
+            table = _row_table(zn, b, a)
             assert tuple(map(table.__getitem__, a)) == expected == mat_mul(zn, a, b)
-            assert set(table) == set(a)  # filled by the lookups alone
+            assert set(table) == set(a)  # exactly the rows asked for
 
 
 def test_charge_decides_huge_powers_from_the_exponent():
@@ -259,6 +260,140 @@ def test_small_field_check_names_each_broken_axiom():
             f._verify()
         assert str(info.value) == f"SmallField(2^2): {axiom} fails"
     assert small_field(2, 2).frob == [0, 1, 3, 2]
+
+
+def corruptible_copy(p: int, e: int) -> SmallField:
+    """The cached field with tables of its own, free to corrupt."""
+    f = copy.copy(small_field(p, e))
+    f.add, f.mul = [r[:] for r in f.add], [r[:] for r in f.mul]
+    if f.frob is not None:
+        f.frob = f.frob[:]
+    return f
+
+
+_AXIOMS = {axiom for _, axiom in _FIELD_CORRUPTIONS}
+
+
+def _swap_frob_pairs(f):
+    # frob swaps x = q - 1 with frob(x), and y with frob(y), for a second
+    # moved y; sending x <-> y and frob(x) <-> frob(y) instead keeps an
+    # involution with the same fixed points, which is not additive
+    frob, x = f.frob, f.order - 1
+    y = next(a for a in range(x - 1, 0, -1) if frob[a] != a and a != frob[x])
+    fx, fy = frob[x], frob[y]
+    frob[x], frob[y], frob[fx], frob[fy] = y, x, fy, fx
+
+
+def _corrupt_corner(table):
+    def corrupt(f):
+        row = getattr(f, table)[f.order - 1]
+        row[-1] = (row[-1] + 1) % f.order
+    return corrupt
+
+
+def _corrupt_pair(table):
+    # the entry at (q - 1, q - 2) with its mirror, so commutativity holds
+    def corrupt(f):
+        rows, q = getattr(f, table), f.order
+        rows[q - 1][q - 2] = rows[q - 2][q - 1] = (rows[q - 1][q - 2] + 1) % q
+    return corrupt
+
+
+def _corrupt_last_image(f):
+    f.frob[-1] = (f.frob[-1] + 1) % f.order
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("corrupt,axiom", [
+    (_corrupt_corner("add"), "associativity or distributivity"),
+    (_corrupt_corner("mul"), "associativity or distributivity"),
+    (_corrupt_pair("add"), "associativity or distributivity"),
+    (_corrupt_pair("mul"), "associativity or distributivity"),
+    # a = 0 comes first, and frob(0 + b) = frob(b) fails at b = q - 1
+    (_corrupt_last_image, "additivity or multiplicativity of the automorphism"),
+    (_swap_frob_pairs, "additivity or multiplicativity of the automorphism"),
+], ids=["add corner", "mul corner", "add pair", "mul pair", "frob last", "frob swap"])
+def test_field_check_reaches_the_last_row_and_column(p, corrupt, axiom):
+    # F_25 and F_49: the entries at the end of each table row, next to
+    # where the whole-table check pads its rows to 256 bytes
+    f = corruptible_copy(p, 2)
+    corrupt(f)
+    with pytest.raises(InternalCheckError) as info:
+        f._verify()
+    assert str(info.value) == f"SmallField({p}^2): {axiom} fails"
+    small_field(p, 2)._verify()  # the cached field is untouched
+
+
+def _magma_with_lone_failure(f):
+    # F_3's + with 1 + 1 = 1 and 2 + 2 = 2: commutative, and x -> -x is
+    # still an automorphism, so distributivity holds, but
+    # (1 + 1) + 2 = 0 while 1 + (1 + 2) = 1
+    f.add[1][1], f.add[2][2] = 1, 2
+
+
+def _product_with_lone_failure(f):
+    # F_3 with 2 * 2 = 2: a commutative, associative monoid, but
+    # 2 * (1 + 1) = 2 while 2 * 1 + 2 * 1 = 1
+    f.mul[2][2] = 2
+
+
+def _algebra_with_lone_failure(f):
+    # F_2^3 with basis 1, x, y (bits 0, 1, 2) and the bilinear product
+    # x x = y, x y = 1, y y = 0: commutative and distributive, but
+    # (x x) y = 0 while x (x y) = x
+    basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): 4, (2, 4): 1, (4, 4): 0}
+    for a in range(8):
+        for b in range(8):
+            s = 0
+            for i in (1, 2, 4):
+                for j in (1, 2, 4):
+                    if a & i and b & j:
+                        s ^= basis[min(i, j), max(i, j)]
+            f.mul[a][b] = s
+
+
+@pytest.mark.parametrize("p,e,corrupt,axiom", [
+    (3, 1, _magma_with_lone_failure, "associativity or distributivity"),
+    (3, 1, _product_with_lone_failure, "associativity or distributivity"),
+    (2, 3, _algebra_with_lone_failure, "associativity or distributivity"),
+    # on F_4, 1 -> x + 1 fixes {0, x} and is additive, not multiplicative
+    (2, 2, _set_frob([0, 3, 2, 1]),
+     "additivity or multiplicativity of the automorphism"),
+    # on F_9, a -> a^-1 fixes 0, 1 and -1 and is multiplicative, not additive
+    (3, 2, _set_frob(
+        [0] + [next(b for b in range(1, 9) if small_field(3, 2).mul[a][b] == 1)
+               for a in range(1, 9)]),
+     "additivity or multiplicativity of the automorphism"),
+], ids=["+ associativity", "distributivity", "* associativity",
+        "multiplicativity", "additivity"])
+def test_field_check_sees_each_equation_alone(p, e, corrupt, axiom):
+    # tables that break one equation of the whole-table check and keep
+    # every other axiom, so no other equation can stand in for it
+    f = corruptible_copy(p, e)
+    corrupt(f)
+    with pytest.raises(InternalCheckError) as info:
+        f._verify()
+    assert str(info.value) == f"SmallField({p}^{e}): {axiom} fails"
+
+
+def test_field_check_catches_random_single_entry_corruptions():
+    rng = random.Random(0)
+    for _ in range(50):
+        p = rng.choice((5, 7))
+        f = corruptible_copy(p, 2)
+        q = f.order
+        table = rng.choice(("add", "mul", "frob"))
+        if table == "frob":
+            rows, at = [f.frob], (0, rng.randrange(q))
+        else:
+            rows, at = getattr(f, table), (rng.randrange(q), rng.randrange(q))
+        row = rows[at[0]]
+        row[at[1]] = rng.choice([x for x in range(q) if x != row[at[1]]])
+        with pytest.raises(InternalCheckError) as info:
+            f._verify()
+        message = str(info.value)
+        assert message.startswith(f"SmallField({p}^2): ") and message.endswith(" fails")
+        assert message[len(f"SmallField({p}^2): "):-len(" fails")] in _AXIOMS, (table, at)
 
 # --- closed-form orders vs enumeration --------------------------------------
 
@@ -420,11 +555,11 @@ def test_gsp_element_limit_fires_while_the_table_is_built():
     assert time.monotonic() - t0 < 1.0
 
 
-def check_pairing_masks(left, right, ring, swap, values, value_rows):
+def check_pairing_masks(left, right, ring, values, value_rows):
     """_pairing_masks against value_rows(i), the pairings <i, j> for every
     j evaluated directly, over all i: so both <i, j> and <j, i> for each
     pair.  Each row must be complete when its index is yielded."""
-    masks, rows = _pairing_masks(left, right, ring, swap, values)
+    masks, rows = _pairing_masks(left, right, ring, values)
     at_yield = [{t: masks[t][i] for t in values} for i in rows]
     assert len(at_yield) == len(left)
     assert [s for s in range(ring.order) if masks[s] is not None] == sorted(values)
@@ -453,7 +588,7 @@ def test_pairing_masks_of_hermitian_pools(p):
         pool = [v for v in vectors if herm(v, v) == t]
         conj = [[frob[y] for y in v] for v in pool]
         for values in ((0,), tuple(range(f.order))):
-            check_pairing_masks(pool, conj, f, frob, values,
+            check_pairing_masks(pool, conj, f, values,
                                 lambda i: [herm(pool[i], v) for v in pool])
 
 
@@ -484,7 +619,46 @@ def test_pairing_masks_of_the_alternating_form(p, e, n, m):
 
     twisted = [tuple(x for k in range(0, 2 * m, 2) for x in (neg[u[k + 1]], u[k]))
                for u in vectors]
-    check_pairing_masks(twisted, vectors, ring, neg, values, value_row)
+    check_pairing_masks(twisted, vectors, ring, values, value_row)
+
+
+@pytest.mark.parametrize("ring", [zmod(56), small_field(7, 2)], ids=["Z/56", "F_49"])
+def test_row_table_at_the_largest_rings(ring):
+    # Z/56 is the largest ring the budgets admit (GSp_2(Z/56)), F_49 the
+    # largest field: each table row against the reference product
+    rng = random.Random(ring.order)
+    for size in (1, 2, 3):
+        block = tuple(tuple(rng.randrange(ring.order) for _ in range(size))
+                      for _ in range(size))
+        rows = list(dict.fromkeys(tuple(rng.randrange(ring.order) for _ in range(size))
+                                  for _ in range(60)))
+        table = _row_table(ring, block, rows)
+        assert list(table) == rows
+        assert [(table[r],) for r in rows] == [mat_mul(ring, (r,), block) for r in rows]
+
+
+def test_pairing_masks_at_z56_against_each_pair():
+    # GSp_2(Z/56)'s table, values 0 and the units: the first 40 rows as the
+    # generator yields them, against <i, j> evaluated one pair at a time
+    ring = zmod(56)
+    values = (0, *(c for c in range(1, 56) if math.gcd(c, 56) == 1))
+    vectors = list(itertools.product(range(56), repeat=2))
+    twisted = [(ring.neg[v], u) for u, v in vectors]
+    masks, rows = _pairing_masks(twisted, vectors, ring, values)
+    for i in itertools.islice(rows, 40):
+        expected = dict.fromkeys(values, 0)
+        for j, (x, y) in enumerate(vectors):
+            s = (twisted[i][0] * x + twisted[i][1] * y) % 56
+            if j != i and s in expected:
+                expected[s] |= 1 << j
+        assert {t: masks[t][i] for t in values} == expected, i
+
+
+def test_pairing_masks_refuse_a_ring_past_256():
+    # a row of values is bytes, so a ring of order 257 is an internal fault
+    with pytest.raises(InternalCheckError, match="^pairing masks need a ring of order "
+                                                 "at most 256, got 257$"):
+        _pairing_masks([(1,)], [(1,)], zmod(257), (0,))
 
 
 # --- guards ------------------------------------------------------------------
@@ -931,3 +1105,26 @@ def test_walk_actions_match_the_reference_product():
                 occurred = {x[i] for x in group.elements
                             for i, t in enumerate(tables) if t is table}
                 assert set(table) == occurred, group.descriptor
+
+
+# the residual groups of the oracle_check benchmark: Q at p = 2, 5 and 7,
+# and Q(sqrt5) at p = 3 inert
+ORACLE_CHECK_SETTINGS = [(Q, 2, 3, 2), (Q, 2, 3, 5), (Q, 2, 3, 7), (R5, 2, 4, 3)]
+
+
+def test_walk_tree_reaches_each_element_from_an_earlier_parent():
+    # every element but the identity is parent * generator, and its parent
+    # was reached before it, which the class and order lookups rely on
+    oracle_groups = [enumerate_similitude_product(setting(*args))
+                     for args in ORACLE_CHECK_SETTINGS]
+    for group in [group for group, _ in class_test_groups()] + oracle_groups:
+        actions, parent, letter, reach = group._closure_walk
+        assert sorted(reach) == list(range(group.order))
+        position = [0] * group.order
+        for k, x in enumerate(reach):
+            position[x] = k
+        for x in reach[1:]:
+            assert actions[letter[x]][parent[x]] == x, group.descriptor
+            assert position[parent[x]] < position[x], group.descriptor
+    assert [(group.order, len(group._closure_walk[0])) for group in oracle_groups] == [
+        (18, 3), (2_880, 3), (16_128, 3), (11_520, 3)]
