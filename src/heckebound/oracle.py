@@ -10,18 +10,24 @@ as the 1 x 1 block (r,).  GL_m(F_q) comes from a search over rows
 outside the span of the rows above.  One symplectic basis search builds
 Sp_2m(F_q), its count and GSp_2m(Z/N), and one row builder makes the
 hermitian and the alternating masks.  One unitary search finds U_m(F_p),
-and the residual group scales that pool at assembly.  One column kernel,
+and the residual group is assembled from that pool by columns: each
+factor r's elements are one zip of the pool's row columns, scaled
+through one row table and indexed per place.  One column kernel,
 _ring_sums, does the table arithmetic on whole rows: sum_k c_k * column_k
-for every entry at once, one map per term.  It gives each row of the
-pairing masks and each row table.  A group multiplies only in one
-closure walk, which maps all its elements through a generator g in one
-pass: each row's column of values goes through a table of the block of
-g that holds the row, built over the distinct rows at the block's
-positions.  Candidate generators come from a seeded Fisher-Yates
-shuffle run forward, drawn only as far as the walk needs them, and the
-walk's breadth-first search goes a layer at a time.  Conjugacy classes
-and element orders are read off the walk's spanning tree by index
-lookups.  The unitary search's matrices share
+for every entry at once, digit plane by digit plane.  A table ring adds
+its elements' base-n digits mod n with no carry, so on plane d each term
+is one bytes.translate of its column through x -> digit d of c_k x, and
+the k terms add as little-endian integers; no byte carries while
+k (n - 1) <= 255, which the kernel checks.  The pairing masks AND each
+plane's digit masks, and a row table recombines the planes reduced
+mod n.  A group multiplies only in one closure walk, which maps all its
+elements through a generator g in one pass: each row's column of values
+goes through a table of the block of g that holds the row, built over
+the distinct rows at the block's positions.  Candidate generators come
+from a seeded Fisher-Yates shuffle run forward, drawn only as far as the
+walk needs them, and the walk's breadth-first search goes a layer at a
+time.  Conjugacy classes and element orders are read off the walk's
+spanning tree by index lookups.  The unitary search's matrices share
 their row tuples, one object per distinct row.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so a
@@ -35,7 +41,6 @@ import itertools
 import random
 from collections import deque
 from math import gcd
-from operator import getitem
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
@@ -79,10 +84,13 @@ class StateSpaceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _ring_tables(n: int, e: int, tail: tuple) -> SimpleNamespace:
+def _ring_tables(n: int, e: int, tail: tuple, add: list | None = None) -> SimpleNamespace:
     """The ring (Z/n)[x]/(x^e + t(x)), t(x) = sum_i tail[i] x^i: its order
-    n^e and its add, mul and neg tables.  Elements are integers in [0, n^e)
-    read as base-n coefficient vectors, constant term lowest.
+    n^e, its digit base n and digit count e, and its add, mul and neg
+    tables.  Elements are integers in [0, n^e) read as base-n coefficient
+    vectors, constant term lowest, so addition is digit by digit mod n
+    with no carry.  That add table does not depend on the tail, and a
+    caller trying several tails may pass in the one it built.
 
     x * a shifts a's digits up one place and replaces the carried c x^e
     by -c t(x).  Then a * b = sum_i b_i (x^i a), built up over b in
@@ -90,10 +98,11 @@ def _ring_tables(n: int, e: int, tail: tuple) -> SimpleNamespace:
     nonzero, and a * b = x (a * (b // n)) when it is zero."""
     size = n**e
     top = n ** (e - 1)
-    add = [[0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):  # digitwise: rows a // n < a are complete
-            add[a][b] = add[a // n][b // n] * n + (a + b) % n
+    if add is None:
+        add = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(size):  # digitwise: rows a // n < a are complete
+                add[a][b] = add[a // n][b // n] * n + (a + b) % n
     carry = [sum((-c * t) % n * n**i for i, t in enumerate(tail)) for c in range(n)]
     times_x = [add[a % top * n][carry[a // top]] for a in range(size)]
     mul = []
@@ -102,7 +111,8 @@ def _ring_tables(n: int, e: int, tail: tuple) -> SimpleNamespace:
         for b in range(1, size):
             row.append(add[row[b - 1]][a] if b % n else times_x[row[b // n]])
         mul.append(row)
-    return SimpleNamespace(order=size, add=add, mul=mul, neg=mul[n - 1])  # n - 1 is -1
+    return SimpleNamespace(order=size, base=n, e=e, add=add, mul=mul,
+                           neg=mul[n - 1])  # n - 1 is -1
 
 
 class SmallField:
@@ -128,14 +138,22 @@ class SmallField:
         # F_p[x]/(f) is a field exactly when f is irreducible, so the first
         # tail (in itertools.product order) whose ring has no zero divisors,
         # i.e. every nonzero element has an inverse, gives the first monic
-        # irreducible f of degree e
+        # irreducible f of degree e.  A tail whose f has a root in F_p is
+        # reducible at e >= 2 and gets no tables; the add table is built
+        # once, for this field alone
+        add = None
         for tail in itertools.product(range(p), repeat=e):
-            ring = _ring_tables(p, e, tail)
+            if e >= 2 and any((r**e + sum(t * r**i for i, t in enumerate(tail))) % p == 0
+                              for r in range(p)):
+                continue
+            ring = _ring_tables(p, e, tail, add)
+            add = ring.add
             if all(1 in row for row in ring.mul[1:]):
                 break
         else:
             raise InternalCheckError(f"no field of order {p**e} among the tails")
-        self.order, self.add, self.mul, self.neg = ring.order, ring.add, ring.mul, ring.neg
+        self.order, self.base = ring.order, ring.base
+        self.add, self.mul, self.neg = ring.add, ring.mul, ring.neg
 
         self.frob = None
         if e % 2 == 0:  # a -> a^(p^(e/2)) by repeated products; p^(e/2) <= 7
@@ -227,27 +245,71 @@ def mat_identity(m: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
-def _ring_sums(ring, coeffs, columns):
-    """sum_k coeffs[k] * columns[k][t] over a table ring, for every t at
-    once: one map per nonzero term, folded through the add table.  The
-    columns are sequences of one length; the sums come as an iterator."""
-    add, mul = ring.add, ring.mul
-    total = None
-    for c, col in zip(coeffs, columns, strict=True):
-        if c:
-            term = map(mul[c].__getitem__, col)
-            if total is not None:
-                term = map(getitem, map(add.__getitem__, total), term)
-            total = term
-    return itertools.repeat(0, len(columns[0])) if total is None else total
+@functools.cache
+def _plane_tables(n: int, e: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Two translate tables per digit plane d of the base-n digits of a
+    byte x: x -> digit d of x, and x -> (x mod n) * n^d."""
+    return (tuple(bytes(x // n**d % n for x in range(256)) for d in range(e)),
+            tuple(bytes(x % n * n**d for x in range(256)) for d in range(e)))
+
+
+def _ring_sums(ring, columns):
+    """The column kernel over a table ring of order at most 256: sums(c)
+    gives sum_k c[k] * columns[k][t] for every t at once, as the ring's e
+    digit planes, each bytes with entry t the plane's digit sum before
+    reduction mod n.
+
+    Every table ring adds digit by digit mod n with no carry between
+    digits, so each plane is summed on its own: the term c_k * column_k
+    on plane d is one bytes.translate of the column through the 256-byte
+    table x -> digit d of mul[c_k][x], and the terms add as little-endian
+    integers.  A byte of the sum is at most k (n - 1) for k terms, so no
+    byte carries into the next while k (n - 1) <= 255; a larger k is an
+    internal fault, as is a ring whose elements are not bytes.  The
+    budgets stay far inside: the most is 2 * 55, for GSp_2(Z/56)."""
+    order, n, e = ring.order, ring.base, ring.e
+    if order > 256:
+        raise InternalCheckError(f"the column kernel needs a ring of order at most 256, "
+                                 f"got {order}")
+    if len(columns) * (n - 1) > 255:
+        raise InternalCheckError(f"the column kernel's {len(columns)} terms of digits "
+                                 f"mod {n} could carry past a byte")
+    columns = [bytes(col) for col in columns]
+    size = len(columns[0])
+    pad = bytes(256 - order)
+    digit_tables = _plane_tables(n, e)[0]
+
+    @functools.cache
+    def planes(c):  # x -> digit d of c * x, one table per plane d
+        products = bytes(ring.mul[c])
+        return [products.translate(t) + pad for t in digit_tables]
+
+    def sums(coeffs) -> list[bytes]:
+        total = [0] * e
+        for c, col in zip(coeffs, columns, strict=True):
+            if c:
+                for d, table in enumerate(planes(c)):
+                    total[d] += int.from_bytes(col.translate(table), "little")
+        return [t.to_bytes(size, "little") for t in total]
+
+    return sums
 
 
 def _row_table(ring, block, rows) -> dict:
     """row -> row * block over a commutative table ring, for each of the
-    given distinct rows: one _ring_sums pass over the rows' columns per
-    column of the block."""
-    columns = tuple(zip(*rows))
-    return dict(zip(rows, zip(*(_ring_sums(ring, col, columns) for col in zip(*block)))))
+    given distinct rows: one kernel sum over the rows' columns per column
+    of the block.  Each plane is reduced mod n and weighted by n^d in one
+    translate, and the weighted planes add as integers into the values:
+    their bytes sum to at most n^e - 1 <= 255, so they do not carry."""
+    sums = _ring_sums(ring, tuple(zip(*rows)))
+    weighted = _plane_tables(ring.base, ring.e)[1]
+
+    def values(coeffs) -> bytes:
+        total = sum(int.from_bytes(plane.translate(t), "little")
+                    for plane, t in zip(sums(coeffs), weighted))
+        return total.to_bytes(len(rows), "little")
+
+    return dict(zip(rows, zip(*map(values, zip(*block)))))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +356,7 @@ class FqMatrixGroup:
         self.elements = list(elements)
         self.ring = ring
         self.identity = identity
-        self._index = {x: i for i, x in enumerate(self.elements)}
+        self._index = dict(zip(self.elements, range(len(self.elements))))
         if len(self._index) != len(self.elements):
             raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
         if identity not in self._index:
@@ -496,29 +558,34 @@ def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
 
 def _pairing_masks(left, right, ring, values):
     """Orthogonality bitmasks of the pairing <i, j> = sum_k left[i][k] *
-    right[j][k] over a table ring of order at most 256, so that a row of
-    values is bytes; the budgets keep every caller at or below 56, for
-    GSp_2(Z/56).  Returns masks, a list indexed by ring element:
-    masks[s][i] has bit j set for every j != i with <i, j> = s, for each
-    s in values (None elsewhere), and a generator that fills them.  Row i
-    is computed whole, one _ring_sums pass over right's columns, and
-    translated to the binary digits of each mask; i is yielded once its
-    own pass ends."""
-    if ring.order > 256:
-        raise InternalCheckError(
-            f"pairing masks need a ring of order at most 256, got {ring.order}"
-        )
-    columns = tuple(zip(*right))
+    right[j][k] over a table ring.  Returns masks, a list indexed by ring
+    element: masks[s][i] has bit j set for every j != i with <i, j> = s,
+    for each s in values (None elsewhere), and a generator that fills
+    them.  Row i is one column-kernel sum over right's columns, whose
+    planes are read without reduction: per plane d and per digit v that
+    some value has there, one translate to the binary digits of the
+    entries equal to v mod n gives the bitmask of plane d's digit v, and
+    masks[s][i] is the AND of s's digits' masks over the planes.  i is
+    yielded once its own row is done."""
+    sums = _ring_sums(ring, tuple(zip(*right)))
+    n, e = ring.base, ring.e
     masks = [[0] * len(left) if s in values else None for s in range(ring.order)]
-    # the digit 1 at the entries of value s, 0 elsewhere
-    picks = [(masks[s], b"0" * s + b"1" + b"0" * (255 - s)) for s in values]
+    digits = [[s // n**d % n for d in range(e)] for s in values]
+    # per plane, the digit 1 at the entries of value v mod n, 0 elsewhere
+    picks = [{v: bytes(b"01"[x % n == v] for x in range(256)) for v in set(plane)}
+             for plane in zip(*digits)]
+    wanted = [(masks[s], list(enumerate(ds))) for s, ds in zip(values, digits)]
 
     def rows():
         for i, u in enumerate(left):
-            row = bytes(_ring_sums(ring, u, columns))
+            hits = [{v: int(plane.translate(pick), 2) for v, pick in by_digit.items()}
+                    for plane, by_digit in zip((p[::-1] for p in sums(u)), picks)]
             others = ~(1 << i)
-            for hit, pick in picks:
-                hit[i] = int(row.translate(pick)[::-1], 2) & others
+            for hit, ds in wanted:
+                mask = others
+                for d, v in ds:
+                    mask &= hits[d][v]
+                hit[i] = mask
             yield i
 
     return masks, rows()
@@ -542,13 +609,12 @@ def _hermitian_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
     spent = _charge(what, q2, m)
     # <u, v> = sum_k u_k * conj(v_k), with conj the inverting automorphism
     mul, add, frob = f.mul, f.add, f.frob
-    pool = []
-    for c in itertools.product(range(q2), repeat=m):
-        s = 0
-        for x in c:
-            s = add[s][mul[x][frob[x]]]
-        if s == 1:
-            pool.append(c)
+    norms = [mul[x][frob[x]] for x in range(q2)]
+    total = [0]  # <v, v> of every v of f^k in product order, k = 1..m
+    for _ in range(m):
+        total = [add[s][t] for s in total for t in norms]
+    pool = list(itertools.compress(itertools.product(range(q2), repeat=m),
+                                   map((1).__eq__, total)))
     size = len(pool)
     spent = _charge(what, size, spent=spent)  # the root's scan
     masks = [0] * size
@@ -565,18 +631,26 @@ def _hermitian_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
 
     def extend(avail: int, chosen: tuple):
         nonlocal spent
-        if len(chosen) == m:
-            solutions.append(chosen)
+        if len(chosen) == m - 1:  # the last column: any bit of avail, a
+            # batch of at most one pool's size checked against the limit
+            solutions.extend([(*chosen, i) for i in _iter_bits(avail)])
             _check_elements(len(solutions), what)
             return
-        if 2 <= len(chosen) < m - 1:
+        if len(chosen) >= 2:
             spent = _charge(what, avail.bit_count() * size, spent=spent)
         for i in _iter_bits(avail):
             extend(avail & masks[i], (*chosen, i))
 
     extend((1 << size) - 1, ())
-    share = {}.setdefault  # one tuple per distinct row, shared by the matrices
-    return [tuple(share(r, r) for r in zip(*(pool[i] for i in s))) for s in solutions]
+    # row i of every solution at once: entry i of each column's pool
+    # vector, by column maps; one dict makes each distinct row one tuple
+    columns = list(zip(*solutions))
+    share = {}.setdefault
+    shared = []
+    for entry in zip(*pool):
+        row = list(zip(*(map(entry.__getitem__, col) for col in columns)))
+        shared.append(list(map(share, row, row)))
+    return list(zip(*shared))
 
 
 def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
@@ -708,7 +782,13 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     table field multiplies the units mod p.  F is Galois, so every place
     over p has one residue degree and one pool serves them all:
     GL_m(F_{p^2}) for every r, or U_m(F_p), whose layer of factor r is
-    lam*A for one lam with lam conj(lam) = r."""
+    lam*A for one lam with lam conj(lam) = r.
+
+    The elements are assembled by columns, in the order r, then the
+    places' matrices in product order: factor r's elements are one zip of
+    the pool's row columns, mapped through the row table of lam*I when the
+    pool is unitary and indexed by the product's index columns when there
+    are two places, with the unit block (r,) repeated."""
     p, m = setting.p, setting.m
     if p > MAX_FIELD_CHAR:
         raise StateSpaceError(
@@ -724,19 +804,24 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
     else:
         pool = _invertible_matrices(f, m, f"linear factor over {places[0]!r}")
     _check_elements((p - 1) * len(pool) ** len(places), "similitude product assembly")
-    layers = [pool] * (p - 1)
+    # the pool's row columns: column i holds row i of every matrix
+    pool_rows = list(zip(*pool))
     if inside:  # lam*A through one row table of lam*I per r: one object per row
         # one lam per norm; descending, so norm 1 keeps lam = 1
         lams = {f.mul[x][f.frob[x]]: x for x in range(f.order - 1, 0, -1)}
-        rows = list(dict.fromkeys(itertools.chain(*pool)))
-        tables = [_row_table(f, [[lams[r] if i == j else 0 for j in range(m)]
-                                 for i in range(m)], rows) for r in units]
-        layers = [[tuple(map(t.__getitem__, a)) for a in pool] for t in tables]
+        rows = list(dict.fromkeys(itertools.chain(*pool_rows)))
+    if len(places) > 1:  # each place's pool indices, in product order
+        picks = list(zip(*itertools.product(range(len(pool)), repeat=len(places))))
     elems = []
-    for r, layer in zip(units, layers):  # the rows of A_v per place, then (r,)
-        unit = (r,)
-        for combo in itertools.product(layer, repeat=len(places)):
-            elems.append((*itertools.chain(*combo), unit))
+    for r in units:  # the rows of A_v per place, then (r,)
+        layer = pool_rows
+        if inside:
+            table = _row_table(f, [[lams[r] if i == j else 0 for j in range(m)]
+                                   for i in range(m)], rows)
+            layer = [list(map(table.__getitem__, col)) for col in layer]
+        if len(places) > 1:
+            layer = [list(map(col.__getitem__, pick)) for pick in picks for col in layer]
+        elems += zip(*layer, itertools.repeat((r,)))
     identity = (*mat_identity(m) * len(places), (1,))
     descriptor = (
         f"residual group (disc {setting.field.discriminant}, m={m}, p={p})"

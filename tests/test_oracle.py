@@ -260,6 +260,29 @@ def test_small_field_check_names_each_broken_axiom():
             f._verify()
         assert str(info.value) == f"SmallField(2^2): {axiom} fails"
     assert small_field(2, 2).frob == [0, 1, 3, 2]
+    # each field builds its own add table, once for all the tails it tries
+    assert SmallField(2, 2).add is not small_field(2, 2).add
+    small_field(2, 2)._verify()
+
+
+@pytest.mark.parametrize("p,e,tails", [(7, 2, [(1, 0)]), (2, 4, [(1, 0, 0, 1)]),
+                                       (2, 5, [(1, 0, 0, 0, 1), (1, 0, 0, 1, 0)])])
+def test_small_field_tail_search_builds_one_add_table(monkeypatch, p, e, tails):
+    # tails whose f has a root in F_p get no tables: F_49's first 7 tails
+    # and F_16's first 9.  x^5 + x^4 + 1 = (x^2 + x + 1)(x^3 + x + 1) has
+    # none, so F_32 tries it before x^5 + x^3 + 1, over the first add table
+    built = []
+    real = oracle_mod._ring_tables
+
+    def spy(n, e, tail, add=None):
+        built.append((tail, add))
+        return real(n, e, tail, add)
+
+    monkeypatch.setattr(oracle_mod, "_ring_tables", spy)
+    f = SmallField(p, e)
+    assert [tail for tail, _ in built] == tails
+    assert built[0][1] is None and all(add is f.add for _, add in built[1:])
+    assert f.mul == small_field(p, e).mul and f.add is not small_field(p, e).add
 
 
 def corruptible_copy(p: int, e: int) -> SmallField:
@@ -572,7 +595,7 @@ def check_pairing_masks(left, right, ring, values, value_rows):
         assert at_yield[i] == expected == {t: masks[t][i] for t in values}, i
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pairing_masks_of_hermitian_pools(p):
     f = small_field(p, 2)
     add, mul, frob = f.add, f.mul, f.frob
@@ -587,33 +610,41 @@ def test_pairing_masks_of_hermitian_pools(p):
     for t in range(1, p):  # the m = 2 pools the hermitian search builds
         pool = [v for v in vectors if herm(v, v) == t]
         conj = [[frob[y] for y in v] for v in pool]
+        # u_0 conj(v_0) + u_1 conj(v_1), entry by entry from the tables
+        table = [[add[mul_a[c]][mul_b[d]] for c, d in conj]
+                 for mul_a, mul_b in ((mul[a], mul[b]) for a, b in pool)]
         for values in ((0,), tuple(range(f.order))):
-            check_pairing_masks(pool, conj, f, values,
-                                lambda i: [herm(pool[i], v) for v in pool])
+            check_pairing_masks(pool, conj, f, values, table.__getitem__)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("p,e,n", [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None),
-                                   (None, None, 4), (None, None, 6)])
+# the fields of 3, 4 and 5 digit planes, F_8, F_16, F_27 and F_32, and
+# the ring Z/4[x]/(x^2 + x + 1), which is not a field, at m = 1 only:
+# their m = 2 tables have order^4 rows
+@pytest.mark.parametrize("p,e,n,m", [
+    *((p, e, n, m) for p, e, n in [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None),
+                                   (None, None, 4), (None, None, 6)] for m in (1, 2)),
+    (2, 3, None, 1), (2, 4, None, 1), (3, 3, None, 1), (2, 5, None, 1), (None, 2, 4, 1),
+])
 def test_pairing_masks_of_the_alternating_form(p, e, n, m):
     if n is None:  # F_q tracking every value, as for Sp
         ring = small_field(p, e)
         values = tuple(range(ring.order))
-    else:  # Z/n tracking 0 and the units, as for GSp
-        ring = _ring_tables(n, 1, (0,))
-        values = (0, *(c for c in range(1, n) if math.gcd(c, n) == 1))
+    else:  # (Z/n)[x]/(x^e + x + 1), Z/n at e = 1, tracking 0 and the units, as for GSp
+        ring = _ring_tables(n, e or 1, (1, 1) if e else (0,))
+        values = (0, *(c for c in range(1, ring.order) if 1 in ring.mul[c]))
     order = ring.order
     add, mul, neg = ring.add, ring.mul, ring.neg
     vectors = list(itertools.product(range(order), repeat=2 * m))
     # <u, v> = sum_k (u_{2k} v_{2k+1} - u_{2k+1} v_{2k}), a sum of one form
     # per coordinate pair: block[x][y] on the pairs x, y of R^2
     planes = list(itertools.product(range(order), repeat=2))
-    block = [[add[mul[x[0]][y[1]]][neg[mul[x[1]][y[0]]]] for y in planes] for x in planes]
+    block = [[add[mul_0[y1]][neg[mul_1[y0]]] for y0, y1 in planes]
+             for mul_0, mul_1 in ((mul[x0], mul[x1]) for x0, x1 in planes)]
 
     def value_row(i):  # vectors in product order: the first pair varies slowest
         row = [0]
         for k in range(0, 2 * m, 2):
-            x = block[planes.index(vectors[i][k:k + 2])]
+            x = block[vectors[i][k] * order + vectors[i][k + 1]]  # the pair's place in planes
             row = [add[r][s] for r in row for s in x]
         return row
 
@@ -622,12 +653,17 @@ def test_pairing_masks_of_the_alternating_form(p, e, n, m):
     check_pairing_masks(twisted, vectors, ring, values, value_row)
 
 
-@pytest.mark.parametrize("ring", [zmod(56), small_field(7, 2)], ids=["Z/56", "F_49"])
+@pytest.mark.parametrize("ring", [
+    zmod(56), small_field(7, 2), small_field(2, 3), small_field(2, 4), small_field(3, 3),
+    small_field(2, 5), _ring_tables(4, 2, (1, 1)),
+], ids=["Z/56", "F_49", "F_8", "F_16", "F_27", "F_32", "Z/4[x]/(x^2+x+1)"])
 def test_row_table_at_the_largest_rings(ring):
     # Z/56 is the largest ring the budgets admit (GSp_2(Z/56)), F_49 the
-    # largest field: each table row against the reference product
+    # largest field: each table row against the reference product.  The
+    # fields of 3 to 5 digit planes and a ring that is not a field, of 2,
+    # check that the planes are summed and recombined digit by digit
     rng = random.Random(ring.order)
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         block = tuple(tuple(rng.randrange(ring.order) for _ in range(size))
                       for _ in range(size))
         rows = list(dict.fromkeys(tuple(rng.randrange(ring.order) for _ in range(size))
@@ -656,9 +692,33 @@ def test_pairing_masks_at_z56_against_each_pair():
 
 def test_pairing_masks_refuse_a_ring_past_256():
     # a row of values is bytes, so a ring of order 257 is an internal fault
-    with pytest.raises(InternalCheckError, match="^pairing masks need a ring of order "
+    with pytest.raises(InternalCheckError, match="^the column kernel needs a ring of order "
                                                  "at most 256, got 257$"):
         _pairing_masks([(1,)], [(1,)], zmod(257), (0,))
+
+
+@pytest.mark.parametrize("ring,terms", [(zmod(56), 5), (zmod(56), 6), (small_field(2, 5), 256)],
+                         ids=["Z/56-5", "Z/56-6", "F_32-256"])
+def test_column_kernel_refuses_terms_that_could_carry(ring, terms):
+    # a plane's byte sums up to terms * (n - 1): past 255 it would carry into
+    # the next entry, so the kernel refuses it for the masks and the row
+    # tables alike.  255 // (n - 1) terms are exact: 4 over Z/56, where
+    # 4 * 55 = 220, and 255 over F_32
+    n, order = ring.base, ring.order
+    limit = 255 // (n - 1)
+    assert terms > limit
+    rows = [tuple(i % order for i in range(terms)), (order - 1,) * terms]
+    message = (f"^the column kernel's {terms} terms of digits mod {n} "
+               "could carry past a byte$")
+    with pytest.raises(InternalCheckError, match=message):
+        _pairing_masks(rows, rows, ring, (0,))
+    with pytest.raises(InternalCheckError, match=message):
+        _row_table(ring, [[1] * terms] * terms, rows)
+    # at the limit: the first block column sums every term, the others are 0
+    block = tuple((1, *(0,) * (limit - 1)) for _ in range(limit))
+    short = [r[:limit] for r in rows]
+    table = _row_table(ring, block, short)
+    assert [table[r] for r in short] == [mat_mul(ring, (r,), block)[0] for r in short]
 
 
 # --- guards ------------------------------------------------------------------
@@ -779,6 +839,9 @@ def test_hermitian_search_matches_brute_force(p, e, m):
     assert set(found) == set(expected)
     # sorted by columns: the search picks columns in increasing pool order
     assert found == sorted(found, key=lambda a: tuple(zip(*a)))
+    # the matrices share their rows: one object per distinct row
+    rows = [row for a in found for row in a]
+    assert len({id(row) for row in rows}) == len(set(rows))
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
@@ -816,6 +879,36 @@ def test_similitude_matrices_share_their_row_tuples():
     assert len(rows) == 32_256
     assert len(set(map(id, rows))) == 2_016
     assert len(set(rows)) == len({id(row) for row in rows}) == 2_016
+
+
+@pytest.mark.parametrize("fld,m,level,p", [(Q, 2, 3, 5), (R5, 1, 4, 3), (R8, 1, 3, 7),
+                                            (R13, 1, 4, 3)],
+                         ids=["Q-unitary", "Q(sqrt5)-GL", "Q(sqrt8)-two", "Q(sqrt13)-two"])
+def test_similitude_elements_keep_the_reference_order(fld, m, level, p):
+    # the walk's seeded draw reads element indices, so the element list is
+    # pinned tuple for tuple: r outer, then the places' matrices over the
+    # pool in product order, lam_r * A by direct products with lam_r the
+    # least element of norm r (1 at a GL place), then (r,)
+    case = setting(fld, m, level, p)
+    f = small_field(p, 2)
+    if case.delta_prime_at_p:
+        pool = _hermitian_matrices(f, m, "reference")
+        lam = {r: min(x for x in range(1, f.order) if f.mul[x][f.frob[x]] == r)
+               for r in range(1, p)}
+    else:
+        pool = oracle_mod._invertible_matrices(f, m, "reference")
+        lam = dict.fromkeys(range(1, p), 1)
+    expected = []
+    for r in range(1, p):
+        layer = [tuple(tuple(f.mul[lam[r]][x] for x in row) for row in a) for a in pool]
+        for combo in itertools.product(layer, repeat=len(case.places_over_p)):
+            expected.append((*itertools.chain(*combo), (r,)))
+    group = enumerate_similitude_product(case)
+    assert group.elements == expected
+    # one object per distinct row of the places' blocks, and per unit block
+    rows = [row for x in group.elements for row in x[:-1]]
+    assert len({id(row) for row in rows}) == len(set(rows))
+    assert len({id(x[-1]) for x in group.elements}) == p - 1
 
 
 # --- group structure queries -------------------------------------------------
