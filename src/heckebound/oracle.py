@@ -26,9 +26,12 @@ goes through a table of the block of g that holds the row, built over
 the distinct rows at the block's positions.  Candidate generators come
 from a seeded Fisher-Yates shuffle run forward, drawn only as far as the
 walk needs them, and the walk's breadth-first search goes a layer at a
-time.  Conjugacy classes and element orders are read off the walk's
-spanning tree by index lookups.  The unitary search's matrices share
-their row tuples, one object per distinct row.
+time.  A row table's images are the group's own row objects, so an
+image element is found by identity on its rows.  Conjugacy classes are
+unsorted orbits of element indices, opened in the walk's reach order,
+and each class's order is read off the walk's spanning tree at its
+first-reached member, whose tree word is short.  The unitary
+search's matrices share their row tuples, one object per distinct row.
 Every enumeration is guarded by a candidate budget, charged before the
 work it stands for, and every stored collection by an element limit, so a
 typo in a descriptor cannot start a runaway enumeration.
@@ -300,7 +303,10 @@ def _row_table(ring, block, rows) -> dict:
     given distinct rows: one kernel sum over the rows' columns per column
     of the block.  Each plane is reduced mod n and weighted by n^d in one
     translate, and the weighted planes add as integers into the values:
-    their bytes sum to at most n^e - 1 <= 255, so they do not carry."""
+    their bytes sum to at most n^e - 1 <= 255, so they do not carry.
+    An image equal to one of the given rows is that row object, so a
+    lookup of an image in a dict keyed by those rows matches by identity
+    and never compares entries; any other image is a new tuple."""
     sums = _ring_sums(ring, tuple(zip(*rows)))
     weighted = _plane_tables(ring.base, ring.e)[1]
 
@@ -309,7 +315,9 @@ def _row_table(ring, block, rows) -> dict:
                     for plane, t in zip(sums(coeffs), weighted))
         return total.to_bytes(len(rows), "little")
 
-    return dict(zip(rows, zip(*map(values, zip(*block)))))
+    images = list(zip(*map(values, zip(*block))))
+    stored = dict(zip(rows, rows))
+    return dict(zip(rows, map(stored.get, images, images)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +351,15 @@ class FqMatrixGroup:
     reached it as its parent and letter.  Everything else is read off
     the tree by index lookups.  The order of
     x is the number of passes of x's tree word through the right actions
-    that bring the identity back.  Conjugacy classes are orbits under
-    x -> g^-1 x g = R_g(g^-1 x) for the generators g only, where g^-1 is
-    the preimage of the identity under R_g and g^-1 x follows x's tree
-    word from g^-1.  Each such map permutes the finite element set, so
-    its inverse is one of its own powers, and an orbit closed under the
-    maps is closed under conjugation by the generators themselves.
+    that bring the identity back.  Conjugacy classes are orbits of
+    element indices under x -> g^-1 x g = R_g(g^-1 x) for the generators
+    g only, where g^-1 is the preimage of the identity under R_g and
+    g^-1 x follows x's tree word from g^-1.  Each such map permutes the
+    finite element set, so its inverse is one of its own powers, and an
+    orbit closed under the maps is closed under conjugation by the
+    generators themselves.  The orbits are opened in reach order and not
+    sorted, so each class's first index is its first-reached member,
+    whose tree word is short; the class's order is read there.
     """
 
     def __init__(self, descriptor: str, elements, ring, identity):
@@ -397,9 +408,14 @@ class FqMatrixGroup:
         return out
 
     def element_order(self, x) -> int:
+        return self._order(self._index[x])
+
+    def _order(self, i: int) -> int:
+        """The order of element i: the number of passes of its tree word
+        through the right actions that bring the identity back."""
         actions, parent, letter, reach = self._closure_walk
-        root, i = reach[0], self._index[x]
-        word = []  # x's right actions, from the root down to x
+        root = reach[0]
+        word = []  # i's right actions, from the root down to i
         while i != root:
             word.append(actions[letter[i]])
             i = parent[i]
@@ -468,7 +484,11 @@ class FqMatrixGroup:
         del self._columns  # needed only while the actions are built
         return actions, parent, letter, closure
 
-    def conjugacy_classes(self) -> list[list]:
+    def conjugacy_classes(self) -> list[list[int]]:
+        """The conjugacy classes as lists of element indices (positions
+        in `elements`), unsorted.  Classes are opened in the walk's reach
+        order, so each class's first index is its member reached first,
+        whose tree word is short."""
         actions, parent, letter, reach = self._closure_walk
         conjugations = []
         for act in actions:
@@ -476,10 +496,9 @@ class FqMatrixGroup:
             for x in reach[1:]:
                 left[x] = actions[letter[x]][left[parent[x]]]
             conjugations.append(list(map(act.__getitem__, left)))
-        elements = self.elements
-        assigned = bytearray(len(elements))
+        assigned = bytearray(len(reach))
         classes = []
-        for x in range(len(elements)):
+        for x in reach:
             if assigned[x]:
                 continue
             assigned[x] = 1
@@ -490,7 +509,7 @@ class FqMatrixGroup:
                     if not assigned[z]:
                         assigned[z] = 1
                         orbit.append(z)
-            classes.append(sorted(map(elements.__getitem__, orbit)))
+            classes.append(orbit)
         return classes
 
 
@@ -834,18 +853,23 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
 # ---------------------------------------------------------------------------
 
 
+def _check_prime(p: int):
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+
+
 def p_regular_class_count(group: FqMatrixGroup, p: int) -> int:
-    """Number of conjugacy classes whose elements have order coprime
-    to p (the element order is constant on a class)."""
-    count = 0
-    for cls in group.conjugacy_classes():
-        if group.element_order(cls[0]) % p != 0:
-            count += 1
-    return count
+    """Number of conjugacy classes whose elements have order coprime to
+    the prime p.  The order is constant on a class, so it is read at each
+    class's first-reached member.  ValueError unless p is a prime."""
+    _check_prime(p)
+    return sum(group._order(cls[0]) % p != 0 for cls in group.conjugacy_classes())
 
 
 def sylow_p_order(group: FqMatrixGroup, p: int) -> int:
-    """The exact power of p dividing the group order."""
+    """The exact power of the prime p dividing the group order.
+    ValueError unless p is a prime."""
+    _check_prime(p)
     n = group.order
     result = 1
     while n % p == 0:

@@ -1138,7 +1138,8 @@ def test_generating_set_path_matches_direct_orbits():
     orders = (24, 18, 192, 180, 48, 96, 120, 96)
     for (group, product), order in zip(class_test_groups(), orders, strict=True):
         assert group.order == order
-        via_gens = group.conjugacy_classes()
+        via_gens = [sorted(group.elements[i] for i in cls)
+                    for cls in group.conjugacy_classes()]
         direct = direct_conjugacy_classes(group, product)
         assert sorted(map(tuple, via_gens)) == sorted(map(tuple, direct)), order
 
@@ -1157,6 +1158,41 @@ def test_tree_element_orders_match_the_power_walk():
         for x in group.elements:
             assert group.element_order(x) == power_walk_order(group, product, x), \
                 group.descriptor
+
+
+def test_index_classes_open_at_their_first_reached_member():
+    # the classes are index lists that partition the group, each opened at
+    # its member reached first, with one order per class; the p-regular
+    # count read at those members is the reference count over the direct
+    # classes and the power-walk orders
+    for group, product in class_test_groups():
+        classes = group.conjugacy_classes()
+        assert sorted(itertools.chain(*classes)) == list(range(group.order))
+        position = [0] * group.order
+        for k, x in enumerate(group._closure_walk[3]):
+            position[x] = k
+        for cls in classes:
+            assert min(cls, key=position.__getitem__) == cls[0], group.descriptor
+            orders = {group.element_order(group.elements[i]) for i in cls}
+            assert len(orders) == 1, group.descriptor
+        direct_orders = [power_walk_order(group, product, cls[0])
+                         for cls in direct_conjugacy_classes(group, product)]
+        for p in (2, 3, 5):
+            expected = sum(order % p != 0 for order in direct_orders)
+            assert p_regular_class_count(group, p) == expected, (group.descriptor, p)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 4])
+def test_class_queries_refuse_a_non_prime(p):
+    # at p = 1 the Sylow loop never ended, p = 0 divided by zero, p = 4
+    # gave 16 for GL_2(F_3) and p = 1 a p-regular count of 0; the class
+    # count is asked first, so a missing check fails here and never
+    # reaches the Sylow loop at p = +-1
+    group = enumerate_gl(2, 3)
+    with pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+        p_regular_class_count(group, p)
+    with pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+        sylow_p_order(group, p)
 
 
 def test_class_queries_multiply_only_in_the_walk():
@@ -1198,6 +1234,14 @@ def test_walk_actions_match_the_reference_product():
                 occurred = {x[i] for x in group.elements
                             for i, t in enumerate(tables) if t is table}
                 assert set(table) == occurred, group.descriptor
+                # each image is the row object the group stores at the
+                # table's positions, so the walk's lookups match by identity
+                stored = {id(x[i]) for x in group.elements
+                          for i, t in enumerate(tables) if t is table}
+                assert {id(row) for row in table} <= stored, group.descriptor
+                keys = {row: row for row in table}
+                assert all(image is keys[image] for image in table.values()), \
+                    group.descriptor
 
 
 # the residual groups of the oracle_check benchmark: Q at p = 2, 5 and 7,
