@@ -90,6 +90,17 @@ def _refuse_unknown(doc: dict, known: tuple[str, ...], where: str) -> None:
             raise ConfigError(f"{where}: unknown field {key!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps a repeated key's last value, so a second, empty
+    # quaternion_ramification would otherwise leave the algebra unramified
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def parse_config(doc) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be a JSON object")
@@ -514,12 +525,15 @@ def _run(args: argparse.Namespace) -> int:
         else:
             with open(args.config, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RecursionError) as exc:
         # bad UTF-8, an over-long integer literal, or nesting past the

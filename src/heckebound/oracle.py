@@ -1,7 +1,7 @@
 """Brute-force verification engine, independent of the closed forms.
 
-Finite fields of order at most 49 and the rings Z/N are table rings of
-one shape: the order and the add, mul and neg tables of
+Finite fields F_{p^e} with p <= 7 and p^e <= 49, and the rings Z/N, are
+table rings of one shape: the order and the add, mul and neg tables of
 (Z/n)[x]/(x^e + t(x)).  Matrix groups are enumerated straight from their
 defining conditions.  An element is the tuple of rows of a block-diagonal
 matrix over one table ring: one square block for a matrix group, and for
@@ -87,13 +87,12 @@ class StateSpaceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _ring_tables(n: int, e: int, tail: tuple, add: list | None = None) -> SimpleNamespace:
+def _ring_tables(n: int, e: int, tail: tuple) -> SimpleNamespace:
     """The ring (Z/n)[x]/(x^e + t(x)), t(x) = sum_i tail[i] x^i: its order
     n^e, its digit base n and digit count e, and its add, mul and neg
     tables.  Elements are integers in [0, n^e) read as base-n coefficient
     vectors, constant term lowest, so addition is digit by digit mod n
-    with no carry.  That add table does not depend on the tail, and a
-    caller trying several tails may pass in the one it built.
+    with no carry.
 
     x * a shifts a's digits up one place and replaces the carried c x^e
     by -c t(x).  Then a * b = sum_i b_i (x^i a), built up over b in
@@ -101,11 +100,10 @@ def _ring_tables(n: int, e: int, tail: tuple, add: list | None = None) -> Simple
     nonzero, and a * b = x (a * (b // n)) when it is zero."""
     size = n**e
     top = n ** (e - 1)
-    if add is None:
-        add = [[0] * size for _ in range(size)]
-        for a in range(size):
-            for b in range(size):  # digitwise: rows a // n < a are complete
-                add[a][b] = add[a // n][b // n] * n + (a + b) % n
+    add = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(size):  # digitwise: rows a // n < a are complete
+            add[a][b] = add[a // n][b // n] * n + (a + b) % n
     carry = [sum((-c * t) % n * n**i for i, t in enumerate(tail)) for c in range(n)]
     times_x = [add[a % top * n][carry[a // top]] for a in range(size)]
     mul = []
@@ -119,10 +117,10 @@ def _ring_tables(n: int, e: int, tail: tuple, add: list | None = None) -> Simple
 
 
 class SmallField:
-    """F_{p^e} with p^e <= 49: the table ring of _ring_tables for the
-    first monic irreducible polynomial of degree e.  Elements are integers
-    in [0, p^e) encoding coefficient vectors in base p, so the prime
-    subfield is encoded by 0..p-1 itself.
+    """F_{p^e} with p <= 7 and p^e <= 49: the table ring of _ring_tables
+    for the first monic irreducible polynomial of degree e.  Elements are
+    integers in [0, p^e) encoding coefficient vectors in base p, so the
+    prime subfield is encoded by 0..p-1 itself.
 
     Field axioms are checked exhaustively at construction, a whole table
     at a time: every pair and triple of elements.  For even e
@@ -142,15 +140,12 @@ class SmallField:
         # tail (in itertools.product order) whose ring has no zero divisors,
         # i.e. every nonzero element has an inverse, gives the first monic
         # irreducible f of degree e.  A tail whose f has a root in F_p is
-        # reducible at e >= 2 and gets no tables; the add table is built
-        # once, for this field alone
-        add = None
+        # reducible at e >= 2 and gets no tables
         for tail in itertools.product(range(p), repeat=e):
             if e >= 2 and any((r**e + sum(t * r**i for i, t in enumerate(tail))) % p == 0
                               for r in range(p)):
                 continue
-            ring = _ring_tables(p, e, tail, add)
-            add = ring.add
+            ring = _ring_tables(p, e, tail)
             if all(1 in row for row in ring.mul[1:]):
                 break
         else:
@@ -329,20 +324,18 @@ class FqMatrixGroup:
     table ring.  Elements are tuples of rows, all of one length, and a run
     of b rows of length b is one square block: a matrix group's elements
     are one block, the residual group's one m x m block per place, then
-    the 1 x 1 block (r,) of the similitude unit.  right(g) returns one row
-    table per row such that row i of x g is right(g)[i][x[i]], row i of x
-    times the block of g that holds row i, for every element x.
+    the 1 x 1 block (r,) of the similitude unit.  The block layout and the
+    identity are read off the first element.
 
     The elements are numbered once, and one closure walk is the only
     place that multiplies: candidates are drawn from the element indices
     by a Fisher-Yates shuffle run forward with `random.Random(0)`, one
     draw per candidate taken, and each one outside the closure so far is
     added as a generator, until the closure under right multiplication
-    is the whole element set, which certifies the generating set.  The
-    walk builds right(g) once per generator g and maps the element set
-    through it in one pass, column by column over the rows, into
-    the right action x -> x g as an index list; the list is checked to
-    land in the element set and to permute it before the walk reads it.
+    is the whole element set, which certifies the generating set.  For
+    each generator g the walk maps every element through g in one pass
+    into the right action x -> x g as an index list, checked to land in
+    the element set and to permute it before the walk reads it.
     The walk's spanning tree (a Schreier tree) records every element as
     parent * generator.  It is grown breadth first, a layer at a time:
     a new generator's action is mapped over the whole closure so far,
@@ -362,15 +355,21 @@ class FqMatrixGroup:
     whose tree word is short; the class's order is read there.
     """
 
-    def __init__(self, descriptor: str, elements, ring, identity):
+    def __init__(self, descriptor: str, elements, ring):
         self.descriptor = descriptor
         self.elements = list(elements)
         self.ring = ring
-        self.identity = identity
+        first = self.elements[0] if self.elements else ()
+        self._blocks, self.identity, start = [], (), 0
+        while start < len(first):  # a run of b rows of length b is one block
+            size = len(first[start])
+            self._blocks.append(slice(start, start + size))
+            self.identity += mat_identity(size)
+            start += size
         self._index = dict(zip(self.elements, range(len(self.elements))))
         if len(self._index) != len(self.elements):
             raise InternalCheckError(f"{descriptor}: duplicate elements enumerated")
-        if identity not in self._index:
+        if self.identity not in self._index:
             raise InternalCheckError(f"{descriptor}: identity not in element set")
         if len(set(map(len, self.elements))) != 1:
             raise InternalCheckError(f"{descriptor}: elements differ in length")
@@ -378,34 +377,6 @@ class FqMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def right(self, g) -> list:
-        """One row table per row of g: the b rows of each b x b block
-        share the table of that block, which holds the distinct rows that
-        occur at the block's positions."""
-        tables = []
-        for start, rows in self._block_rows:
-            block = g[start:start + len(g[start])]
-            tables += [_row_table(self.ring, block, rows)] * len(block)
-        return tables
-
-    @functools.cached_property
-    def _columns(self) -> tuple:
-        """The elements' values at each row; the closure walk drops them
-        once its actions are built."""
-        return tuple(zip(*self.elements, strict=True))
-
-    @functools.cached_property
-    def _block_rows(self) -> list[tuple[int, list]]:
-        """(first row, distinct rows at its positions) for each square
-        block, read off the columns."""
-        columns, out, start = self._columns, [], 0
-        while start < len(columns):
-            size = len(self.identity[start])
-            rows = dict.fromkeys(itertools.chain(*columns[start:start + size]))
-            out.append((start, list(rows)))
-            start += size
-        return out
 
     def element_order(self, x) -> int:
         return self._order(self._index[x])
@@ -432,10 +403,15 @@ class FqMatrixGroup:
         """The right actions of a certified generating set as index
         lists, the walk's spanning tree (element i is parent[i] *
         generator letter[i]) and its elements in reach order, the
-        identity first."""
-        elements, right, find = self.elements, self.right, self._index.get
+        identity first.  x g is read off the elements' values at each row:
+        each block of g has one row table over the distinct rows that occur
+        at the block's positions, and each row's column of values goes
+        through its block's table."""
+        elements, ring, find = self.elements, self.ring, self._index.get
         n = len(elements)
-        columns = self._columns
+        columns = list(zip(*elements, strict=True))
+        blocks = [(block, list(dict.fromkeys(itertools.chain(*columns[block]))))
+                  for block in self._blocks]
         root = self._index[self.identity]
         parent = [-1] * n
         letter = [-1] * n
@@ -453,10 +429,13 @@ class FqMatrixGroup:
             c = candidates[i]
             if reached[c]:
                 continue
-            # x g for every x at once: each row's column through its table;
-            # the tables go as soon as the action is read off
-            act = list(map(find, zip(*(map(t.__getitem__, col)
-                                       for t, col in zip(right(elements[c]), columns)))))
+            # x g for every x at once; the tables go as soon as the action
+            # is read off
+            images = []
+            for block, rows in blocks:
+                table = _row_table(ring, elements[c][block], rows)
+                images += [map(table.__getitem__, col) for col in columns[block]]
+            act = list(map(find, zip(*images)))
             if None in act:
                 raise InternalCheckError(
                     f"{self.descriptor}: generated closure does not match "
@@ -481,7 +460,6 @@ class FqMatrixGroup:
                             grown.append(b)
                 closure += grown
                 layer, letters = grown, range(len(actions))
-        del self._columns  # needed only while the actions are built
         return actions, parent, letter, closure
 
     def conjugacy_classes(self) -> list[list[int]]:
@@ -572,7 +550,7 @@ def _invertible_matrices(f: SmallField, m: int, what: str) -> list[tuple]:
 def enumerate_gl(m: int, q: int) -> FqMatrixGroup:
     f = field_of_order(q)
     what = f"GL_{m}(F_{q})"
-    return FqMatrixGroup(what, _invertible_matrices(f, m, what), f, mat_identity(m))
+    return FqMatrixGroup(what, _invertible_matrices(f, m, what), f)
 
 
 def _pairing_masks(left, right, ring, values):
@@ -680,7 +658,7 @@ def enumerate_unitary(m: int, q: int) -> FqMatrixGroup:
                          f"{MAX_FIELD_ORDER}")
     f = small_field(base.p, 2 * base.e)
     elems = _hermitian_matrices(f, m, f"U_{m}(F_{q})")
-    return FqMatrixGroup(f"U_{m}(F_{q})", elems, f, mat_identity(m))
+    return FqMatrixGroup(f"U_{m}(F_{q})", elems, f)
 
 
 # --- symplectic groups ------------------------------------------------------
@@ -743,7 +721,7 @@ def _basis_group(what: str, ring, m: int, multipliers) -> FqMatrixGroup:
             for j in _iter_bits(pair[i] & avail):
                 elems.append(tuple(zip(*chosen, vectors[i], vectors[j])))
                 _check_elements(len(elems), what)
-    return FqMatrixGroup(what, elems, ring, mat_identity(2 * m))
+    return FqMatrixGroup(what, elems, ring)
 
 
 def _sp_field(m: int, q: int) -> SmallField:
@@ -841,11 +819,10 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
         if len(places) > 1:
             layer = [list(map(col.__getitem__, pick)) for pick in picks for col in layer]
         elems += zip(*layer, itertools.repeat((r,)))
-    identity = (*mat_identity(m) * len(places), (1,))
     descriptor = (
         f"residual group (disc {setting.field.discriminant}, m={m}, p={p})"
     )
-    return FqMatrixGroup(descriptor, elems, f, identity)
+    return FqMatrixGroup(descriptor, elems, f)
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,30 @@ def test_unknown_config_field_is_refused(tmp_path, monkeypatch, capsys, doc, lin
         assert captured.err.splitlines() == [f"error: {line}"]
 
 
+@pytest.mark.parametrize("text, key", [
+    # the last value would win: this ran unramified and exited 0
+    ('{"field": {"kind": "rational"}, "quaternion_ramification": '
+     '[{"prime": 2, "residue_degree": 1}, {"prime": 3, "residue_degree": 1}], '
+     '"quaternion_ramification": [], "m": 1, "N": 5, "p": 7}', "quaternion_ramification"),
+    ('{"field": {"kind": "real_quadratic", "disc": 5, "disc": 8}, '
+     '"m": 1, "N": 3, "p": 7}', "disc"),
+    ('{"field": {"kind": "rational"}, "quaternion_ramification": [{"prime": 2, '
+     '"residue_degree": 1}, {"prime": 3, "prime": 5, "residue_degree": 1}], '
+     '"m": 1, "N": 7, "p": 11}', "prime"),
+    ('{"field": {"kind": "rational"}, "m": 1, "N": 3, '
+     '"p_sweep": {"from": 2, "to": 20, "to": 5}}', "to"),
+])
+def test_repeated_config_key_is_refused(tmp_path, monkeypatch, capsys, text, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    for source in (str(cfg), "-"):
+        assert main([source]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: repeated key {key!r}"]
+
+
 def _shuffled(items):
     items = list(items)
     random.Random(0).shuffle(items)

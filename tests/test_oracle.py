@@ -260,28 +260,27 @@ def test_small_field_check_names_each_broken_axiom():
             f._verify()
         assert str(info.value) == f"SmallField(2^2): {axiom} fails"
     assert small_field(2, 2).frob == [0, 1, 3, 2]
-    # each field builds its own add table, once for all the tails it tries
+    # each field builds its own tables
     assert SmallField(2, 2).add is not small_field(2, 2).add
     small_field(2, 2)._verify()
 
 
 @pytest.mark.parametrize("p,e,tails", [(7, 2, [(1, 0)]), (2, 4, [(1, 0, 0, 1)]),
                                        (2, 5, [(1, 0, 0, 0, 1), (1, 0, 0, 1, 0)])])
-def test_small_field_tail_search_builds_one_add_table(monkeypatch, p, e, tails):
+def test_small_field_tail_search_skips_tails_with_a_root(monkeypatch, p, e, tails):
     # tails whose f has a root in F_p get no tables: F_49's first 7 tails
     # and F_16's first 9.  x^5 + x^4 + 1 = (x^2 + x + 1)(x^3 + x + 1) has
-    # none, so F_32 tries it before x^5 + x^3 + 1, over the first add table
+    # none, so F_32 tries it before x^5 + x^3 + 1
     built = []
     real = oracle_mod._ring_tables
 
-    def spy(n, e, tail, add=None):
-        built.append((tail, add))
-        return real(n, e, tail, add)
+    def spy(n, e, tail):
+        built.append(tail)
+        return real(n, e, tail)
 
     monkeypatch.setattr(oracle_mod, "_ring_tables", spy)
     f = SmallField(p, e)
-    assert [tail for tail, _ in built] == tails
-    assert built[0][1] is None and all(add is f.add for _, add in built[1:])
+    assert built == tails
     assert f.mul == small_field(p, e).mul and f.add is not small_field(p, e).add
 
 
@@ -937,11 +936,11 @@ def test_group_faults_raise_internal_check_error():
     identity = ((1,),)
     z5 = zmod(5)
     with pytest.raises(InternalCheckError, match="duplicate"):
-        FqMatrixGroup("doubled", [identity, identity], z5, identity)
+        FqMatrixGroup("doubled", [identity, identity], z5)
     with pytest.raises(InternalCheckError, match="identity"):
-        FqMatrixGroup("no identity", [((2,),)], z5, identity)
+        FqMatrixGroup("no identity", [((2,),)], z5)
     # {1, 2} in (Z/5)^*: 2 * 2 = 4 leaves the set
-    not_closed = FqMatrixGroup("not closed", [identity, ((2,),)], z5, identity)
+    not_closed = FqMatrixGroup("not closed", [identity, ((2,),)], z5)
     with pytest.raises(InternalCheckError, match="closure"):
         not_closed.conjugacy_classes()
 
@@ -951,20 +950,20 @@ def test_ragged_elements_raise_internal_check_error():
     # the same number of rows
     identity = ((1,),)
     with pytest.raises(InternalCheckError, match="^ragged: elements differ in length$"):
-        FqMatrixGroup("ragged", [identity, ((2,), (3,))], zmod(5), identity)
+        FqMatrixGroup("ragged", [identity, ((2,), (3,))], zmod(5))
 
 
 def test_non_group_closure_raises_internal_check_error():
     # {1, 0} in Z/5 is closed under products, but x -> x * 0 is no permutation
     identity = ((1,),)
-    monoid = FqMatrixGroup("monoid", [identity, ((0,),)], zmod(5), identity)
+    monoid = FqMatrixGroup("monoid", [identity, ((0,),)], zmod(5))
     with pytest.raises(InternalCheckError, match="permute"):
         monoid.conjugacy_classes()
 
 
 def test_trivial_group_class_count():
     identity = ((1,),)
-    trivial = FqMatrixGroup("trivial", [identity], zmod(5), identity)
+    trivial = FqMatrixGroup("trivial", [identity], zmod(5))
     for p in (2, 3, 5):
         assert p_regular_class_count(trivial, p) == 1
         assert sylow_p_order(trivial, p) == 1
@@ -1195,53 +1194,89 @@ def test_class_queries_refuse_a_non_prime(p):
         sylow_p_order(group, p)
 
 
-def test_class_queries_multiply_only_in_the_walk():
-    for group, _ in class_test_groups():
-        right, calls = group.right, [0]
+def spy_row_tables(monkeypatch) -> list:
+    """Every row table made from here on, as (block, rows, table)."""
+    made = []
+    real = oracle_mod._row_table
 
-        def counted(g):
-            calls[0] += 1
-            return right(g)
+    def recorded(ring, block, rows):
+        made.append((block, rows, real(ring, block, rows)))
+        return made[-1][2]
 
-        group.right = counted
+    monkeypatch.setattr(oracle_mod, "_row_table", recorded)
+    return made
+
+
+def block_positions(identity) -> list[range]:
+    """The row positions of each square block: a run of b rows of length b."""
+    blocks, start = [], 0
+    while start < len(identity):
+        blocks.append(range(start, start + len(identity[start])))
+        start += len(identity[start])
+    return blocks
+
+
+def test_class_queries_multiply_only_in_the_walk(monkeypatch):
+    groups = [group for group, _ in class_test_groups()]
+    made = spy_row_tables(monkeypatch)  # after the unitary pools are scaled
+    for group in groups:
+        made.clear()
         group.conjugacy_classes()
-        walked = calls[0]
+        walked = len(made)
         assert walked > 0
         for p in (2, 3, 5):
             p_regular_class_count(group, p)
-        assert calls[0] == walked, group.descriptor
+        assert len(made) == walked, group.descriptor
 
 
-def test_walk_actions_match_the_reference_product():
+def test_walk_actions_match_the_reference_product(monkeypatch):
     # every action of the walk against the reference product, and the row
     # tables filled with exactly the rows that occur at their positions
     groups = class_test_groups() + [residual_with_product(R8, 1, 3, 7)]
+    made = spy_row_tables(monkeypatch)
     for group, product in groups:
-        made = []
-        right = group.right
-
-        def recorded(g):
-            made.append((g, right(g)))
-            return made[-1][1]
-
-        group.right = recorded
+        made.clear()
         actions, _, _, reach = group._closure_walk
-        assert len(made) == len(actions) > 0 and len(reach) == group.order
-        for (g, tables), act in zip(made, actions):
+        blocks = block_positions(group.identity)
+        assert len(made) == len(actions) * len(blocks) > 0 and len(reach) == group.order
+        for k, act in enumerate(actions):
+            tables = made[k * len(blocks):(k + 1) * len(blocks)]
+            # the generator, read back block by block from its tables
+            g = tuple(itertools.chain(*(block for block, _, _ in tables)))
             for a, x in enumerate(group.elements):
                 assert group.elements[act[a]] == product(x, g), group.descriptor
-            for table in {id(t): t for t in tables}.values():
-                occurred = {x[i] for x in group.elements
-                            for i, t in enumerate(tables) if t is table}
-                assert set(table) == occurred, group.descriptor
+            for positions, (block, rows, table) in zip(blocks, tables):
+                assert len(block) == len(positions), group.descriptor
+                occurred = {x[i] for x in group.elements for i in positions}
+                assert set(rows) == set(table) == occurred, group.descriptor
                 # each image is the row object the group stores at the
                 # table's positions, so the walk's lookups match by identity
-                stored = {id(x[i]) for x in group.elements
-                          for i, t in enumerate(tables) if t is table}
+                stored = {id(x[i]) for x in group.elements for i in positions}
                 assert {id(row) for row in table} <= stored, group.descriptor
                 keys = {row: row for row in table}
                 assert all(image is keys[image] for image in table.values()), \
                     group.descriptor
+
+
+def test_group_identity_is_read_off_the_first_element():
+    # the block-diagonal identity each enumerator used to pass in
+    def eye(m):
+        return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+    cases = [
+        (enumerate_gl(1, 5), eye(1)),
+        (enumerate_gl(2, 3), eye(2)),
+        (enumerate_unitary(2, 3), eye(2)),
+        (enumerate_sp(1, 5), eye(2)),
+        (enumerate_sp(2, 2), eye(4)),
+        (enumerate_gsp_modn(1, 4), eye(2)),
+        # one place, then two: Q(sqrt8) at p = 7 and Q(sqrt13) at p = 3 split
+        (enumerate_similitude_product(setting(Q, 2, 3, 5)), (*eye(2), (1,))),
+        (enumerate_similitude_product(setting(R8, 1, 3, 7)), (*eye(1) * 2, (1,))),
+        (enumerate_similitude_product(setting(R13, 2, 4, 3)), (*eye(2) * 2, (1,))),
+    ]
+    for group, identity in cases:
+        assert group.identity == identity, group.descriptor
 
 
 # the residual groups of the oracle_check benchmark: Q at p = 2, 5 and 7,
