@@ -110,15 +110,18 @@ class _LevelPart:
     """The p-independent part of the bound at one (datum, level N):
     constant (C_B), group_order (|G(Z/NZ)|), scaled_constant, the pair
     (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every count of a
-    record is divided against, and exponent (d*m^2 + d*m + 1)."""
+    record is divided against, exponent (d*m^2 + d*m + 1), and
+    p_exponent, the power d(m+2)(m-1)/2 of p in the closed form."""
 
-    __slots__ = ("constant", "group_order", "scaled_constant", "exponent")
+    __slots__ = ("constant", "group_order", "scaled_constant", "exponent", "p_exponent")
 
     def __init__(self, setting: ShimuraSetting):
         constant = self.constant = bound_constant(setting)
         order = self.group_order = level_group_order(setting)
         self.scaled_constant = (constant.numerator * order, constant.denominator)
-        self.exponent = asymptotic_exponent(setting.degree, setting.m)
+        d, m = setting.degree, setting.m
+        self.exponent = asymptotic_exponent(d, m)
+        self.p_exponent = d * (m + 2) * (m - 1) // 2
 
 
 def _level_part(setting: ShimuraSetting) -> _LevelPart:
@@ -132,7 +135,7 @@ def _level_part(setting: ShimuraSetting) -> _LevelPart:
         return part
 
 
-def superspecial_mass(setting: ShimuraSetting) -> int:
+def superspecial_mass(setting: ShimuraSetting, part: _LevelPart | None = None) -> int:
     """Cardinality of the superspecial locus at the given level:
 
         C * |G(Z/NZ)| * prod_{j=1}^{m} prod_{v | p, f_v odd} (q_v^j + (-1)^j)
@@ -142,17 +145,18 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
     both products are prod_{v | p} prod_{j=1}^{m} (q_v^j + eps^j).  The
     divisor part of the derived discriminant away from p sits in C.
     Being a cardinality the mass must come out a positive integer, and
-    anything else raises InternalCheckError.
+    anything else raises InternalCheckError.  part is the setting's
+    per-level part, when the caller (final_bound) has read it already.
     """
+    if part is None:
+        part = _level_part(setting)
     eps = -1 if setting.delta_prime_at_p else 1
     factor = 1
     for v in setting.places_over_p:
         q = v.residue_cardinality
         for j in range(1, setting.m + 1):
             factor *= q**j + eps**j
-    return _positive_integer(
-        _level_part(setting).scaled_constant, factor, "superspecial mass"
-    )
+    return _positive_integer(part.scaled_constant, factor, "superspecial mass")
 
 
 def final_bound(setting: ShimuraSetting) -> BoundReport:
@@ -166,15 +170,15 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     places over p, prod_{v | p} (q_v - eps) * prod_{j=1}^{m} (q_v^j + eps^j).
     It must agree exactly with mass * irr_count * dim_bound; the two
     p-factors are computed independently and compared.  C * |G(Z/NZ)|
-    and the exponent come from the per-level part, built on the first
+    and both exponents come from the per-level part, built on the first
     record of a (datum, level); each record computes only its p-factors
     and divides them against that shared pair.
     """
     part, p, quaternion = _level_part(setting), setting.p, setting.quaternion
-    d, m = quaternion.field.degree, quaternion.m
+    m = quaternion.m
     eps = -1 if setting.delta_prime_at_p else 1
 
-    factor = p ** (d * (m + 2) * (m - 1) // 2) * (p - 1)
+    factor = p**part.p_exponent * (p - 1)
     for v in setting.places_over_p:
         q = v.residue_cardinality
         factor *= q - eps
@@ -182,7 +186,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             factor *= q**j + eps**j
     bound = _positive_integer(part.scaled_constant, factor, "final bound")
 
-    mass = superspecial_mass(setting)
+    mass = superspecial_mass(setting, part)
     irr = irr_count(setting)
     dim = dim_bound(setting)
     if bound != mass * irr * dim:
@@ -190,17 +194,8 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
             f"factorization identity violated: bound {bound} != "
             f"mass {mass} * irr {irr} * dim {dim}"
         )
-    return BoundReport(
-        setting=setting,
-        zeta_values=quaternion.zeta_values,
-        constant=part.constant,
-        level_group_order=part.group_order,
-        mass=mass,
-        irr_count=irr,
-        dim_bound=dim,
-        final_bound=bound,
-        asymptotic_exponent=part.exponent,
-    )
+    return BoundReport(setting, quaternion.zeta_values, part.constant, part.group_order,
+                       mass, irr, dim, bound, part.exponent)
 
 
 def siegel_bound(m: int, level: int, p: int) -> int:

@@ -1,5 +1,7 @@
 """Batch front end: read a JSON run description, compute one bound
-report per prime, and emit deterministic JSON or CSV.
+report per prime, and emit deterministic JSON or CSV.  Each record is
+rendered to its text as it is produced, so no record is held once its
+text exists.
 
 Exit codes: 0 at least one record succeeded and no internal fault;
 1 every record failed validation; 2 the configuration did not parse,
@@ -7,18 +9,18 @@ the --output path could not be written, or `heckebound oracle` got
 input it cannot enumerate (including a --classes-mod that is not a
 prime below psi_12); 3 an exact internal identity was violated, or any
 other exception escaped (implementation fault).  The output text is
-built in memory and written once at the end, so an exception raised
-during the run, or an unwritable --output, leaves stdout empty.
+still built in memory and written once at the end, so an exception
+raised during the run, or an unwritable --output, leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -163,11 +165,11 @@ def parse_config(doc) -> RunConfig:
             raise ConfigError(
                 "p_sweep: endpoints must satisfy 2 <= from <= to"
             )
-        # the window is sieved in one bytearray and every record is held
-        # until the end; 300 000 integers keep an m = 2 run under 5 s and 120 MB
-        # (the widest windows from 2, from 10^18 and below psi_12, ramified or
-        # not, peak at 1.4 s and 113 MB, measured from a 13 MB launcher
-        # process on 2 cores, Python 3.11).
+        # the window is sieved in one bytearray and every record's text is
+        # held until the end; 300 000 integers keep an m = 2 run under 5 s and
+        # 120 MB (the widest windows from 2, from 10^18 and below psi_12,
+        # ramified or not, peak at 1.8 s and 97 MB, medians of five runs
+        # measured from a 14 MB launcher process on 2 cores, Python 3.11).
         # A record's cost grows with m, so from m = 3 the window is 1 200 000
         # // m^2 integers (the widest from 10^18 measured under 1 s up to
         # m = 50); above m = 50 every record is the datum's m_too_large
@@ -215,18 +217,29 @@ class Record:
 
 
 def compute_records(
-    config: RunConfig, oracle_check: bool = False, verbose: bool = False
-) -> tuple[list[Record], int]:
+    config: RunConfig,
+    oracle_check: bool = False,
+    verbose: bool = False,
+    render: Callable[[Record], str] | None = None,
+) -> tuple[list, int]:
     """All records in ascending p, plus the process exit status; with
     oracle_check a completed oracle check that disagrees is a fault.
 
+    With render, a function from a record to its text, each record is
+    rendered as soon as it is produced and the list holds that text in
+    its place, so no record, report, setting or place outlives its text.
+    The CLI renders this way, then has render_json or render_csv put the
+    texts together in memory, written out once.
+
     The quaternion datum is built once per run, with the ramified primes
     and discriminant product that validation reads; the bound's per-level
-    part (C_B, |G(Z/NZ)| and the growth exponent) is built on the first
+    part (C_B, |G(Z/NZ)| and the growth exponents) is built on the first
     record that passes validation, and the zeta values with it.  Both are
     shared by every record.  Each prime adds only the checks on N and p,
-    one gcd for level_not_coprime, its places and p-factors."""
-    records = []
+    one gcd for level_not_coprime, its places and p-factors.  An error is
+    kept without its traceback: that would hold this frame, and with it
+    every record, in a reference cycle."""
+    items = []
     successes = 0
     fault = False
     if oracle_check:
@@ -239,7 +252,7 @@ def compute_records(
             config.field, config.ramification, config.m
         )
     except SettingError as exc:
-        quaternion_error = exc
+        quaternion_error = exc.with_traceback(None)
     for p in config.primes():
         if verbose:
             print(f"computing p = {p} ...", file=sys.stderr)
@@ -248,29 +261,32 @@ def compute_records(
             try:
                 setting = validate_setting(quaternion, config.level, p)
             except SettingError as exc:
-                error = exc
+                error = exc.with_traceback(None)
         if error is not None:
             if verbose:
                 print(f"  skipped: {error}", file=sys.stderr)
-            records.append(Record(p, error=error))
-            continue
-        report = final_bound(setting)
-        verdict = None
-        if oracle_check:
-            verdict = oracle_mod.verify_setting_with_oracle(setting)
-            if not verdict["verified"] and "skipped" not in verdict:
-                fault = True
-        records.append(Record(p, report=report, oracle=verdict))
-        successes += 1
+            record = Record(p, None, error)
+        else:
+            report = final_bound(setting)
+            verdict = None
+            if oracle_check:
+                verdict = oracle_mod.verify_setting_with_oracle(setting)
+                if not verdict["verified"] and "skipped" not in verdict:
+                    fault = True
+            record = Record(p, report, None, verdict)
+            successes += 1
+        items.append(record if render is None else render(record))
     if fault:
-        return records, EXIT_FAULT
+        return items, EXIT_FAULT
     if successes == 0:
-        return records, EXIT_ALL_FAILED
-    return records, EXIT_OK
+        return items, EXIT_ALL_FAILED
+    return items, EXIT_OK
 
 
-# Rendering.  The text of a record that does not depend on p is built once
-# per run, from the first report; each record adds only its own fields.
+# Rendering.  A record renderer turns each record into its text as it is
+# produced; the text that does not depend on p is built once per run, the
+# shared cells at the first report, and each record adds only its own
+# fields.  render_json and render_csv put the texts together.
 
 
 def _frac_str(x: Fraction) -> str:
@@ -282,13 +298,14 @@ def _json_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _places_json(places: tuple[Place, ...]) -> str:
-    # a place list three levels deep, as _json_at(..., 3) lays it out
+def _places_json(places: tuple[Place, ...], prime: str | None = None) -> str:
+    # a place list three levels deep, as _json_at(..., 3) lays it out; a
+    # given prime is written for every residue prime
     if not places:
         return "[]"
     items = []
     for v in places:
-        item = (f'{{\n          "prime": {v.residue_prime},'
+        item = (f'{{\n          "prime": {v.residue_prime if prime is None else prime},'
                 f'\n          "residue_degree": {v.residue_degree}')
         if v.index:
             item += f',\n          "index": {v.index}'
@@ -298,68 +315,105 @@ def _places_json(places: tuple[Place, ...]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _places_csv(places: tuple[Place, ...]) -> str:
-    return ";".join(f"{v.residue_prime}^{v.residue_degree}" for v in places)
-
-
-def render_json(config: RunConfig, records: list[Record]) -> str:
-    """The records as json.dumps(..., indent=2) would lay out their
-    documents, with the shared text built once."""
-    if not records:
-        return "[]\n"
-    if config.field.is_rational:
-        field_doc = {"kind": "rational"}
-    else:
-        field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
-    echo = _json_at(
-        {
-            "field": field_doc,
-            "quaternion_ramification": [
-                {"prime": ell, "residue_degree": f} for ell, f in config.ramification
-            ],
-            "m": config.m,
-            "N": config.level,
-        },
-        2,
+def _places_csv(places: tuple[Place, ...], prime: str | None = None) -> str:
+    return ";".join(
+        f"{v.residue_prime if prime is None else prime}^{v.residue_degree}"
+        for v in places
     )
-    # the echo without its closing brace, then p
-    head = '  {\n    "input": ' + echo.rpartition("\n")[0] + ',\n      "p": '
-    first = next((r.report for r in records if r.report is not None), None)
-    if first is not None:
+
+
+def _at_p_text(templates: dict, render_places, setting) -> str:
+    """render_places(setting.delta_prime_at_p), from a template kept per
+    count of places.  Every place over p has residue prime p, and in one
+    run the count fixes the rest: the one residue degree f, the indexes 0
+    and 1 of a split prime, and unramified, since validation refuses a p
+    ramified in F.  So only p is written per record."""
+    places = setting.delta_prime_at_p
+    pieces = templates.get(len(places))
+    if pieces is None:
+        pieces = templates[len(places)] = render_places(places, "\0").split("\0")
+    return str(setting.p).join(pieces)
+
+
+class _JsonText:
+    """A record's text in the document render_json lays out, one level
+    deep.  The input echo is built with the renderer, the shared cells at
+    the first report."""
+
+    __slots__ = ("head", "before_mass", "before_at_p", "after_at_p", "at_p")
+
+    def __init__(self, config: RunConfig):
+        if config.field.is_rational:
+            field_doc = {"kind": "rational"}
+        else:
+            field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
+        echo = _json_at(
+            {
+                "field": field_doc,
+                "quaternion_ramification": [
+                    {"prime": ell, "residue_degree": f} for ell, f in config.ramification
+                ],
+                "m": config.m,
+                "N": config.level,
+            },
+            2,
+        )
+        # the echo without its closing brace, then p
+        self.head = '  {\n    "input": ' + echo.rpartition("\n")[0] + ',\n      "p": '
+        self.before_mass = None
+        self.at_p = {}
+
+    def _share(self, first: BoundReport) -> None:
         zeta_text = _json_at([_frac_str(z) for z in first.zeta_values], 2)
-        before_mass = (
+        self.before_mass = (
             f'\n    }},\n    "zeta_F": {zeta_text},'
             f'\n    "C_B": "{_frac_str(first.constant)}",'
             f'\n    "level_group_order": "{first.level_group_order}",'
             '\n    "mass": "'
         )
-        before_at_p = (
+        self.before_at_p = (
             f'",\n    "asymptotic_exponent": {first.asymptotic_exponent},'
             '\n    "delta_prime": {\n      "at_p": '
         )
         away = _places_json(first.setting.delta_prime_away)
-        after_at_p = f',\n      "away": {away}\n    }}'
-    parts = []
-    for r in records:
+        self.after_at_p = f',\n      "away": {away}\n    }}'
+
+    def __call__(self, r: Record) -> str:
         if r.error is not None:
-            parts.append(
-                f'{head}{r.p}\n    }},\n    "error": {{'
+            return (
+                f'{self.head}{r.p}\n    }},\n    "error": {{'
                 f'\n      "code": {json.dumps(r.error.code)},'
                 f'\n      "message": {json.dumps(str(r.error))}\n    }}\n  }}'
             )
-            continue
         report = r.report
+        if self.before_mass is None:
+            self._share(report)
         text = (
-            f'{head}{r.p}{before_mass}{report.mass}",'
+            f'{self.head}{r.p}{self.before_mass}{report.mass}",'
             f'\n    "irr_count": "{report.irr_count}",'
             f'\n    "dim_bound": "{report.dim_bound}",'
-            f'\n    "final_bound": "{report.final_bound}'
-            f'{before_at_p}{_places_json(report.setting.delta_prime_at_p)}{after_at_p}'
+            f'\n    "final_bound": "{report.final_bound}{self.before_at_p}'
+            f'{_at_p_text(self.at_p, _places_json, report.setting)}{self.after_at_p}'
         )
         if r.oracle is not None:
             text += f',\n    "oracle": {_json_at(r.oracle, 2)}'
-        parts.append(text + "\n  }")
-    return "[\n" + ",\n".join(parts) + "\n]\n"
+        return text + "\n  }"
+
+
+def render_json(config: RunConfig, records: list) -> str:
+    """The records as json.dumps(..., indent=2) would lay out their
+    documents.  records are Records, or their texts as compute_records
+    gives them when it renders with _JsonText(config)."""
+    if not records:
+        return "[]\n"
+    if isinstance(records[0], Record):
+        records = list(map(_JsonText(config), records))
+    # the document in one join: "[" + body + "]" would copy the whole text
+    # twice more, at a larger cost than the join itself
+    parts = [",\n"] * (2 * len(records) + 1)
+    parts[0], parts[-1] = "[\n", "\n]\n"
+    parts[1::2] = records
+    return "".join(parts)
 
 
 _CSV_COLUMNS = [
@@ -379,43 +433,71 @@ _CSV_COLUMNS = [
 ]
 
 
-def render_csv(records: list[Record]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    first = next((r.report for r in records if r.report is not None), None)
-    if first is not None:
-        zeta_cell = ";".join(_frac_str(z) for z in first.zeta_values)
-        constant_cell = _frac_str(first.constant)
-        away_cell = _places_csv(first.setting.delta_prime_away)
-    error_padding = [""] * (len(_CSV_COLUMNS) - 2)
-    for r in records:
+class _Lines:
+    # a csv.writer target: writerow returns what write returns, so each
+    # row comes back as its line
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+_csv_line = csv.writer(_Lines, lineterminator="\n").writerow
+_CSV_HEADER = _csv_line(_CSV_COLUMNS)
+_CSV_ERROR_PADDING = [""] * (len(_CSV_COLUMNS) - 2)
+
+
+class _CsvText:
+    """A record's row as csv.writer lays it out, line end included."""
+
+    __slots__ = ("shared", "at_p")
+
+    def __init__(self):
+        self.shared = None
+        self.at_p = {}
+
+    def __call__(self, r: Record) -> str:
         if r.error is not None:
-            writer.writerow([r.p, r.error.code] + error_padding)
-            continue
+            return _csv_line([r.p, r.error.code, *_CSV_ERROR_PADDING])
+        report = r.report
+        if self.shared is None:
+            self.shared = (
+                ";".join(_frac_str(z) for z in report.zeta_values),
+                _frac_str(report.constant),
+                report.level_group_order,
+                report.asymptotic_exponent,
+                _places_csv(report.setting.delta_prime_away),
+            )
+        zeta_cell, constant_cell, order, exponent, away_cell = self.shared
         if r.oracle is None:
             oracle_cell = ""
         elif r.oracle.get("skipped"):
             oracle_cell = "skipped"
         else:
             oracle_cell = str(r.oracle["verified"]).lower()
-        report = r.report
-        writer.writerow([
+        return _csv_line([
             r.p,
             "",
             zeta_cell,
             constant_cell,
-            first.level_group_order,
+            order,
             report.mass,
             report.irr_count,
             report.dim_bound,
             report.final_bound,
-            first.asymptotic_exponent,
-            _places_csv(report.setting.delta_prime_at_p),
+            exponent,
+            _at_p_text(self.at_p, _places_csv, report.setting),
             away_cell,
             oracle_cell,
         ])
-    return buf.getvalue()
+
+
+def render_csv(records: list) -> str:
+    """The records as csv.writer lays them out, under the header row.
+    records are Records, or their rows as compute_records gives them when
+    it renders with _CsvText()."""
+    if records and isinstance(records[0], Record):
+        records = map(_CsvText(), records)
+    return "".join([_CSV_HEADER, *records])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -548,11 +630,10 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     with _unlimited_int_digits():
-        records, status = compute_records(config, args.oracle_check, args.verbose)
-        if args.format == "json":
-            text = render_json(config, records)
-        else:
-            text = render_csv(records)
+        as_json = args.format == "json"
+        render = _JsonText(config) if as_json else _CsvText()
+        texts, status = compute_records(config, args.oracle_check, args.verbose, render)
+        text = render_json(config, texts) if as_json else render_csv(texts)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:

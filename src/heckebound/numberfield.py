@@ -117,18 +117,22 @@ class Place(_Value):
 
     def __init__(self, residue_prime: int, residue_degree: int, index: int = 0,
                  ramified: bool = False):
-        setter = object.__setattr__
-        setter(self, "residue_prime", residue_prime)
-        setter(self, "residue_degree", residue_degree)
-        setter(self, "index", index)
-        setter(self, "ramified", ramified)
-        setter(self, "residue_cardinality", residue_prime**residue_degree)
+        # each slot's own setter: a place over p is built for every record,
+        # and object.__setattr__ would look each name up again
+        _set_prime(self, residue_prime)
+        _set_degree(self, residue_degree)
+        _set_index(self, index)
+        _set_ramified(self, ramified)
+        _set_cardinality(self, residue_prime**residue_degree)
 
     def __repr__(self) -> str:
         tag = "r" if self.ramified else str(self.index)
         return f"Place({self.residue_prime}^{self.residue_degree},{tag})"
 
 
+(_set_prime, _set_degree, _set_index, _set_ramified, _set_cardinality) = (
+    getattr(Place, name).__set__ for name in Place.__slots__
+)
 _place_order = attrgetter(*Place._fields)
 
 
@@ -142,19 +146,19 @@ def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
     """
     if not _proven_prime(ell, "ell", "prime_too_large"):
         raise ValueError(f"{ell} is not prime")
-    return _places_over(fld, ell)
+    return list(_places_over(fld, ell))
 
 
-def _places_over(fld: FieldSpec, ell: int) -> list[Place]:
-    # split_prime for an ell the caller has already proven prime
-    if fld.is_rational:
-        return [Place(ell, 1)]
+def _places_over(fld: FieldSpec, ell: int) -> tuple[Place, ...]:
+    # split_prime, as a tuple, for an ell the caller has already proven prime
+    if fld.degree == 1:
+        return (Place(ell, 1),)
     s = kronecker(fld.discriminant, ell)
     if s == 1:
-        return [Place(ell, 1, index=0), Place(ell, 1, index=1)]
+        return (Place(ell, 1, 0), Place(ell, 1, 1))
     if s == -1:
-        return [Place(ell, 2)]
-    return [Place(ell, 1, ramified=True)]
+        return (Place(ell, 2),)
+    return (Place(ell, 1, 0, True),)
 
 
 class QuaternionData(_Value):
@@ -312,7 +316,7 @@ class ShimuraSetting(_Value):
         self.quaternion = quaternion
         self.level = level
         self.p = p
-        places = self.places_over_p = tuple(_places_over(quaternion.field, p))
+        places = self.places_over_p = _places_over(quaternion.field, p)
         self.delta_prime_at_p = places if places[0].residue_degree % 2 else ()
 
     @property

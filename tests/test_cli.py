@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -711,6 +712,104 @@ def test_render_helpers_round_trip():
     assert rows[0]["final_bound"] == "192"
 
 
+_DATUM_FAILS_DOC = dict(
+    SWEEP_DOC,
+    quaternion_ramification=[{"prime": 4, "residue_degree": 1},
+                             {"prime": 7, "residue_degree": 1}],
+)
+
+# windows at the edges of the streamed rendering: records are rendered as
+# they are produced, and the shared cells are built at the first report
+_EDGE_WINDOWS = {
+    # p = 2 and 3 divide N: the first two records are errors
+    "errors_first": (dict(SWEEP_DOC, N=6, p_sweep={"from": 2, "to": 40}), ()),
+    "no_prime": (dict(SWEEP_DOC, p_sweep={"from": 24, "to": 28}), ()),
+    # the datum fails, so every record is its error
+    "datum_fails": (_DATUM_FAILS_DOC, ()),
+    "oracle_check": (dict(SWEEP_DOC, p_sweep={"from": 2, "to": 7}), ("--oracle-check",)),
+    # over Q(sqrt5), 11, 19, 29, 31, 41 and 59 split and the other p != 5
+    # are inert; p = 5 ramifies in the field
+    "quadratic_split_inert": (
+        {"field": {"kind": "real_quadratic", "disc": 5}, "m": 2, "N": 3,
+         "p_sweep": {"from": 2, "to": 60}},
+        (),
+    ),
+    "quadratic_ramified": (
+        {"field": {"kind": "real_quadratic", "disc": 5},
+         "quaternion_ramification": [{"prime": 11, "residue_degree": 1},
+                                     {"prime": 19, "residue_degree": 1}],
+         "m": 1, "N": 4, "p_sweep": {"from": 5, "to": 31}},
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(_EDGE_WINDOWS))
+def test_streamed_output_matches_the_reference_layout(tmp_path, capsys, name, fmt):
+    doc, flags = _EDGE_WINDOWS[name]
+    config = parse_config(doc)
+    records, status = compute_records(config, "--oracle-check" in flags)
+    docs = reference_documents(config, records)
+    want = reference_json(docs) if fmt == "json" else reference_csv(docs)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg), "--format", fmt, *flags]) == status
+    assert capsys.readouterr().out == want
+    if name == "errors_first":
+        assert [r.error is None for r in records[:3]] == [False, False, True]
+    elif name == "no_prime":
+        assert records == [] and status == EXIT_ALL_FAILED
+        assert want == ("[]\n" if fmt == "json" else want.splitlines()[0] + "\n")
+    elif name == "datum_fails":
+        assert status == EXIT_ALL_FAILED
+        assert {r.error.code for r in records} == {"ramified_prime_not_prime"}
+    elif name == "oracle_check":
+        assert status == EXIT_OK
+        assert [r.oracle for r in records if r.report] == [{"verified": True}] * 3
+    elif name == "quadratic_split_inert":
+        at_p = {len(r.report.setting.delta_prime_at_p) for r in records if r.report}
+        assert at_p == {0, 2}
+
+
+def test_error_records_hold_no_traceback_and_no_cycle():
+    # a caught SettingError's traceback holds the frame of compute_records,
+    # whose locals hold every record: kept with it, the whole result is
+    # cyclic garbage that only the collector frees
+    for doc in (dict(SWEEP_DOC, N=6), _DATUM_FAILS_DOC):
+        config = parse_config(doc)
+        gc.collect()
+        gc.disable()
+        try:
+            records, _ = compute_records(config)
+            errors = [r.error for r in records if r.error is not None]
+            assert errors and all(e.__traceback__ is None for e in errors)
+            del records, errors
+            assert not any(isinstance(o, cli_mod.Record) for o in gc.get_objects())
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fault_mid_sweep_leaves_no_output(tmp_path, monkeypatch, capsys, fmt, to_file):
+    # one irreducible too many at p = 53 breaks final = mass * irr * dim
+    # after fifteen records have been rendered
+    real_irr = bounds_mod.irr_count
+    monkeypatch.setattr(bounds_mod, "irr_count", lambda s: real_irr(s) + (s.p == 53))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SWEEP_DOC, p_sweep={"from": 2, "to": 100})))
+    target = tmp_path / "out.txt"
+    flags = ["--format", fmt] + (["--output", str(target)] if to_file else [])
+    assert main([str(cfg), *flags]) == EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal fault: factorization identity violated")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1054,15 +1153,23 @@ _VERDICTS = (
 @example(dict(SWEEP_DOC, p_sweep={"from": 24, "to": 28}), False, [_VERDICTS[0]], False)
 @example(dict(SWEEP_DOC, N=6, p_sweep={"from": 2, "to": 3}), True, [_VERDICTS[2]], True)
 def test_renderers_match_the_reference_layout(doc, oracle_check, verdicts, verbose):
-    # the verdicts are fixed, so the oracle's own cost stays out of the test
-    answers = itertools.cycle(verdicts)
+    # the verdicts are fixed, so the oracle's own cost stays out of the test;
+    # each pass over the window starts them afresh
     config = parse_config(doc)
-    with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
-                           lambda setting: dict(next(answers))):
-        records, _ = compute_records(config, oracle_check, verbose)
-    docs = reference_documents(config, records)
-    assert render_json(config, records) == reference_json(docs)
-    assert render_csv(records) == reference_csv(docs)
+
+    def records(render=None):
+        answers = itertools.cycle(verdicts)
+        with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
+                               lambda setting: dict(next(answers))):
+            return compute_records(config, oracle_check, verbose, render)[0]
+
+    listed = records()
+    docs = reference_documents(config, listed)
+    assert render_json(config, listed) == reference_json(docs)
+    assert render_csv(listed) == reference_csv(docs)
+    # streamed, as the CLI renders: each record to its text as it is produced
+    assert render_json(config, records(cli_mod._JsonText(config))) == reference_json(docs)
+    assert render_csv(records(cli_mod._CsvText())) == reference_csv(docs)
 
 
 def test_unexpected_exception_is_an_internal_fault(tmp_path, monkeypatch, capsys):
