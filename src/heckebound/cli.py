@@ -1,22 +1,24 @@
 """Batch front end: read a JSON run description, compute one bound
 report per prime, and emit deterministic JSON or CSV.  Each record is
 rendered to its text as it is produced, so no record is held once its
-text exists.
+text exists: a JSON record or a CSV row fills a template built once per
+run, and csv (imported by CSV runs only) lays out the header, the row
+template and error rows.
 
 Exit codes: 0 at least one record succeeded and no internal fault;
 1 every record failed validation; 2 the configuration did not parse,
-the --output path could not be written, or `heckebound oracle` got
-input it cannot enumerate (including a --classes-mod that is not a
-prime below psi_12); 3 an exact internal identity was violated, or any
-other exception escaped (implementation fault).  The output text is
-still built in memory and written once at the end, so an exception
-raised during the run, or an unwritable --output, leaves stdout empty.
+the output (stdout or --output) could not be written, or `heckebound
+oracle` got input it cannot enumerate (including a --classes-mod that
+is not a prime below psi_12); 3 an exact internal identity was
+violated, or any other exception escaped (implementation fault).  The
+output text is still built in memory and written (and flushed) once at
+the end, so an exception raised during the run, or an unwritable
+--output, leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -441,63 +443,82 @@ class _Lines:
         return line
 
 
-_csv_line = csv.writer(_Lines, lineterminator="\n").writerow
-_CSV_HEADER = _csv_line(_CSV_COLUMNS)
+def _csv_writerow():
+    """The writerow of a csv.writer that returns each row as its line.
+    csv is imported here, so only CSV runs load it."""
+    import csv
+
+    return csv.writer(_Lines, lineterminator="\n").writerow
+
+
 _CSV_ERROR_PADDING = [""] * (len(_CSV_COLUMNS) - 2)
+# stands for a per-record cell while the row template is laid out;
+# csv.writer leaves it unquoted and no cell contains it
+_CSV_SLOT = "\x1f"
 
 
 class _CsvText:
-    """A record's row as csv.writer lays it out, line end included."""
+    """A record's row as csv.writer lays it out, line end included.
 
-    __slots__ = ("shared", "at_p")
+    At the first report csv.writer lays out one row of the shared cells
+    (zeta_F, C_B, |G(Z/NZ)|, the exponent and delta_prime_away) with a
+    placeholder in each per-record cell, and the row is split at the
+    placeholders: csv decides the quoting once per run.  Each success
+    row then fills that template with p, mass, irr_count, dim_bound,
+    final_bound, its delta_prime_at_p cell and its oracle cell: integers,
+    `p^f` lists joined by `;`, and true, false, skipped or empty, which
+    csv.writer never quotes.  Error rows go through csv.writer."""
+
+    __slots__ = ("writerow", "row", "at_p")
 
     def __init__(self):
-        self.shared = None
+        self.writerow = _csv_writerow()
+        self.row = None
         self.at_p = {}
+
+    def _share(self, first: BoundReport) -> None:
+        slot = _CSV_SLOT
+        self.row = self.writerow([
+            slot,
+            "",
+            ";".join(_frac_str(z) for z in first.zeta_values),
+            _frac_str(first.constant),
+            first.level_group_order,
+            slot, slot, slot, slot,  # mass, irr_count, dim_bound, final_bound
+            first.asymptotic_exponent,
+            slot,
+            _places_csv(first.setting.delta_prime_away),
+            slot,
+        ]).split(slot)
 
     def __call__(self, r: Record) -> str:
         if r.error is not None:
-            return _csv_line([r.p, r.error.code, *_CSV_ERROR_PADDING])
+            return self.writerow([r.p, r.error.code, *_CSV_ERROR_PADDING])
         report = r.report
-        if self.shared is None:
-            self.shared = (
-                ";".join(_frac_str(z) for z in report.zeta_values),
-                _frac_str(report.constant),
-                report.level_group_order,
-                report.asymptotic_exponent,
-                _places_csv(report.setting.delta_prime_away),
-            )
-        zeta_cell, constant_cell, order, exponent, away_cell = self.shared
+        if self.row is None:
+            self._share(report)
         if r.oracle is None:
             oracle_cell = ""
         elif r.oracle.get("skipped"):
             oracle_cell = "skipped"
         else:
             oracle_cell = str(r.oracle["verified"]).lower()
-        return _csv_line([
-            r.p,
-            "",
-            zeta_cell,
-            constant_cell,
-            order,
-            report.mass,
-            report.irr_count,
-            report.dim_bound,
-            report.final_bound,
-            exponent,
-            _at_p_text(self.at_p, _places_csv, report.setting),
-            away_cell,
-            oracle_cell,
-        ])
+        lead, to_mass, to_irr, to_dim, to_final, to_at_p, to_oracle, end = self.row
+        return (
+            f"{lead}{r.p}{to_mass}{report.mass}{to_irr}{report.irr_count}"
+            f"{to_dim}{report.dim_bound}{to_final}{report.final_bound}{to_at_p}"
+            f"{_at_p_text(self.at_p, _places_csv, report.setting)}"
+            f"{to_oracle}{oracle_cell}{end}"
+        )
 
 
 def render_csv(records: list) -> str:
     """The records as csv.writer lays them out, under the header row.
     records are Records, or their rows as compute_records gives them when
-    it renders with _CsvText()."""
+    it renders with _CsvText(); csv.writer lays out the header here."""
     if records and isinstance(records[0], Record):
         records = map(_CsvText(), records)
-    return "".join([_CSV_HEADER, *records])
+    return "".join([_csv_writerow()(_CSV_COLUMNS), *records])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -557,8 +578,31 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
     except (ValueError, oracle_mod.StateSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(json.dumps(out, indent=2))
-    return EXIT_OK
+    return _write_output(json.dumps(out, indent=2) + "\n", None, EXIT_OK)
+
+
+def _write_output(text: str, path: str | None, status: int) -> int:
+    """Write text to path, or to stdout when path is None, and return
+    status; a write that fails is EXIT_CONFIG with one error line.  The
+    stream is flushed here, so no write is left for interpreter exit."""
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if path is None:
+            # what stdout could not take is still in its buffer, and the
+            # interpreter flushes that again at exit: pointing the
+            # descriptor at the null device lets that flush succeed
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return EXIT_CONFIG
+    return status
 
 
 @contextmanager
@@ -634,16 +678,7 @@ def _run(args: argparse.Namespace) -> int:
         render = _JsonText(config) if as_json else _CsvText()
         texts, status = compute_records(config, args.oracle_check, args.verbose, render)
         text = render_json(config, texts) if as_json else render_csv(texts)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(text)
-    return status
+    return _write_output(text, args.output or None, status)
 
 
 if __name__ == "__main__":

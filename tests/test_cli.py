@@ -772,6 +772,56 @@ def test_streamed_output_matches_the_reference_layout(tmp_path, capsys, name, fm
         assert at_p == {0, 2}
 
 
+# a CLI run with every csv.writer's writerow counted, the count on stderr;
+# the spy is in place before heckebound.cli is imported
+_CSV_SPY = """
+import csv, sys
+rows = []
+real_writer = csv.writer
+
+def counting_writer(*args, **kwargs):
+    writer = real_writer(*args, **kwargs)
+
+    class Counted:
+        def writerow(self, row):
+            rows.append(row)
+            return writer.writerow(row)
+
+    return Counted()
+
+csv.writer = counting_writer
+from heckebound.cli import main
+status = main(sys.argv[1:])
+print(len(rows), file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_csv_writer_calls_do_not_grow_with_the_records(tmp_path):
+    # a success row fills the run's template; csv.writer lays out only the
+    # header, a template per count of places over p, and each error row
+    doc = {"field": {"kind": "real_quadratic", "disc": 5}, "m": 2, "N": 6,
+           "p_sweep": {"from": 2, "to": 200}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _CSV_SPY, str(cfg), "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    config = parse_config(doc)
+    records, _ = compute_records(config)
+    assert done.stdout == reference_csv(reference_documents(config, records))
+    errors = [r for r in records if r.error is not None]
+    at_p = {len(r.report.setting.delta_prime_at_p) for r in records if r.report}
+    # p = 2 and 3 divide N and 5 ramifies in the field; split and inert p
+    assert len(errors) == 3 and at_p == {0, 2}
+    assert len(records) - len(errors) == 43
+    calls = int(done.stderr.splitlines()[-1])
+    assert 1 + len(errors) <= calls <= 1 + len(at_p) + len(errors)
+
+
 def test_error_records_hold_no_traceback_and_no_cycle():
     # a caught SettingError's traceback holds the frame of compute_records,
     # whose locals hold every record: kept with it, the whole result is
@@ -941,6 +991,35 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot write output: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("doc, argv", [
+    # a short text fails at the flush, a long one (past stdout's buffer) in
+    # the write itself
+    (SIEGEL_DOC, []),
+    (dict(SWEEP_DOC, p_sweep={"from": 2, "to": 3000}), ["--format", "csv"]),
+    (None, ["oracle", "GL", "2", "3"]),
+])
+def test_failed_write_to_stdout_is_a_config_error(tmp_path, doc, argv):
+    # stdout buffered, as it is without PYTHONUNBUFFERED: an unflushed text
+    # would fail at interpreter exit, with exit 120 and an "Exception
+    # ignored" report instead of the documented exit codes
+    if doc is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [str(cfg), *argv]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(heckebound.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "heckebound.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: cannot write output: ")
 
 
 def test_p_independent_work_happens_once_per_run(monkeypatch):

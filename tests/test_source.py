@@ -87,11 +87,12 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
-def test_cli_import_loads_neither_dataclasses_nor_the_oracle():
-    # the oracle is imported only by a run that asks for it
+def test_cli_import_loads_no_dataclasses_oracle_or_csv():
+    # the oracle is imported only by a run that asks for it, csv only by a
+    # CSV run
     probe = (
         "import sys, heckebound.cli; "
-        "print(sorted({'dataclasses', 'heckebound.oracle'} & set(sys.modules)))"
+        "print(sorted({'csv', 'dataclasses', 'heckebound.oracle'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
