@@ -1,9 +1,9 @@
 """Batch front end: read a JSON run description, compute one bound
 report per prime, and emit deterministic JSON or CSV.  Each record is
 rendered to its text as it is produced, so no record is held once its
-text exists: a JSON record or a CSV row fills a template built once per
-run, and csv (imported by CSV runs only) lays out the header, the row
-template and error rows.
+text exists: it fills the skeleton of its shape, which json.dumps or
+csv.writer lays out once per run, and csv (imported by CSV runs only)
+lays out the header too.
 
 Exit codes: 0 at least one record succeeded and no internal fault;
 1 every record failed validation; 2 the configuration did not parse,
@@ -286,9 +286,9 @@ def compute_records(
 
 
 # Rendering.  A record renderer turns each record into its text as it is
-# produced; the text that does not depend on p is built once per run, the
-# shared cells at the first report, and each record adds only its own
-# fields.  render_json and render_csv put the texts together.
+# produced, by filling a skeleton that the format's serializer lays out
+# once per run and record shape.  render_json and render_csv put the
+# texts together.
 
 
 def _frac_str(x: Fraction) -> str:
@@ -300,138 +300,145 @@ def _json_at(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _places_json(places: tuple[Place, ...], prime: str | None = None) -> str:
-    # a place list three levels deep, as _json_at(..., 3) lays it out; a
-    # given prime is written for every residue prime
-    if not places:
-        return "[]"
-    items = []
-    for v in places:
-        item = (f'{{\n          "prime": {v.residue_prime if prime is None else prime},'
-                f'\n          "residue_degree": {v.residue_degree}')
-        if v.index:
-            item += f',\n          "index": {v.index}'
-        if v.ramified:
-            item += ',\n          "ramified": true'
-        items.append(item + "\n        }")
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+# stands for a per-record cell while a skeleton is laid out: csv.writer
+# leaves it unquoted and json.dumps writes it as \u001f, which _JsonText
+# also puts for the null of a per-record number or object; no other part
+# of a skeleton contains either
+_SLOT = "\x1f"
+_JSON_SLOT = json.dumps(_SLOT)[1:-1]
 
 
-def _places_csv(places: tuple[Place, ...], prime: str | None = None) -> str:
-    return ";".join(
-        f"{v.residue_prime if prime is None else prime}^{v.residue_degree}"
-        for v in places
-    )
+class _RecordText:
+    """A record's text, filled into the skeleton of its shape: the count
+    of places at p, or "error".  In one run the count fixes the places at
+    p but for their prime p (one residue degree, the indexes 0 and 1 of a
+    split prime, unramified since validation refuses a p ramified in F),
+    the other shared cells are the first report's, and every success
+    record has an oracle verdict or none has.  A success record's cells
+    are p, mass, irr_count, dim_bound, final_bound, p once per place at p
+    and the oracle cell; an error's are p and the error cell.  A format
+    supplies its skeleton, its error cell and its oracle cell."""
+
+    __slots__ = ("shapes",)
+
+    def __init__(self):
+        self.shapes = {}
+
+    def __call__(self, r: Record) -> str:
+        if r.error is not None:
+            lead, to_error, end = self.shapes.get("error") or self._lay_out("error", r)
+            return f"{lead}{r.p}{to_error}{self._error_cell(r.error)}{end}"
+        report = r.report
+        count = len(report.setting.delta_prime_at_p)
+        lead, to_mass, to_irr, to_dim, to_final, at_p, end = (
+            self.shapes.get(count) or self._lay_out(count, r)
+        )
+        p = str(r.p)
+        oracle = "" if r.oracle is None else self._oracle_cell(r.oracle)
+        return (
+            f"{lead}{p}{to_mass}{report.mass}{to_irr}{report.irr_count}"
+            f"{to_dim}{report.dim_bound}{to_final}{report.final_bound}"
+            f"{p.join(at_p)}{oracle}{end}"
+        )
+
+    def _lay_out(self, shape: int | str, r: Record) -> tuple:
+        # a success record's pieces around its places at p are kept as one
+        # tuple, joined by p; without an oracle cell the last piece ends it
+        pieces = self._skeleton(r)
+        if r.error is None:
+            if r.oracle is None:
+                pieces.append("")
+            pieces[5:-1] = [tuple(pieces[5:-1])]
+        self.shapes[shape] = pieces = tuple(pieces)
+        return pieces
 
 
-def _at_p_text(templates: dict, render_places, setting) -> str:
-    """render_places(setting.delta_prime_at_p), from a template kept per
-    count of places.  Every place over p has residue prime p, and in one
-    run the count fixes the rest: the one residue degree f, the indexes 0
-    and 1 of a split prime, and unramified, since validation refuses a p
-    ramified in F.  So only p is written per record."""
-    places = setting.delta_prime_at_p
-    pieces = templates.get(len(places))
-    if pieces is None:
-        pieces = templates[len(places)] = render_places(places, "\0").split("\0")
-    return str(setting.p).join(pieces)
+def _place_doc(v: Place, prime) -> dict:
+    doc = {"prime": prime, "residue_degree": v.residue_degree}
+    if v.index:
+        doc["index"] = v.index
+    if v.ramified:
+        doc["ramified"] = True
+    return doc
 
 
-class _JsonText:
+class _JsonText(_RecordText):
     """A record's text in the document render_json lays out, one level
-    deep.  The input echo is built with the renderer, the shared cells at
-    the first report."""
+    deep.  The skeleton is the record's document through _json_at, with
+    _SLOT in each per-record string and None (null) in each per-record
+    number or object."""
 
-    __slots__ = ("head", "before_mass", "before_at_p", "after_at_p", "at_p")
+    __slots__ = ("echo",)
 
     def __init__(self, config: RunConfig):
+        super().__init__()
         if config.field.is_rational:
             field_doc = {"kind": "rational"}
         else:
             field_doc = {"kind": "real_quadratic", "disc": config.field.discriminant}
-        echo = _json_at(
-            {
-                "field": field_doc,
-                "quaternion_ramification": [
-                    {"prime": ell, "residue_degree": f} for ell, f in config.ramification
-                ],
-                "m": config.m,
-                "N": config.level,
-            },
-            2,
-        )
-        # the echo without its closing brace, then p
-        self.head = '  {\n    "input": ' + echo.rpartition("\n")[0] + ',\n      "p": '
-        self.before_mass = None
-        self.at_p = {}
+        self.echo = {
+            "field": field_doc,
+            "quaternion_ramification": [
+                {"prime": ell, "residue_degree": f} for ell, f in config.ramification
+            ],
+            "m": config.m,
+            "N": config.level,
+            "p": None,
+        }
 
-    def _share(self, first: BoundReport) -> None:
-        zeta_text = _json_at([_frac_str(z) for z in first.zeta_values], 2)
-        self.before_mass = (
-            f'\n    }},\n    "zeta_F": {zeta_text},'
-            f'\n    "C_B": "{_frac_str(first.constant)}",'
-            f'\n    "level_group_order": "{first.level_group_order}",'
-            '\n    "mass": "'
-        )
-        self.before_at_p = (
-            f'",\n    "asymptotic_exponent": {first.asymptotic_exponent},'
-            '\n    "delta_prime": {\n      "at_p": '
-        )
-        away = _places_json(first.setting.delta_prime_away)
-        self.after_at_p = f',\n      "away": {away}\n    }}'
-
-    def __call__(self, r: Record) -> str:
+    def _skeleton(self, r: Record) -> list[str]:
         if r.error is not None:
-            return (
-                f'{self.head}{r.p}\n    }},\n    "error": {{'
-                f'\n      "code": {json.dumps(r.error.code)},'
-                f'\n      "message": {json.dumps(str(r.error))}\n    }}\n  }}'
-            )
-        report = r.report
-        if self.before_mass is None:
-            self._share(report)
-        text = (
-            f'{self.head}{r.p}{self.before_mass}{report.mass}",'
-            f'\n    "irr_count": "{report.irr_count}",'
-            f'\n    "dim_bound": "{report.dim_bound}",'
-            f'\n    "final_bound": "{report.final_bound}{self.before_at_p}'
-            f'{_at_p_text(self.at_p, _places_json, report.setting)}{self.after_at_p}'
-        )
-        if r.oracle is not None:
-            text += f',\n    "oracle": {_json_at(r.oracle, 2)}'
-        return text + "\n  }"
+            doc = {"input": self.echo, "error": None}
+        else:
+            report = r.report
+            setting = report.setting
+            doc = {
+                "input": self.echo,
+                "zeta_F": [_frac_str(z) for z in report.zeta_values],
+                "C_B": _frac_str(report.constant),
+                "level_group_order": str(report.level_group_order),
+                "mass": _SLOT,
+                "irr_count": _SLOT,
+                "dim_bound": _SLOT,
+                "final_bound": _SLOT,
+                "asymptotic_exponent": report.asymptotic_exponent,
+                "delta_prime": {
+                    "at_p": [_place_doc(v, None) for v in setting.delta_prime_at_p],
+                    "away": [_place_doc(v, v.residue_prime)
+                             for v in setting.delta_prime_away],
+                },
+            }
+            if r.oracle is not None:
+                doc["oracle"] = None
+        return ("  " + _json_at(doc, 1)).replace("null", _JSON_SLOT).split(_JSON_SLOT)
+
+    @staticmethod
+    def _error_cell(error: SettingError) -> str:
+        return _json_at({"code": error.code, "message": str(error)}, 2)
+
+    @staticmethod
+    def _oracle_cell(verdict: dict) -> str:
+        return _json_at(verdict, 2)
 
 
-def render_json(config: RunConfig, records: list) -> str:
-    """The records as json.dumps(..., indent=2) would lay out their
-    documents.  records are Records, or their texts as compute_records
-    gives them when it renders with _JsonText(config)."""
-    if not records:
+def render_json(texts: list[str]) -> str:
+    """The records' texts, as compute_records gives them when it renders
+    with _JsonText(config), in the document json.dumps(..., indent=2)
+    would lay out."""
+    if not texts:
         return "[]\n"
-    if isinstance(records[0], Record):
-        records = list(map(_JsonText(config), records))
     # the document in one join: "[" + body + "]" would copy the whole text
     # twice more, at a larger cost than the join itself
-    parts = [",\n"] * (2 * len(records) + 1)
+    parts = [",\n"] * (2 * len(texts) + 1)
     parts[0], parts[-1] = "[\n", "\n]\n"
-    parts[1::2] = records
+    parts[1::2] = texts
     return "".join(parts)
 
 
 _CSV_COLUMNS = [
-    "p",
-    "error_code",
-    "zeta_F",
-    "C_B",
-    "level_group_order",
-    "mass",
-    "irr_count",
-    "dim_bound",
-    "final_bound",
-    "asymptotic_exponent",
-    "delta_prime_at_p",
-    "delta_prime_away",
-    "oracle",
+    "p", "error_code", "zeta_F", "C_B", "level_group_order", "mass", "irr_count",
+    "dim_bound", "final_bound", "asymptotic_exponent", "delta_prime_at_p",
+    "delta_prime_away", "oracle",
 ]
 
 
@@ -451,74 +458,56 @@ def _csv_writerow():
     return csv.writer(_Lines, lineterminator="\n").writerow
 
 
-_CSV_ERROR_PADDING = [""] * (len(_CSV_COLUMNS) - 2)
-# stands for a per-record cell while the row template is laid out;
-# csv.writer leaves it unquoted and no cell contains it
-_CSV_SLOT = "\x1f"
+class _CsvText(_RecordText):
+    """A record's row as csv.writer lays it out, line end included: the
+    skeleton is the record's row through csv.writer, so csv decides the
+    quoting once per shape.  The per-record cells are integers, `p^f`
+    lists joined by `;`, an error code, and true, false, skipped or
+    empty: nothing csv.writer quotes."""
 
-
-class _CsvText:
-    """A record's row as csv.writer lays it out, line end included.
-
-    At the first report csv.writer lays out one row of the shared cells
-    (zeta_F, C_B, |G(Z/NZ)|, the exponent and delta_prime_away) with a
-    placeholder in each per-record cell, and the row is split at the
-    placeholders: csv decides the quoting once per run.  Each success
-    row then fills that template with p, mass, irr_count, dim_bound,
-    final_bound, its delta_prime_at_p cell and its oracle cell: integers,
-    `p^f` lists joined by `;`, and true, false, skipped or empty, which
-    csv.writer never quotes.  Error rows go through csv.writer."""
-
-    __slots__ = ("writerow", "row", "at_p")
+    __slots__ = ("writerow",)
 
     def __init__(self):
+        super().__init__()
         self.writerow = _csv_writerow()
-        self.row = None
-        self.at_p = {}
 
-    def _share(self, first: BoundReport) -> None:
-        slot = _CSV_SLOT
-        self.row = self.writerow([
-            slot,
-            "",
-            ";".join(_frac_str(z) for z in first.zeta_values),
-            _frac_str(first.constant),
-            first.level_group_order,
-            slot, slot, slot, slot,  # mass, irr_count, dim_bound, final_bound
-            first.asymptotic_exponent,
-            slot,
-            _places_csv(first.setting.delta_prime_away),
-            slot,
-        ]).split(slot)
-
-    def __call__(self, r: Record) -> str:
+    def _skeleton(self, r: Record) -> list[str]:
         if r.error is not None:
-            return self.writerow([r.p, r.error.code, *_CSV_ERROR_PADDING])
-        report = r.report
-        if self.row is None:
-            self._share(report)
-        if r.oracle is None:
-            oracle_cell = ""
-        elif r.oracle.get("skipped"):
-            oracle_cell = "skipped"
+            row = [_SLOT, _SLOT] + [""] * (len(_CSV_COLUMNS) - 2)
         else:
-            oracle_cell = str(r.oracle["verified"]).lower()
-        lead, to_mass, to_irr, to_dim, to_final, to_at_p, to_oracle, end = self.row
-        return (
-            f"{lead}{r.p}{to_mass}{report.mass}{to_irr}{report.irr_count}"
-            f"{to_dim}{report.dim_bound}{to_final}{report.final_bound}{to_at_p}"
-            f"{_at_p_text(self.at_p, _places_csv, report.setting)}"
-            f"{to_oracle}{oracle_cell}{end}"
-        )
+            report = r.report
+            setting = report.setting
+            row = [
+                _SLOT,
+                "",
+                ";".join(_frac_str(z) for z in report.zeta_values),
+                _frac_str(report.constant),
+                report.level_group_order,
+                _SLOT, _SLOT, _SLOT, _SLOT,  # mass, irr_count, dim_bound, final_bound
+                report.asymptotic_exponent,
+                ";".join(f"{_SLOT}^{v.residue_degree}"
+                         for v in setting.delta_prime_at_p),
+                ";".join(f"{v.residue_prime}^{v.residue_degree}"
+                         for v in setting.delta_prime_away),
+                "" if r.oracle is None else _SLOT,
+            ]
+        return self.writerow(row).split(_SLOT)
+
+    @staticmethod
+    def _error_cell(error: SettingError) -> str:
+        return error.code
+
+    @staticmethod
+    def _oracle_cell(verdict: dict) -> str:
+        if verdict.get("skipped"):
+            return "skipped"
+        return str(verdict["verified"]).lower()
 
 
-def render_csv(records: list) -> str:
-    """The records as csv.writer lays them out, under the header row.
-    records are Records, or their rows as compute_records gives them when
-    it renders with _CsvText(); csv.writer lays out the header here."""
-    if records and isinstance(records[0], Record):
-        records = map(_CsvText(), records)
-    return "".join([_csv_writerow()(_CSV_COLUMNS), *records])
+def render_csv(texts: list[str]) -> str:
+    """The records' rows, as compute_records gives them when it renders
+    with _CsvText(), under the header row csv.writer lays out here."""
+    return "".join([_csv_writerow()(_CSV_COLUMNS), *texts])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -583,10 +572,13 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
 
 def _write_output(text: str, path: str | None, status: int) -> int:
     """Write text to path, or to stdout when path is None, and return
-    status; a write that fails is EXIT_CONFIG with one error line.  The
-    stream is flushed here, so no write is left for interpreter exit."""
+    status; a write that fails, or a closed stdout, is EXIT_CONFIG with
+    one error line.  The stream is flushed here, so no write is left for
+    interpreter exit."""
     try:
         if path is None:
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
@@ -594,7 +586,7 @@ def _write_output(text: str, path: str | None, status: int) -> int:
                 handle.write(text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        if path is None:
+        if path is None and sys.stdout is not None:
             # what stdout could not take is still in its buffer, and the
             # interpreter flushes that again at exit: pointing the
             # descriptor at the null device lets that flush succeed
@@ -677,7 +669,7 @@ def _run(args: argparse.Namespace) -> int:
         as_json = args.format == "json"
         render = _JsonText(config) if as_json else _CsvText()
         texts, status = compute_records(config, args.oracle_check, args.verbose, render)
-        text = render_json(config, texts) if as_json else render_csv(texts)
+        text = render_json(texts) if as_json else render_csv(texts)
     return _write_output(text, args.output or None, status)
 
 
