@@ -13,12 +13,7 @@ from fractions import Fraction
 
 from .arith import InternalCheckError, _Value, balanced_product, bernoulli, factorize
 from .groups import dim_bound, irr_count, level_group_order, sp_order
-from .numberfield import (
-    FieldSpec,
-    ShimuraSetting,
-    _check_rank_and_count,
-    check_level_and_prime,
-)
+from .numberfield import FieldSpec, QuaternionData, ShimuraSetting, validate_setting
 
 __all__ = [
     "InternalCheckError",
@@ -207,11 +202,9 @@ def siegel_bound(m: int, level: int, p: int) -> int:
           * prod_{j=1}^{m} (p^j + (-1)^j),
         C = (-1)^(m(m+1)/2) / 2^m * prod_{i=1}^{m} zeta(1-2i).
     """
-    # the datum's rank checks over Q, then the setting's on N and p: the
-    # inputs QuaternionData(Q, (), m) and validate_setting accept, with
-    # their codes in their order
-    _check_rank_and_count(FieldSpec.rationals(), (), m)
-    check_level_and_prime(level, p)
+    # the inputs the main route accepts over Q, with its codes in its
+    # order: the datum's checks on m, then the setting's on N and p
+    validate_setting(QuaternionData(FieldSpec.rationals(), (), m), level, p)
 
     constant = Fraction((-1) ** (m * (m + 1) // 2), 2**m)
     for i in range(1, m + 1):

@@ -5,15 +5,16 @@ text exists: it fills the skeleton of its shape, which json.dumps or
 csv.writer lays out once per run, and csv (imported by CSV runs only)
 lays out the header too.
 
-Exit codes: 0 at least one record succeeded and no internal fault;
-1 every record failed validation; 2 the configuration did not parse,
-the output (stdout or --output) could not be written, or `heckebound
-oracle` got input it cannot enumerate (including a --classes-mod that
-is not a prime below psi_12); 3 an exact internal identity was
-violated, or any other exception escaped (implementation fault).  The
-output text is still built in memory and written (and flushed) once at
-the end, so an exception raised during the run, or an unwritable
---output, leaves stdout empty.
+Exit codes, which main alone decides: 0 at least one record succeeded
+and no internal fault; 1 every record failed validation; 2 a
+ConfigError: the configuration could not be read (a closed stdin too)
+or did not parse, the output (stdout or --output) could not be written,
+or `heckebound oracle` got input it cannot enumerate (including a
+--classes-mod that is not a prime below psi_12); 3 an exact internal
+identity was violated, or any other exception escaped (implementation
+fault).  main writes the output text once, at the end, so an exception
+raised during the run, or an unwritable --output, leaves stdout empty.
+stderr is best effort: a line it cannot take is dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from .arith import primes_between
@@ -257,7 +258,7 @@ def compute_records(
         quaternion_error = exc.with_traceback(None)
     for p in config.primes():
         if verbose:
-            print(f"computing p = {p} ...", file=sys.stderr)
+            _note(f"computing p = {p} ...")
         error = quaternion_error
         if error is None:
             try:
@@ -266,7 +267,7 @@ def compute_records(
                 error = exc.with_traceback(None)
         if error is not None:
             if verbose:
-                print(f"  skipped: {error}", file=sys.stderr)
+                _note(f"  skipped: {error}")
             record = Record(p, None, error)
         else:
             report = final_bound(setting)
@@ -539,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_oracle_subcommand(argv: list[str]) -> int:
+def _run_oracle_subcommand(argv: list[str]) -> tuple[str, int]:
     # ad-hoc verification of the enumeration side on its own
     from . import oracle as oracle_mod
 
@@ -565,36 +566,30 @@ def _run_oracle_subcommand(argv: list[str]) -> int:
                 group, args.classes_mod
             )
     except (ValueError, oracle_mod.StateSpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _write_output(json.dumps(out, indent=2) + "\n", None, EXIT_OK)
+        raise ConfigError(exc) from exc
+    return json.dumps(out, indent=2) + "\n", EXIT_OK
 
 
-def _write_output(text: str, path: str | None, status: int) -> int:
-    """Write text to path, or to stdout when path is None, and return
-    status; a write that fails, or a closed stdout, is EXIT_CONFIG with
-    one error line.  The stream is flushed here, so no write is left for
-    interpreter exit."""
+def _write(stream, text: str) -> None:
+    """Write text to a standard stream and flush it.  A failed write
+    raises after pointing the descriptor at the null device: the buffer
+    still holds the text, and the interpreter flushes it again at exit."""
     try:
-        if path is None:
-            if sys.stdout is None:
-                raise OSError("standard output is closed")
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        if path is None and sys.stdout is not None:
-            # what stdout could not take is still in its buffer, and the
-            # interpreter flushes that again at exit: pointing the
-            # descriptor at the null device lets that flush succeed
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-        return EXIT_CONFIG
-    return status
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+        raise
+
+
+def _note(line: str) -> None:
+    # stderr is best effort, as for argparse's own messages: a line it
+    # cannot take, closed or failing, is dropped
+    if sys.stderr is not None:
+        with suppress(OSError):
+            _write(sys.stderr, line + "\n")
 
 
 @contextmanager
@@ -617,10 +612,26 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if argv and argv[0] == "oracle":
-            return _run_oracle_subcommand(argv[1:])
-        return _run(_build_parser().parse_args(argv))
+            path, (text, status) = None, _run_oracle_subcommand(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
+            path, (text, status) = args.output or None, _run(args)
+        try:
+            if path is not None:
+                with open(path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            elif sys.stdout is None:
+                raise OSError("standard output is closed")
+            else:
+                _write(sys.stdout, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
+        return status
+    except ConfigError as exc:
+        _note(f"error: {exc}")
+        return EXIT_CONFIG
     except InternalCheckError as exc:
-        print(f"internal fault: {exc}", file=sys.stderr)
+        _note(f"internal fault: {exc}")
         return EXIT_FAULT
     except Exception as exc:
         # any other exception is an implementation fault too: one line
@@ -629,48 +640,36 @@ def main(argv: list[str] | None = None) -> int:
         while tb.tb_next is not None:
             tb = tb.tb_next
         where = os.path.basename(tb.tb_frame.f_code.co_filename)
-        print(
-            f"internal fault: {type(exc).__name__}: {exc} ({where}:{tb.tb_lineno})",
-            file=sys.stderr,
-        )
+        _note(f"internal fault: {type(exc).__name__}: {exc} ({where}:{tb.tb_lineno})")
         return EXIT_FAULT
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[str, int]:
     try:
-        if args.config == "-":
-            raw = sys.stdin.read()
-        else:
+        if args.config != "-":
             with open(args.config, "r", encoding="utf-8") as handle:
                 raw = handle.read()
+        elif sys.stdin is None:
+            raise OSError("standard input is closed")
+        else:
+            raw = sys.stdin.read()
         doc = json.loads(raw, object_pairs_hook=_unique_keys)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ConfigError:
+        raise
     except (ValueError, RecursionError) as exc:
         # bad UTF-8, an over-long integer literal, or nesting past the
         # recursion limit
-        print(f"error: cannot parse config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        config = parse_config(doc)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        raise ConfigError(f"cannot parse config: {exc}") from exc
+    config = parse_config(doc)
     with _unlimited_int_digits():
         as_json = args.format == "json"
         render = _JsonText(config) if as_json else _CsvText()
         texts, status = compute_records(config, args.oracle_check, args.verbose, render)
-        text = render_json(texts) if as_json else render_csv(texts)
-    return _write_output(text, args.output or None, status)
+        return render_json(texts) if as_json else render_csv(texts), status
 
 
 if __name__ == "__main__":

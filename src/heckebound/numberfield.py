@@ -30,7 +30,6 @@ __all__ = [
     "ShimuraSetting",
     "split_prime",
     "resolve_ramification",
-    "check_level_and_prime",
     "validate_setting",
 ]
 
@@ -348,10 +347,24 @@ def _proven_prime(n: int, what: str, code: str) -> bool:
     return is_prime(n)
 
 
-def check_level_and_prime(level: int, p: int) -> None:
-    """The checks on N and p shared by every bound route, with the codes
-    level_too_small, level_too_large, p_too_large, p_not_prime and
-    p_divides_level."""
+def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
+    """Check every invariant of the input tuple, then build the setting.
+
+    Violations raise SettingError with one of the codes, in this order:
+    level_too_small, level_too_large, p_too_large, p_not_prime,
+    p_divides_level, p_ramified_in_field, p_in_ramification_set,
+    level_not_coprime.  siegel_bound runs the checks on N and p through
+    here too; the rest read the datum's ramified_primes and take one gcd
+    of N with its bad_product.  Per p this proves p prime
+    (for a p in the window arith.primes_between sieved last, is_prime
+    reads the sieve's proof), tests p against N, the field discriminant
+    and the ramified places, and builds the setting, which splits p.
+    The p-independent checks, including that every ramified place is a
+    place of the field, ran once when the QuaternionData was built
+    (codes m_not_positive, m_too_large, odd_ramification_set,
+    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
+    residue_degree_mismatch).
+    """
     if level < 3:
         _fail("level_too_small", f"level must be >= 3, got {level}")
     if level > 10**12:
@@ -362,27 +375,6 @@ def check_level_and_prime(level: int, p: int) -> None:
         _fail("p_not_prime", f"p must be prime, got {p}")
     if level % p == 0:
         _fail("p_divides_level", f"p = {p} divides the level {level}")
-
-
-def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
-    """Check every invariant of the input tuple, then build the setting.
-
-    Violations raise SettingError with one of the codes, in this order:
-    level_too_small, level_too_large, p_too_large, p_not_prime,
-    p_divides_level, p_ramified_in_field, p_in_ramification_set,
-    level_not_coprime.  The checks on N and p are check_level_and_prime,
-    as for siegel_bound; the rest read the datum's ramified_primes and
-    take one gcd of N with its bad_product.  Per p this proves p prime
-    (for a p in the window arith.primes_between sieved last, is_prime
-    reads the sieve's proof), tests p against N, the field discriminant
-    and the ramified places, and builds the setting, which splits p.
-    The p-independent checks, including that every ramified place is a
-    place of the field, ran once when the QuaternionData was built
-    (codes m_not_positive, m_too_large, odd_ramification_set,
-    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
-    residue_degree_mismatch).
-    """
-    check_level_and_prime(level, p)
     fld = quaternion.field
     if fld.discriminant % p == 0:
         _fail(

@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
 from .groups import dim_bound, irr_count
-from .numberfield import ShimuraSetting
+from .numberfield import ShimuraSetting, _proven_prime
 
 __all__ = [
     "DEFAULT_CAP",
@@ -831,7 +831,8 @@ def enumerate_similitude_product(setting: ShimuraSetting) -> FqMatrixGroup:
 
 
 def _check_prime(p: int):
-    if not is_prime(p):
+    # is_prime is a proof below psi_12 only, which passes all its bases
+    if not _proven_prime(p, "p", "p_too_large"):
         raise ValueError(f"p must be a prime, got {p}")
 
 

@@ -192,6 +192,19 @@ def test_siegel_validation():
     with pytest.raises(SettingError) as err:
         siegel_bound(1, 3, psi_12)
     assert err.value.code == "p_too_large"
+    # one input per check on N and p: siegel_bound and the datum route
+    # report the same first code
+    for m, level, p, code in (
+        (2, 2, 6, "level_too_small"),
+        (2, 10**12 + 1, 6, "level_too_large"),
+        (2, 3, psi_12, "p_too_large"),
+        (2, 4, 9, "p_not_prime"),
+        (2, 10, 5, "p_divides_level"),
+    ):
+        for route in (siegel_bound, lambda m, level, p: setting(Q, m, level, p)):
+            with pytest.raises(SettingError) as err:
+                route(m, level, p)
+            assert err.value.code == code, (route, level, p)
 
 
 def test_siegel_rank_checks_are_the_datums():

@@ -1045,6 +1045,58 @@ def test_closed_stdout_is_a_config_error(tmp_path, doc, argv):
     assert lines[0].startswith("error: cannot write output: ")
 
 
+def _cli_under(shell_redirect, argv, cwd):
+    """The CLI as its own process, its descriptors redirected by sh."""
+    env = dict(os.environ, PYTHONPATH=str(Path(heckebound.__file__).parents[1]))
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {shell_redirect}', "sh", sys.executable, "-m",
+         "heckebound.cli", *argv],
+        capture_output=True, env=env, cwd=cwd, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["sweep.json", "-v"], EXIT_OK),
+    (["sweep.json", "-v", "--output", "out.json"], EXIT_OK),
+    (["missing.json"], EXIT_CONFIG),
+    (["oracle", "GL", "2", "1"], EXIT_CONFIG),
+    (["errors.json", "-v"], EXIT_ALL_FAILED),  # p = 2 and 3 both divide N = 6
+], ids=["sweep", "sweep-to-file", "missing-config", "oracle-bad-input", "all-errors"])
+def test_stderr_that_takes_nothing_changes_no_exit_code_or_output(tmp_path, argv, status):
+    # stderr is best effort: on a full device or closed, its lines are
+    # dropped, and the exit code and output are those of a run whose
+    # stderr is open
+    (tmp_path / "sweep.json").write_text(
+        json.dumps(dict(SWEEP_DOC, m=2, p_sweep={"from": 2, "to": 30})))
+    (tmp_path / "errors.json").write_text(
+        json.dumps(dict(SWEEP_DOC, m=2, N=6, p_sweep={"from": 2, "to": 3})))
+    written = tmp_path / "out.json"
+
+    def outcome(redirect):
+        written.unlink(missing_ok=True)
+        done = _cli_under(redirect, argv, tmp_path)
+        output = written.exists() and written.read_bytes()
+        return (done.returncode, done.stdout, output), done.stderr
+
+    expected, open_stderr = outcome("")
+    assert open_stderr and expected[0] == status
+    assert bool(expected[1] or expected[2]) == (status != EXIT_CONFIG)
+    redirects = ["2>&-"] + (["2>/dev/full"] if os.path.exists("/dev/full") else [])
+    for redirect in redirects:
+        assert outcome(redirect)[0] == expected, redirect
+
+
+def test_closed_stdin_is_a_config_error(tmp_path):
+    # with descriptor 0 closed at start-up sys.stdin is None: the config
+    # cannot be read, which is no internal fault
+    done = _cli_under("<&-", ["-"], tmp_path)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert done.stdout == b""
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: cannot read config: ")
+
+
 def test_p_independent_work_happens_once_per_run(monkeypatch):
     calls = []
     sp_calls = []

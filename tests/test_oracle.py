@@ -1181,16 +1181,24 @@ def test_index_classes_open_at_their_first_reached_member():
             assert p_regular_class_count(group, p) == expected, (group.descriptor, p)
 
 
-@pytest.mark.parametrize("p", [-1, 0, 1, 4])
+_PSI_12 = 318_665_857_834_031_151_167_461
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1, 4, _PSI_12])
 def test_class_queries_refuse_a_non_prime(p):
     # at p = 1 the Sylow loop never ended, p = 0 divided by zero, p = 4
     # gave 16 for GL_2(F_3) and p = 1 a p-regular count of 0; the class
     # count is asked first, so a missing check fails here and never
-    # reaches the Sylow loop at p = +-1
+    # reaches the Sylow loop at p = +-1.  psi_12 is composite but passes
+    # every base of is_prime: it gave 8 classes and a Sylow order of 1
     group = enumerate_gl(2, 3)
-    with pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+    if p == _PSI_12:
+        message = f"^p must be < {_PSI_12}, got {p}$"
+    else:
+        message = f"^p must be a prime, got {p}$"
+    with pytest.raises(ValueError, match=message):
         p_regular_class_count(group, p)
-    with pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+    with pytest.raises(ValueError, match=message):
         sylow_p_order(group, p)
 
 
