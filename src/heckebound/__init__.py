@@ -19,13 +19,17 @@ from .bounds import (
     bound_constant,
     detect_p_degree,
     final_bound,
+    final_bounds,
     siegel_bound,
     superspecial_mass,
+    superspecial_masses,
 )
 from .groups import (
     dim_bound,
+    dim_bounds,
     gl_order,
     irr_count,
+    irr_counts,
     level_group_order,
     sp_order,
     unitary_order,
@@ -36,8 +40,10 @@ from .numberfield import (
     QuaternionData,
     SettingError,
     ShimuraSetting,
+    check_setting,
     resolve_ramification,
     split_prime,
+    splitting,
     validate_setting,
 )
 
@@ -56,11 +62,15 @@ __all__ = [
     "bound_constant",
     "detect_p_degree",
     "final_bound",
+    "final_bounds",
     "siegel_bound",
     "superspecial_mass",
+    "superspecial_masses",
     "dim_bound",
+    "dim_bounds",
     "gl_order",
     "irr_count",
+    "irr_counts",
     "level_group_order",
     "sp_order",
     "unitary_order",
@@ -69,8 +79,10 @@ __all__ = [
     "QuaternionData",
     "SettingError",
     "ShimuraSetting",
+    "check_setting",
     "resolve_ramification",
     "split_prime",
+    "splitting",
     "validate_setting",
     "__version__",
 ]

@@ -10,9 +10,20 @@ implementation fault, never an input error.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mod, mul, ne, sub
 
 from .arith import InternalCheckError, _Value, balanced_product, bernoulli, factorize
-from .groups import dim_bound, irr_count, level_group_order, sp_order
+from .groups import (
+    _over_places,
+    _residue_cardinalities,
+    dim_bound,
+    dim_bounds,
+    irr_count,
+    irr_counts,
+    level_group_order,
+    sp_order,
+)
 from .numberfield import FieldSpec, QuaternionData, ShimuraSetting, validate_setting
 
 __all__ = [
@@ -20,7 +31,9 @@ __all__ = [
     "BoundReport",
     "bound_constant",
     "superspecial_mass",
+    "superspecial_masses",
     "final_bound",
+    "final_bounds",
     "siegel_bound",
     "asymptotic_exponent",
     "asymptotic_check",
@@ -58,16 +71,21 @@ class BoundReport(_Value):
         self.asymptotic_exponent = asymptotic_exponent
 
 
-def _positive_integer(scaled: tuple[int, int], factor: int, what: str) -> int:
-    """numerator * factor / denominator for scaled = (numerator,
-    denominator), a count the construction guarantees to be a positive
-    integer; anything else is an implementation fault."""
-    numerator, denominator = scaled
-    count, rest = divmod(numerator * factor, denominator)
-    if rest or count <= 0:
-        value = Fraction(numerator * factor, denominator)
-        raise InternalCheckError(f"{what} came out {value}, not a positive integer")
-    return count
+def _positive_integers(scale: Fraction, factors, what: str) -> list[int]:
+    """scale * factor for each of factors: counts the construction
+    guarantees to be positive integers; anything else, at any of them, is
+    an implementation fault.  scale is in lowest terms, so a count is an
+    integer exactly when its factor is a multiple of scale's denominator
+    (every factor is, when that is 1)."""
+    numerator, denominator = scale.numerator, scale.denominator
+    factors = list(factors)
+    if denominator == 1 or not any(map(mod, factors, repeat(denominator))):
+        quotients = factors if denominator == 1 else map(floordiv, factors, repeat(denominator))
+        counts = list(map(mul, quotients, repeat(numerator)))
+        if min(counts) > 0:
+            return counts
+    value = next(x for x in map(mul, factors, repeat(scale)) if x <= 0 or x.denominator != 1)
+    raise InternalCheckError(f"{what} came out {value}, not a positive integer")
 
 
 def asymptotic_exponent(degree: int, m: int) -> int:
@@ -103,24 +121,23 @@ def bound_constant(setting: ShimuraSetting) -> Fraction:
 
 class _LevelPart:
     """The p-independent part of the bound at one (datum, level N):
-    constant (C_B), group_order (|G(Z/NZ)|), scaled_constant, the pair
-    (C_B.numerator * |G(Z/NZ)|, C_B.denominator) that every count of a
-    record is divided against, exponent (d*m^2 + d*m + 1), and
+    constant (C_B), group_order (|G(Z/NZ)|), scale, their product, which
+    scales every count's p-factor, exponent (d*m^2 + d*m + 1), and
     p_exponent, the power d(m+2)(m-1)/2 of p in the closed form."""
 
-    __slots__ = ("constant", "group_order", "scaled_constant", "exponent", "p_exponent")
+    __slots__ = ("constant", "group_order", "scale", "exponent", "p_exponent")
 
     def __init__(self, setting: ShimuraSetting):
         constant = self.constant = bound_constant(setting)
         order = self.group_order = level_group_order(setting)
-        self.scaled_constant = (constant.numerator * order, constant.denominator)
+        self.scale = constant * order
         d, m = setting.degree, setting.m
         self.exponent = asymptotic_exponent(d, m)
         self.p_exponent = d * (m + 2) * (m - 1) // 2
 
 
 def _level_part(setting: ShimuraSetting) -> _LevelPart:
-    """The setting's _LevelPart, built on the first record of its (datum,
+    """The setting's _LevelPart, built on the first setting of its (datum,
     level) and kept in the datum's _levels for every later p."""
     levels = setting.quaternion._levels
     try:
@@ -128,6 +145,23 @@ def _level_part(setting: ShimuraSetting) -> _LevelPart:
     except KeyError:
         part = levels[setting.level] = _LevelPart(setting)
         return part
+
+
+def superspecial_masses(setting: ShimuraSetting, ps, part: _LevelPart | None = None
+                        ) -> list[int]:
+    """superspecial_mass at each prime of ps, primes that split in F as
+    setting.p does, at setting's datum and level: one map pass per factor
+    of the closed form over all of them.  part is the setting's per-level
+    part, when the caller has read it already."""
+    if part is None:
+        part = _level_part(setting)
+    qs, count, eps = _residue_cardinalities(setting, ps)
+    factors = list(map(add, qs, repeat(eps)))
+    qj = qs
+    for j in range(2, setting.m + 1):
+        qj = list(map(mul, qj, qs))
+        factors = list(map(mul, factors, map(add, qj, repeat(eps**j))))
+    return _positive_integers(part.scale, _over_places(factors, count), "superspecial mass")
 
 
 def superspecial_mass(setting: ShimuraSetting, part: _LevelPart | None = None) -> int:
@@ -140,18 +174,48 @@ def superspecial_mass(setting: ShimuraSetting, part: _LevelPart | None = None) -
     both products are prod_{v | p} prod_{j=1}^{m} (q_v^j + eps^j).  The
     divisor part of the derived discriminant away from p sits in C.
     Being a cardinality the mass must come out a positive integer, and
-    anything else raises InternalCheckError.  part is the setting's
-    per-level part, when the caller (final_bound) has read it already.
+    anything else raises InternalCheckError.  The one-prime case of
+    superspecial_masses.
     """
-    if part is None:
-        part = _level_part(setting)
-    eps = -1 if setting.delta_prime_at_p else 1
-    factor = 1
-    for v in setting.places_over_p:
-        q = v.residue_cardinality
-        for j in range(1, setting.m + 1):
-            factor *= q**j + eps**j
-    return _positive_integer(part.scaled_constant, factor, "superspecial mass")
+    return superspecial_masses(setting, (setting.p,), part)[0]
+
+
+def _final_bound_column(setting: ShimuraSetting, part: _LevelPart, ps) -> list[int]:
+    # final_bound's closed form at each prime of ps, by its own passes
+    qs, count, eps = _residue_cardinalities(setting, ps)
+    local = list(map(sub, qs, repeat(eps)))
+    for j in range(1, setting.m + 1):
+        qj = qs if j == 1 else map(pow, qs, repeat(j))
+        local = list(map(mul, local, map(add, qj, repeat(eps**j))))
+    factors = map(mul, map(pow, ps, repeat(part.p_exponent)), map(sub, ps, repeat(1)))
+    factors = map(mul, factors, _over_places(local, count))
+    return _positive_integers(part.scale, factors, "final bound")
+
+
+def _check_identity(bounds, masses, irrs, dims) -> None:
+    # final = mass * irr * dim at every prime, in one pass over the columns
+    if any(map(ne, bounds, map(mul, map(mul, masses, irrs), dims))):
+        bound, mass, irr, dim = next(
+            row for row in zip(bounds, masses, irrs, dims) if row[0] != row[1] * row[2] * row[3]
+        )
+        raise InternalCheckError(
+            f"factorization identity violated: bound {bound} != "
+            f"mass {mass} * irr {irr} * dim {dim}"
+        )
+
+
+def final_bounds(setting: ShimuraSetting, ps) -> tuple[list[int], ...]:
+    """(masses, irr_counts, dim_bounds, final bounds) at each prime of ps,
+    primes that split in F as setting.p does, at setting's datum and
+    level: final_bound's quantities as integer columns, each by its own
+    closed form, with every check of final_bound at every prime."""
+    part = _level_part(setting)
+    bounds = _final_bound_column(setting, part, ps)
+    masses = superspecial_masses(setting, ps, part)
+    irrs = irr_counts(setting, ps)
+    dims = dim_bounds(setting, ps)
+    _check_identity(bounds, masses, irrs, dims)
+    return masses, irrs, dims, bounds
 
 
 def final_bound(setting: ShimuraSetting) -> BoundReport:
@@ -166,31 +230,20 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     It must agree exactly with mass * irr_count * dim_bound; the two
     p-factors are computed independently and compared.  C * |G(Z/NZ)|
     and both exponents come from the per-level part, built on the first
-    record of a (datum, level); each record computes only its p-factors
-    and divides them against that shared pair.
+    setting of a (datum, level); each prime adds only its p-factors,
+    scaled by that shared product.  The one-prime case of final_bounds,
+    through the one-prime functions.
     """
-    part, p, quaternion = _level_part(setting), setting.p, setting.quaternion
-    m = quaternion.m
-    eps = -1 if setting.delta_prime_at_p else 1
-
-    factor = p**part.p_exponent * (p - 1)
-    for v in setting.places_over_p:
-        q = v.residue_cardinality
-        factor *= q - eps
-        for j in range(1, m + 1):
-            factor *= q**j + eps**j
-    bound = _positive_integer(part.scaled_constant, factor, "final bound")
-
+    part = _level_part(setting)
+    (bound,) = _final_bound_column(setting, part, (setting.p,))
+    # through the one-prime functions, not final_bounds: a sweep calls this
+    # once per shape, and perfbench's traced spans of each must see it
     mass = superspecial_mass(setting, part)
     irr = irr_count(setting)
     dim = dim_bound(setting)
-    if bound != mass * irr * dim:
-        raise InternalCheckError(
-            f"factorization identity violated: bound {bound} != "
-            f"mass {mass} * irr {irr} * dim {dim}"
-        )
-    return BoundReport(setting, quaternion.zeta_values, part.constant, part.group_order,
-                       mass, irr, dim, bound, part.exponent)
+    _check_identity((bound,), (mass,), (irr,), (dim,))
+    return BoundReport(setting, setting.quaternion.zeta_values, part.constant,
+                       part.group_order, mass, irr, dim, bound, part.exponent)
 
 
 def siegel_bound(m: int, level: int, p: int) -> int:
@@ -221,9 +274,7 @@ def siegel_bound(m: int, level: int, p: int) -> int:
     factor = p ** ((m + 2) * (m - 1) // 2) * (p - 1) * (p + 1)
     for j in range(1, m + 1):
         factor *= p**j + (-1) ** j
-    return _positive_integer(
-        (constant.numerator * gsp, constant.denominator), factor, "Siegel bound"
-    )
+    return _positive_integers(constant * gsp, (factor,), "Siegel bound")[0]
 
 
 def _check_shared_inputs(settings: list[ShimuraSetting]) -> None:

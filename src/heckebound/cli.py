@@ -1,7 +1,8 @@
-"""Batch front end: read a JSON run description, compute one bound
-report per prime, and emit deterministic JSON or CSV.  Each record is
-rendered to its text as it is produced, so no record is held once its
-text exists: it fills the skeleton of its shape, which json.dumps or
+"""Batch front end: read a JSON run description, compute the bound at
+every prime, and emit deterministic JSON or CSV.  The primes that pass
+validation are computed a shape at a time (the splitting of p in F),
+as integer columns, and rendered straight to their text without a
+record: each fills the skeleton of its shape, which json.dumps or
 csv.writer lays out once per run, and csv (imported by CSV runs only)
 lays out the header too.
 
@@ -10,11 +11,13 @@ and no internal fault; 1 every record failed validation; 2 a
 ConfigError: the configuration could not be read (a closed stdin too)
 or did not parse, the output (stdout or --output) could not be written,
 or `heckebound oracle` got input it cannot enumerate (including a
---classes-mod that is not a prime below psi_12); 3 an exact internal
-identity was violated, or any other exception escaped (implementation
-fault).  main writes the output text once, at the end, so an exception
-raised during the run, or an unwritable --output, leaves stdout empty.
-stderr is best effort: a line it cannot take is dropped.
+--classes-mod that is not a prime below psi_12), or argparse refused the
+arguments (its usage lines go to stderr); 3 an exact internal identity
+was violated, or any other exception escaped (implementation fault).
+main writes the output text once, at the end, so an exception raised
+during the run, or an unwritable --output, leaves stdout empty; --help
+is such an output too.  stderr is best effort: a line it cannot take is
+dropped.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from fractions import Fraction
+from itertools import repeat
 
 from .arith import primes_between
-from .bounds import BoundReport, InternalCheckError, final_bound
+from .bounds import BoundReport, InternalCheckError, final_bound, final_bounds
 from .numberfield import (
     _PSI_12,
     _proven_prime,
@@ -36,6 +39,9 @@ from .numberfield import (
     Place,
     QuaternionData,
     SettingError,
+    ShimuraSetting,
+    check_setting,
+    splitting,
     validate_setting,
 )
 
@@ -223,28 +229,30 @@ def compute_records(
     config: RunConfig,
     oracle_check: bool = False,
     verbose: bool = False,
-    render: Callable[[Record], str] | None = None,
+    render: _RecordText | None = None,
 ) -> tuple[list, int]:
     """All records in ascending p, plus the process exit status; with
     oracle_check a completed oracle check that disagrees is a fault.
 
-    With render, a function from a record to its text, each record is
-    rendered as soon as it is produced and the list holds that text in
-    its place, so no record, report, setting or place outlives its text.
-    The CLI renders this way, then has render_json or render_csv put the
+    With render, a _RecordText, the list holds each record's text in its
+    place and no record is built for a prime that passes validation.  The
+    CLI renders this way, then has render_json or render_csv put the
     texts together in memory, written out once.
 
-    The quaternion datum is built once per run, with the ramified primes
-    and discriminant product that validation reads; the bound's per-level
-    part (C_B, |G(Z/NZ)| and the growth exponents) is built on the first
-    record that passes validation, and the zeta values with it.  Both are
-    shared by every record.  Each prime adds only the checks on N and p,
-    one gcd for level_not_coprime, its places and p-factors.  An error is
-    kept without its traceback: that would hold this frame, and with it
-    every record, in a reference cycle."""
-    items = []
-    successes = 0
-    fault = False
+    A run goes a shape at a time.  The quaternion datum is built once per
+    run, with the ramified primes and discriminant product that
+    validation reads.  Each prime runs check_setting alone, and one that
+    passes joins the bucket of its shape: its splitting in F, the count
+    and residue degree of the places over it.  Then each bucket builds
+    one setting, at its first prime, and its report by final_bound (the
+    first also builds the bound's per-level part, C_B, |G(Z/NZ)| and the
+    growth exponents, and the zeta values, shared by the rest);
+    final_bounds computes the p-factors of all its primes as integer
+    columns, with every check at every prime; and render fills the
+    shape's skeleton from the columns.  A setting and a report are built
+    for every prime only for the oracle and for returned records.  An
+    error is kept without its traceback: that would hold this frame, and
+    with it every record, in a reference cycle."""
     if oracle_check:
         from . import oracle as oracle_mod
     # an error in the datum does not depend on p: it is recorded for every
@@ -256,32 +264,58 @@ def compute_records(
         )
     except SettingError as exc:
         quaternion_error = exc.with_traceback(None)
+    level = config.level
+    # a passing prime holds its place in items until its bucket is filled
+    items = []
+    buckets = {}
     for p in config.primes():
         if verbose:
             _note(f"computing p = {p} ...")
         error = quaternion_error
         if error is None:
             try:
-                setting = validate_setting(quaternion, config.level, p)
+                check_setting(quaternion, level, p)
             except SettingError as exc:
                 error = exc.with_traceback(None)
-        if error is not None:
-            if verbose:
-                _note(f"  skipped: {error}")
-            record = Record(p, None, error)
-        else:
-            report = final_bound(setting)
-            verdict = None
-            if oracle_check:
-                verdict = oracle_mod.verify_setting_with_oracle(setting)
-                if not verdict["verified"] and "skipped" not in verdict:
-                    fault = True
-            record = Record(p, report, None, verdict)
-            successes += 1
+        if error is None:
+            shape = splitting(quaternion.field, p)
+            if shape not in buckets:
+                buckets[shape] = []
+            buckets[shape].append(len(items))
+            items.append(p)
+            continue
+        if verbose:
+            _note(f"  skipped: {error}")
+        record = Record(p, None, error)
         items.append(record if render is None else render(record))
+
+    fault = False
+    for positions in buckets.values():
+        ps = list(map(items.__getitem__, positions))
+        setting = validate_setting(quaternion, level, ps[0])
+        report = final_bound(setting)
+        columns = final_bounds(setting, ps)
+        settings = verdicts = None
+        if oracle_check or render is None:
+            settings = [setting, *(ShimuraSetting(quaternion, level, p) for p in ps[1:])]
+        if oracle_check:
+            verdicts = list(map(oracle_mod.verify_setting_with_oracle, settings))
+            if any(not v["verified"] and "skipped" not in v for v in verdicts):
+                fault = True
+        if render is None:
+            shared = report.zeta_values, report.constant, report.level_group_order
+            texts = [
+                Record(s.p, BoundReport(s, *shared, *row, report.asymptotic_exponent),
+                       None, verdict)
+                for s, row, verdict in zip(settings, zip(*columns), verdicts or repeat(None))
+            ]
+        else:
+            texts = render.fill(report, ps, columns, verdicts)
+        for position, text in zip(positions, texts):
+            items[position] = text
     if fault:
         return items, EXIT_FAULT
-    if successes == 0:
+    if not buckets:
         return items, EXIT_ALL_FAILED
     return items, EXIT_OK
 
@@ -327,27 +361,42 @@ class _RecordText:
 
     def __call__(self, r: Record) -> str:
         if r.error is not None:
-            lead, to_error, end = self.shapes.get("error") or self._lay_out("error", r)
+            lead, to_error, end = self.shapes.get("error") or self._lay_out("error", None)
             return f"{lead}{r.p}{to_error}{self._error_cell(r.error)}{end}"
         report = r.report
+        columns = ((report.mass,), (report.irr_count,), (report.dim_bound,),
+                   (report.final_bound,))
+        return self.fill(report, (r.p,), columns, None if r.oracle is None else (r.oracle,))[0]
+
+    def fill(self, report: BoundReport, ps, columns, verdicts) -> list[str]:
+        """The texts of the success records at the primes ps, which share
+        the shape of report, a report of one of them: columns holds their
+        masses, irr_counts, dim_bounds and final bounds, and verdicts
+        their oracle verdicts, or is None.  Each text is one join of its
+        row of the skeleton's pieces and the cells' columns."""
         count = len(report.setting.delta_prime_at_p)
         lead, to_mass, to_irr, to_dim, to_final, at_p, end = (
-            self.shapes.get(count) or self._lay_out(count, r)
+            self.shapes.get(count) or self._lay_out(count, report, verdicts is not None)
         )
-        p = str(r.p)
-        oracle = "" if r.oracle is None else self._oracle_cell(r.oracle)
-        return (
-            f"{lead}{p}{to_mass}{report.mass}{to_irr}{report.irr_count}"
-            f"{to_dim}{report.dim_bound}{to_final}{report.final_bound}"
-            f"{p.join(at_p)}{oracle}{end}"
-        )
+        ps = list(map(str, ps))
+        cells = [repeat(lead), ps]
+        for piece, column in zip((to_mass, to_irr, to_dim, to_final), columns):
+            cells += [repeat(piece), map(str, column)]
+        cells.append(repeat(at_p[0]))
+        for piece in at_p[1:]:
+            cells += [ps, repeat(piece)]
+        if verdicts is not None:
+            cells.append(map(self._oracle_cell, verdicts))
+        cells.append(repeat(end))
+        return list(map("".join, zip(*cells)))
 
-    def _lay_out(self, shape: int | str, r: Record) -> tuple:
+    def _lay_out(self, shape: int | str, report: BoundReport | None,
+                 oracle: bool = False) -> tuple:
         # a success record's pieces around its places at p are kept as one
         # tuple, joined by p; without an oracle cell the last piece ends it
-        pieces = self._skeleton(r)
-        if r.error is None:
-            if r.oracle is None:
+        pieces = self._skeleton(report, oracle)
+        if report is not None:
+            if not oracle:
                 pieces.append("")
             pieces[5:-1] = [tuple(pieces[5:-1])]
         self.shapes[shape] = pieces = tuple(pieces)
@@ -387,11 +436,10 @@ class _JsonText(_RecordText):
             "p": None,
         }
 
-    def _skeleton(self, r: Record) -> list[str]:
-        if r.error is not None:
+    def _skeleton(self, report: BoundReport | None, oracle: bool) -> list[str]:
+        if report is None:
             doc = {"input": self.echo, "error": None}
         else:
-            report = r.report
             setting = report.setting
             doc = {
                 "input": self.echo,
@@ -409,7 +457,7 @@ class _JsonText(_RecordText):
                              for v in setting.delta_prime_away],
                 },
             }
-            if r.oracle is not None:
+            if oracle:
                 doc["oracle"] = None
         return ("  " + _json_at(doc, 1)).replace("null", _JSON_SLOT).split(_JSON_SLOT)
 
@@ -472,11 +520,10 @@ class _CsvText(_RecordText):
         super().__init__()
         self.writerow = _csv_writerow()
 
-    def _skeleton(self, r: Record) -> list[str]:
-        if r.error is not None:
+    def _skeleton(self, report: BoundReport | None, oracle: bool) -> list[str]:
+        if report is None:
             row = [_SLOT, _SLOT] + [""] * (len(_CSV_COLUMNS) - 2)
         else:
-            report = r.report
             setting = report.setting
             row = [
                 _SLOT,
@@ -490,7 +537,7 @@ class _CsvText(_RecordText):
                          for v in setting.delta_prime_at_p),
                 ";".join(f"{v.residue_prime}^{v.residue_degree}"
                          for v in setting.delta_prime_away),
-                "" if r.oracle is None else _SLOT,
+                _SLOT if oracle else "",
             ]
         return self.writerow(row).split(_SLOT)
 
@@ -511,8 +558,28 @@ def render_csv(texts: list[str]) -> str:
     return "".join([_csv_writerow()(_CSV_COLUMNS), *texts])
 
 
+class _Usage(Exception):
+    """argparse's lines for a usage error, the exit status EXIT_CONFIG."""
+
+
+class _Help(Exception):
+    """argparse's help text, the output of a run that exits EXIT_OK."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse prints its help and usage errors itself and exits through
+    # SystemExit; here each comes back to main as its text, so main alone
+    # writes it, through the guarded writer, and returns its exit status
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+    def error(self, message: str):
+        raise _Usage(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="heckebound",
         description="Exact upper bounds for counts of mod-p Hecke "
         "eigensystems on totally indefinite quaternionic settings.",
@@ -547,7 +614,7 @@ def _run_oracle_subcommand(argv: list[str]) -> tuple[str, int]:
     enumerators = {"GL": oracle_mod.enumerate_gl, "U": oracle_mod.enumerate_unitary,
                    "Sp": oracle_mod.enumerate_sp,
                    "GSp_modN": oracle_mod.enumerate_gsp_modn}
-    parser = argparse.ArgumentParser(prog="heckebound oracle")
+    parser = _ArgumentParser(prog="heckebound oracle")
     parser.add_argument("kind", choices=enumerators)
     parser.add_argument("m", type=int)
     parser.add_argument("q", type=int, help="field size, or the level for GSp_modN")
@@ -611,11 +678,14 @@ def _unlimited_int_digits():
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] == "oracle":
-            path, (text, status) = None, _run_oracle_subcommand(argv[1:])
-        else:
-            args = _build_parser().parse_args(argv)
-            path, (text, status) = args.output or None, _run(args)
+        try:
+            if argv and argv[0] == "oracle":
+                path, (text, status) = None, _run_oracle_subcommand(argv[1:])
+            else:
+                args = _build_parser().parse_args(argv)
+                path, (text, status) = args.output or None, _run(args)
+        except _Help as exc:
+            path, text, status = None, str(exc), EXIT_OK
         try:
             if path is not None:
                 with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -629,6 +699,9 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except ConfigError as exc:
         _note(f"error: {exc}")
+        return EXIT_CONFIG
+    except _Usage as exc:
+        _note(str(exc))
         return EXIT_CONFIG
     except InternalCheckError as exc:
         _note(f"internal fault: {exc}")

@@ -6,6 +6,9 @@ Sylow dimension bound.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul, sub
+
 from .arith import factorize
 from .numberfield import ShimuraSetting, _places_over
 
@@ -15,7 +18,9 @@ __all__ = [
     "sp_order",
     "level_group_order",
     "irr_count",
+    "irr_counts",
     "dim_bound",
+    "dim_bounds",
 ]
 
 
@@ -77,6 +82,32 @@ def level_group_order(setting: ShimuraSetting) -> int:
     return order
 
 
+def _residue_cardinalities(setting: ShimuraSetting, ps) -> tuple[list, int, int]:
+    """(q_v = p^f for each p of ps, the count of places over p, and
+    eps = (-1)^f) for primes ps that split in F as setting.p does."""
+    places = setting.places_over_p
+    f = places[0].residue_degree
+    qs = ps if f == 1 else list(map(pow, ps, repeat(f)))
+    return qs, len(places), -1 if setting.delta_prime_at_p else 1
+
+
+def _over_places(factors, count: int):
+    # a local factor's product over the places over p: they share one q_v,
+    # so it is the factor's count-th power
+    return factors if count == 1 else map(pow, factors, repeat(count))
+
+
+def irr_counts(setting: ShimuraSetting, ps) -> list[int]:
+    """irr_count at each prime of ps, primes that split in F as setting.p
+    does, in setting's datum: one map pass per factor of the closed form
+    over all of them."""
+    qs, count, eps = _residue_cardinalities(setting, ps)
+    quaternion = setting.quaternion
+    center = map(mul, map(sub, ps, repeat(1)), _over_places(map(sub, qs, repeat(eps)), count))
+    rank = quaternion.field.degree * (quaternion.m - 1)
+    return list(map(mul, map(pow, ps, repeat(rank)), center))
+
+
 def irr_count(setting: ShimuraSetting) -> int:
     """Number of irreducible modular representations of the residual
     automorphism group in characteristic p:
@@ -88,20 +119,20 @@ def irr_count(setting: ShimuraSetting) -> int:
     has one residue degree f, so with eps = (-1)^f both products are
     prod_{v | p} (q_v - eps).  This equals the number of p-regular
     conjugacy classes (the enumeration oracle verifies that on every
-    small instance).
+    small instance).  The one-prime case of irr_counts.
     """
-    p, quaternion = setting.p, setting.quaternion
-    eps = -1 if setting.delta_prime_at_p else 1
-    center = p - 1
-    for v in setting.places_over_p:
-        center *= v.residue_cardinality - eps
-    return p ** (quaternion.field.degree * (quaternion.m - 1)) * center
+    return irr_counts(setting, (setting.p,))[0]
+
+
+def dim_bounds(setting: ShimuraSetting, ps) -> list[int]:
+    """dim_bound at each prime of ps, in setting's datum."""
+    quaternion = setting.quaternion
+    m = quaternion.m
+    return list(map(pow, ps, repeat(quaternion.field.degree * m * (m - 1) // 2)))
 
 
 def dim_bound(setting: ShimuraSetting) -> int:
     """p^(dm(m-1)/2): the p-Sylow order of the residual automorphism
     group, an upper bound for the dimension of any of its simple
-    modules in characteristic p."""
-    quaternion = setting.quaternion
-    m = quaternion.m
-    return setting.p ** (quaternion.field.degree * m * (m - 1) // 2)
+    modules in characteristic p.  The one-prime case of dim_bounds."""
+    return dim_bounds(setting, (setting.p,))[0]

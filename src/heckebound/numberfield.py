@@ -29,7 +29,9 @@ __all__ = [
     "QuaternionData",
     "ShimuraSetting",
     "split_prime",
+    "splitting",
     "resolve_ramification",
+    "check_setting",
     "validate_setting",
 ]
 
@@ -116,7 +118,7 @@ class Place(_Value):
 
     def __init__(self, residue_prime: int, residue_degree: int, index: int = 0,
                  ramified: bool = False):
-        # each slot's own setter: a place over p is built for every record,
+        # each slot's own setter: a place over p is built for every setting,
         # and object.__setattr__ would look each name up again
         _set_prime(self, residue_prime)
         _set_degree(self, residue_degree)
@@ -148,16 +150,25 @@ def split_prime(fld: FieldSpec, ell: int) -> list[Place]:
     return list(_places_over(fld, ell))
 
 
+# the places over a prime ell of a real quadratic field by its character
+# at ell, as (count, residue degree, ramified): chi_D(ell) = +1 split,
+# -1 inert, 0 ramified
+_SPLITTINGS = {1: (2, 1, False), -1: (1, 2, False), 0: (1, 1, True)}
+
+
+def splitting(fld: FieldSpec, ell: int) -> tuple[int, int, bool]:
+    """How the prime ell splits in the field, as (count, residue degree,
+    ramified) of the places over it; F is Galois over Q, so they share
+    one residue degree.  ell must already be proven prime."""
+    if fld.degree == 1:
+        return (1, 1, False)
+    return _SPLITTINGS[kronecker(fld.discriminant, ell)]
+
+
 def _places_over(fld: FieldSpec, ell: int) -> tuple[Place, ...]:
     # split_prime, as a tuple, for an ell the caller has already proven prime
-    if fld.degree == 1:
-        return (Place(ell, 1),)
-    s = kronecker(fld.discriminant, ell)
-    if s == 1:
-        return (Place(ell, 1, 0), Place(ell, 1, 1))
-    if s == -1:
-        return (Place(ell, 2),)
-    return (Place(ell, 1, 0, True),)
+    count, degree, ramified = splitting(fld, ell)
+    return tuple(Place(ell, degree, index, ramified) for index in range(count))
 
 
 class QuaternionData(_Value):
@@ -304,8 +315,9 @@ class ShimuraSetting(_Value):
     (f odd) or empty (f even); the bound's p-factors read the one sign
     (-1)^f from it.  delta_prime_away, the ramification set of the
     quaternion algebra, lies away from p by validation.  The constructor
-    checks nothing; validate_setting checks the tuple, then builds it.
-    Settings compare and hash on (quaternion, level, p) alone."""
+    checks nothing; check_setting checks the tuple, and validate_setting
+    checks it, then builds it.  Settings compare and hash on (quaternion,
+    level, p) alone."""
 
     __slots__ = ("quaternion", "level", "p", "places_over_p", "delta_prime_at_p")
     _fields = __slots__[:3]
@@ -347,23 +359,23 @@ def _proven_prime(n: int, what: str, code: str) -> bool:
     return is_prime(n)
 
 
-def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
-    """Check every invariant of the input tuple, then build the setting.
+def check_setting(quaternion: QuaternionData, level: int, p: int) -> None:
+    """Check every invariant of the input tuple (quaternion, level, p);
+    build nothing.
 
     Violations raise SettingError with one of the codes, in this order:
     level_too_small, level_too_large, p_too_large, p_not_prime,
     p_divides_level, p_ramified_in_field, p_in_ramification_set,
-    level_not_coprime.  siegel_bound runs the checks on N and p through
-    here too; the rest read the datum's ramified_primes and take one gcd
-    of N with its bad_product.  Per p this proves p prime
-    (for a p in the window arith.primes_between sieved last, is_prime
-    reads the sieve's proof), tests p against N, the field discriminant
-    and the ramified places, and builds the setting, which splits p.
-    The p-independent checks, including that every ramified place is a
-    place of the field, ran once when the QuaternionData was built
-    (codes m_not_positive, m_too_large, odd_ramification_set,
+    level_not_coprime.  The last three read the datum's field
+    discriminant and ramified_primes and take one gcd of N with its
+    bad_product.  Per p this proves p prime (for a p in the window
+    arith.primes_between sieved last, is_prime reads the sieve's proof)
+    and tests p against N, the field discriminant and the ramified
+    places.  The p-independent checks, including that every ramified
+    place is a place of the field, ran once when the QuaternionData was
+    built (codes m_not_positive, m_too_large, odd_ramification_set,
     duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
-    residue_degree_mismatch).
+    residue_degree_mismatch).  A sweep runs this alone for each p.
     """
     if level < 3:
         _fail("level_too_small", f"level must be >= 3, got {level}")
@@ -394,4 +406,10 @@ def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraS
             f"field discriminant (product {bad}); no closed form is "
             "available for the level group order at such primes",
         )
+
+
+def validate_setting(quaternion: QuaternionData, level: int, p: int) -> ShimuraSetting:
+    """check_setting, then the setting, which splits p.  siegel_bound
+    runs the checks on N and p through here too."""
+    check_setting(quaternion, level, p)
     return ShimuraSetting(quaternion, level, p)

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import gcd, isqrt
 from pathlib import Path
 from unittest import mock
@@ -634,11 +635,40 @@ def test_run_where_every_record_fails_builds_no_level_part():
                       "zeta_special_value": 2}
 
 
+def _one_irreducible_too_many(monkeypatch, at=lambda p: True):
+    # the irr_count column of the shape path, one too high at the primes
+    # `at` picks: final = mass * irr * dim breaks there
+    real = bounds_mod.irr_counts
+    monkeypatch.setattr(
+        bounds_mod, "irr_counts",
+        lambda s, ps: [c + at(p) for c, p in zip(real(s, ps), ps)],
+    )
+
+
+def test_rendered_sweep_builds_one_setting_and_report_per_shape():
+    # Q(sqrt13) up to 20 000: split and inert primes, and the error records
+    # of p = 2 and 3 (they divide N) and 13 (it ramifies in the field); a
+    # rendered sweep builds a setting and a report for one skeleton per
+    # shape, and none per record
+    doc = {"field": {"kind": "real_quadratic", "disc": 13}, "m": 2, "N": 6,
+           "p_sweep": {"from": 2, "to": 20_000}}
+    config = parse_config(doc)
+    watched = (numberfield_mod.ShimuraSetting.__init__, bounds_mod.BoundReport.__init__)
+    (texts, status), counts = _profiled_calls(
+        watched, lambda: compute_records(config, render=cli_mod._JsonText(config))
+    )
+    assert status == EXIT_OK and len(texts) > 2_000
+    records = json.loads(render_json(texts))
+    assert {r["error"]["code"] for r in records if "error" in r} == {
+        "p_divides_level", "p_ramified_in_field"}
+    assert {len(r["delta_prime"]["at_p"]) for r in records if "error" not in r} == {0, 2}
+    assert counts["ShimuraSetting.__init__"] <= 2 and counts["BoundReport.__init__"] <= 2
+
+
 @pytest.mark.parametrize("flip", ["irr_count", "zeta"])
 def test_broken_exact_identity_exits_with_fault_code(tmp_path, monkeypatch, capsys, flip):
     if flip == "irr_count":
-        real_irr = bounds_mod.irr_count
-        monkeypatch.setattr(bounds_mod, "irr_count", lambda s: real_irr(s) + 1)
+        _one_irreducible_too_many(monkeypatch)
         message = "internal fault: factorization identity violated: bound 192 != "
     else:
         real_zeta = numberfield_mod.zeta_special_value
@@ -844,10 +874,9 @@ def test_error_records_hold_no_traceback_and_no_cycle():
 @pytest.mark.parametrize("to_file", [False, True])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_fault_mid_sweep_leaves_no_output(tmp_path, monkeypatch, capsys, fmt, to_file):
-    # one irreducible too many at p = 53 breaks final = mass * irr * dim
-    # after fifteen records have been rendered
-    real_irr = bounds_mod.irr_count
-    monkeypatch.setattr(bounds_mod, "irr_count", lambda s: real_irr(s) + (s.p == 53))
+    # one irreducible too many at p = 53, the sixteenth prime of the
+    # window's one shape, breaks final = mass * irr * dim
+    _one_irreducible_too_many(monkeypatch, lambda p: p == 53)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(dict(SWEEP_DOC, p_sweep={"from": 2, "to": 100})))
     target = tmp_path / "out.txt"
@@ -859,6 +888,31 @@ def test_fault_mid_sweep_leaves_no_output(tmp_path, monkeypatch, capsys, fmt, to
     assert len(lines) == 1
     assert lines[0].startswith("internal fault: factorization identity violated")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_identity_is_checked_at_every_prime_of_every_shape(tmp_path, monkeypatch, capsys, fmt):
+    # Q(sqrt5) over 2..2000 has split and inert primes; the identity breaks
+    # at one inert prime in the middle of its bucket alone, so a check that
+    # reads only the first record of each shape lets the run through
+    doc = {"field": {"kind": "real_quadratic", "disc": 5}, "m": 2, "N": 3,
+           "p_sweep": {"from": 2, "to": 2000}}
+    primes = [p for p in arith_mod.primes_between(2, 2000) if p not in (3, 5)]
+    inert = [p for p in primes if split_prime(FieldSpec(5), p)[0].residue_degree == 2]
+    bad = inert[len(inert) // 2]
+    # both shapes have records, and bad is not the first of its bucket
+    assert 0 < len(inert) < len(primes) and inert[0] < bad
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg), "--format", fmt]) == EXIT_OK
+    capsys.readouterr()
+    _one_irreducible_too_many(monkeypatch, lambda p: p == bad)
+    assert main([str(cfg), "--format", fmt]) == EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal fault: factorization identity violated")
 
 
 @pytest.mark.parametrize(
@@ -975,9 +1029,8 @@ def test_oracle_subcommand_unitary_names_the_quadratic_extension(q, capsys):
 
 @pytest.mark.parametrize("argv", [["SL", "2", "2"], ["nope", "1", "2"]])
 def test_oracle_subcommand_unknown_kind_exits_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", *argv])
-    assert exc.value.code == EXIT_CONFIG
+    # main returns argparse's usage error as its status, raising nothing
+    assert main(["oracle", *argv]) == EXIT_CONFIG
     assert "invalid choice" in capsys.readouterr().err
 
 
@@ -1039,6 +1092,58 @@ def test_closed_stdout_is_a_config_error(tmp_path, doc, argv):
         ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "heckebound.cli", *argv],
         stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: cannot write output: ")
+
+
+_USAGE_ERRORS = {
+    "unknown-flag": ["--bogus"],
+    "no-config": [],
+    "oracle-kind": ["oracle", "XX", "1", "2"],
+    "oracle-int": ["oracle", "GL", "x", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_USAGE_ERRORS))
+def test_usage_error_returns_the_config_code(capsys, name):
+    # argparse's own lines, through main's exit path: a returned status,
+    # not a SystemExit raised out of main
+    argv = _USAGE_ERRORS[name]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    prog = "heckebound oracle" if argv[:1] == ["oracle"] else "heckebound"
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1].startswith(f"{prog}: error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]], ids=["run", "oracle"])
+def test_help_is_the_output_of_a_run(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv == ["--help"]:
+        assert captured.out == cli_mod._build_parser().format_help()
+    else:
+        assert captured.out.startswith("usage: heckebound oracle [-h]")
+        assert "--classes-mod P" in captured.out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]], ids=["run", "oracle"])
+def test_help_to_a_full_device_is_an_output_error(argv):
+    # stdout buffered: argparse's help used to sit unflushed when it raised
+    # SystemExit(0), and failed at interpreter exit with exit 120
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(heckebound.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "heckebound.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
     assert done.returncode == EXIT_CONFIG, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
@@ -1561,3 +1666,120 @@ def test_random_run_documents_exit_with_a_documented_code(doc, flags):
     assert code in (EXIT_OK, EXIT_ALL_FAILED, EXIT_CONFIG, EXIT_FAULT)
     assert "Traceback" not in err.getvalue()
     assert elapsed < _MAIN_WALL_BOUND_S, (doc, elapsed)
+
+
+# The shape path against a reference computed record by record: the
+# checks by _reference_code, the bound over Q unramified by siegel_bound,
+# and otherwise by the closed forms written out here from the field's
+# places over p, its zeta values and the factorization of N.
+
+_SHAPE_FIELDS = (1, 5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40, 41, 44, 53, 56, 57, 60)
+_PRIMES_PAST_A_MILLION = [q for q in range(10**6, 10**6 + 1000) if _trial_division_prime(q)]
+
+
+def _reference_counts(fld, places, m, level, p):
+    """(mass, irr_count, dim_bound, final_bound) at one valid record."""
+    d = fld.degree
+    constant = Fraction((-1) ** (d * m * (m + 1) // 2), 2 ** (m * d))
+    for i in range(1, m + 1):
+        constant *= arith_mod.zeta_special_value(fld, i)
+        for v in places:
+            constant *= v.residue_cardinality**i + (-1) ** i
+    order = 1
+    for ell, a in arith_mod.factorize(level):
+        order *= ell ** (a - 1) * (ell - 1)
+        for w in split_prime(fld, ell):
+            qw = w.residue_cardinality
+            order *= groups_mod.sp_order(m, qw) * qw ** ((a - 1) * (2 * m * m + m))
+    over_p = split_prime(fld, p)
+    eps = (-1) ** over_p[0].residue_degree
+    mass_factor = bound_factor = 1
+    irr = p ** (d * (m - 1)) * (p - 1)
+    for v in over_p:
+        q = v.residue_cardinality
+        irr *= q - eps
+        bound_factor *= q - eps
+        for j in range(1, m + 1):
+            mass_factor *= q**j + eps**j
+            bound_factor *= q**j + eps**j
+    bound = constant * order * p ** (d * (m + 2) * (m - 1) // 2) * (p - 1) * bound_factor
+    if fld.is_rational and not places:
+        assert bound == bounds_mod.siegel_bound(m, level, p)
+    mass = constant * order * mass_factor
+    assert mass.denominator == 1 and bound.denominator == 1
+    return int(mass), irr, p ** (d * m * (m - 1) // 2), int(bound)
+
+
+def _shape_run(rng):
+    """A run description for the shape path, from a seeded random.Random:
+    its choices are uniform, where hypothesis's own draws favour the
+    first of each list."""
+    fld = FieldSpec(rng.choice(_SHAPE_FIELDS))
+    # mostly an even count of ramified places and a level coprime to them
+    # and to D, so that most runs have records of every shape
+    ram = rng.sample(_small_places(fld), rng.choice((0, 2, 4, 0, 2, 4, 1, 3)))
+    bad = fld.discriminant
+    for v in ram:
+        bad *= v.residue_prime
+    levels = range(3, 2001)
+    if rng.random() < 0.8:
+        levels = [n for n in levels if gcd(n, bad) == 1]
+    doc = {
+        "field": (
+            {"kind": "rational"} if fld.is_rational
+            else {"kind": "real_quadratic", "disc": fld.discriminant}
+        ),
+        "quaternion_ramification": [
+            {"prime": v.residue_prime, "residue_degree": v.residue_degree} for v in ram
+        ],
+        "m": rng.randint(1, 4),
+        "N": rng.choice(levels),
+    }
+    start = rng.choice(("two", "million", "single"))
+    if start == "single":
+        doc["p"] = rng.choice(_SMALL_PRIMES + _PRIMES_PAST_A_MILLION)
+    else:
+        lo = 2 if start == "two" else rng.randint(10**6 - 500, 10**6 + 500)
+        doc["p_sweep"] = {"from": lo, "to": lo + rng.randint(0, 399)}
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64))
+def test_shape_path_matches_a_record_by_record_reference(seed):
+    doc = _shape_run(random.Random(seed))
+    config = parse_config(doc)
+    fld = config.field
+    places = resolve_ramification(fld, config.ramification)
+    records, status = compute_records(config)
+    if config.sweep is None:
+        primes = [config.single_p]
+    else:
+        primes = [p for p in range(config.sweep[0], config.sweep[1] + 1)
+                  if _trial_division_prime(p)]
+    assert [r.p for r in records] == primes
+    for r in records:
+        if len(places) % 2:
+            want_code = "odd_ramification_set"
+        else:
+            want_code = _reference_code(fld, places, config.level, r.p)
+        got = (r.error.code if r.error else None,)
+        if r.error is None:
+            report = r.report
+            assert report.setting.p == r.p
+            got += (report.mass, report.irr_count, report.dim_bound, report.final_bound)
+        want = (want_code,)
+        if want_code is None:
+            want += _reference_counts(fld, places, config.m, config.level, r.p)
+        assert got == want, (doc, r.p)
+    codes = [r.error is None for r in records]
+    if records:
+        assert status == (EXIT_OK if any(codes) else EXIT_ALL_FAILED)
+    docs = reference_documents(config, records)
+    for flags, want in (((), reference_json(docs)), (("--format", "csv"), reference_csv(docs))):
+        out = io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["-", *flags])
+        assert code == status
+        assert out.getvalue() == want
