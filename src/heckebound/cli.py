@@ -1,10 +1,10 @@
 """Batch front end: read a JSON run description, compute the bound at
 every prime, and emit deterministic JSON or CSV.  The primes that pass
 validation are computed a shape at a time (the splitting of p in F),
-as integer columns, and rendered straight to their text without a
-record: each fills the skeleton of its shape, which json.dumps or
-csv.writer lays out once per run, and csv (imported by CSV runs only)
-lays out the header too.
+as integer columns, and rendered straight to their text: each fills the
+skeleton of its shape, and each error the run's one error skeleton,
+which json.dumps or csv.writer lays out; csv (imported by CSV runs
+only) lays out the header too.
 
 Exit codes, which main alone decides: 0 at least one record succeeded
 and no internal fault; 1 every record failed validation; 2 a
@@ -29,6 +29,7 @@ import sys
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 from itertools import repeat
+from operator import add
 
 from .arith import primes_between
 from .bounds import BoundReport, InternalCheckError, final_bound, final_bounds
@@ -206,53 +207,31 @@ def parse_config(doc) -> RunConfig:
     )
 
 
-class Record:
-    """The outcome at one prime: a bound report or the validation error,
-    plus the oracle verdict when the run cross-checks."""
-
-    __slots__ = ("p", "report", "error", "oracle")
-
-    def __init__(
-        self,
-        p: int,
-        report: BoundReport | None = None,
-        error: SettingError | None = None,
-        oracle: dict | None = None,
-    ):
-        self.p = p
-        self.report = report
-        self.error = error
-        self.oracle = oracle
-
-
 def compute_records(
     config: RunConfig,
+    render: _RecordText,
     oracle_check: bool = False,
     verbose: bool = False,
-    render: _RecordText | None = None,
-) -> tuple[list, int]:
-    """All records in ascending p, plus the process exit status; with
-    oracle_check a completed oracle check that disagrees is a fault.
-
-    With render, a _RecordText, the list holds each record's text in its
-    place and no record is built for a prime that passes validation.  The
-    CLI renders this way, then has render_json or render_csv put the
-    texts together in memory, written out once.
+) -> tuple[list[str], int]:
+    """The text of each record by render, a _RecordText, in ascending p,
+    plus the process exit status; with oracle_check a completed oracle
+    check that disagrees is a fault.  render_json or render_csv puts the
+    texts together.
 
     A run goes a shape at a time.  The quaternion datum is built once per
     run, with the ramified primes and discriminant product that
-    validation reads.  Each prime runs check_setting alone, and one that
-    passes joins the bucket of its shape: its splitting in F, the count
-    and residue degree of the places over it.  Then each bucket builds
-    one setting, at its first prime, and its report by final_bound (the
+    validation reads.  Each prime runs check_setting alone: one that
+    fails becomes its error record's text at once, and one that passes
+    joins the bucket of its shape, its splitting in F, the count and
+    residue degree of the places over it.  Then each bucket builds one
+    setting, at its first prime, and its report by final_bound (the
     first also builds the bound's per-level part, C_B, |G(Z/NZ)| and the
     growth exponents, and the zeta values, shared by the rest);
     final_bounds computes the p-factors of all its primes as integer
     columns, with every check at every prime; and render fills the
-    shape's skeleton from the columns.  A setting and a report are built
-    for every prime only for the oracle and for returned records.  An
-    error is kept without its traceback: that would hold this frame, and
-    with it every record, in a reference cycle."""
+    shape's skeleton from the columns.  Only the oracle builds a setting
+    for every prime.  An error is kept without its traceback: that would
+    hold this frame, and with it every text, in a reference cycle."""
     if oracle_check:
         from . import oracle as oracle_mod
     # an error in the datum does not depend on p: it is recorded for every
@@ -265,8 +244,8 @@ def compute_records(
     except SettingError as exc:
         quaternion_error = exc.with_traceback(None)
     level = config.level
-    # a passing prime holds its place in items until its bucket is filled
-    items = []
+    # a passing prime holds its place in texts until its bucket is filled
+    texts = []
     buckets = {}
     for p in config.primes():
         if verbose:
@@ -281,49 +260,38 @@ def compute_records(
             shape = splitting(quaternion.field, p)
             if shape not in buckets:
                 buckets[shape] = []
-            buckets[shape].append(len(items))
-            items.append(p)
+            buckets[shape].append(len(texts))
+            texts.append(p)
             continue
         if verbose:
             _note(f"  skipped: {error}")
-        record = Record(p, None, error)
-        items.append(record if render is None else render(record))
+        texts.append(render.error(p, error))
 
     fault = False
     for positions in buckets.values():
-        ps = list(map(items.__getitem__, positions))
+        ps = list(map(texts.__getitem__, positions))
         setting = validate_setting(quaternion, level, ps[0])
         report = final_bound(setting)
         columns = final_bounds(setting, ps)
-        settings = verdicts = None
-        if oracle_check or render is None:
-            settings = [setting, *(ShimuraSetting(quaternion, level, p) for p in ps[1:])]
+        verdicts = None
         if oracle_check:
+            settings = [setting, *(ShimuraSetting(quaternion, level, p) for p in ps[1:])]
             verdicts = list(map(oracle_mod.verify_setting_with_oracle, settings))
             if any(not v["verified"] and "skipped" not in v for v in verdicts):
                 fault = True
-        if render is None:
-            shared = report.zeta_values, report.constant, report.level_group_order
-            texts = [
-                Record(s.p, BoundReport(s, *shared, *row, report.asymptotic_exponent),
-                       None, verdict)
-                for s, row, verdict in zip(settings, zip(*columns), verdicts or repeat(None))
-            ]
-        else:
-            texts = render.fill(report, ps, columns, verdicts)
-        for position, text in zip(positions, texts):
-            items[position] = text
+        for position, text in zip(positions, render.fill(report, ps, columns, verdicts)):
+            texts[position] = text
     if fault:
-        return items, EXIT_FAULT
+        return texts, EXIT_FAULT
     if not buckets:
-        return items, EXIT_ALL_FAILED
-    return items, EXIT_OK
+        return texts, EXIT_ALL_FAILED
+    return texts, EXIT_OK
 
 
-# Rendering.  A record renderer turns each record into its text as it is
-# produced, by filling a skeleton that the format's serializer lays out
-# once per run and record shape.  render_json and render_csv put the
-# texts together.
+# Rendering.  A record renderer turns each record into its text by
+# filling a skeleton that the format's serializer lays out: the error
+# skeleton once per run, a success skeleton once per shape.  render_json
+# and render_csv put the texts together.
 
 
 def _frac_str(x: Fraction) -> str:
@@ -344,29 +312,27 @@ _JSON_SLOT = json.dumps(_SLOT)[1:-1]
 
 
 class _RecordText:
-    """A record's text, filled into the skeleton of its shape: the count
-    of places at p, or "error".  In one run the count fixes the places at
-    p but for their prime p (one residue degree, the indexes 0 and 1 of a
-    split prime, unramified since validation refuses a p ramified in F),
-    the other shared cells are the first report's, and every success
-    record has an oracle verdict or none has.  A success record's cells
-    are p, mass, irr_count, dim_bound, final_bound, p once per place at p
-    and the oracle cell; an error's are p and the error cell.  A format
-    supplies its skeleton, its error cell and its oracle cell."""
+    """A record's text, filled into a skeleton: the pieces of the
+    record's text between its per-record cells.  An error's cells are p
+    and the format's error cells, and one skeleton serves every error of
+    a run.  A success record's cells are p, mass, irr_count, dim_bound,
+    final_bound, p once per place at p and the oracle cell, and its
+    skeleton is that of its shape, the count of places at p: in one run
+    the count fixes the places at p but for their prime p (one residue
+    degree, the indexes 0 and 1 of a split prime, unramified since
+    validation refuses a p ramified in F), and the other shared cells are
+    those of a report at any of its primes.  A format supplies both
+    skeletons, its error cells and its oracle cell."""
 
-    __slots__ = ("shapes",)
+    __slots__ = ("error_pieces",)
 
     def __init__(self):
-        self.shapes = {}
+        self.error_pieces = self._error_skeleton()
 
-    def __call__(self, r: Record) -> str:
-        if r.error is not None:
-            lead, to_error, end = self.shapes.get("error") or self._lay_out("error", None)
-            return f"{lead}{r.p}{to_error}{self._error_cell(r.error)}{end}"
-        report = r.report
-        columns = ((report.mass,), (report.irr_count,), (report.dim_bound,),
-                   (report.final_bound,))
-        return self.fill(report, (r.p,), columns, None if r.oracle is None else (r.oracle,))[0]
+    def error(self, p: int, error: SettingError) -> str:
+        """The text of the error record at p."""
+        lead, *pieces = self.error_pieces
+        return lead + "".join(map(add, (str(p), *self._error_cells(error)), pieces))
 
     def fill(self, report: BoundReport, ps, columns, verdicts) -> list[str]:
         """The texts of the success records at the primes ps, which share
@@ -374,33 +340,16 @@ class _RecordText:
         masses, irr_counts, dim_bounds and final bounds, and verdicts
         their oracle verdicts, or is None.  Each text is one join of its
         row of the skeleton's pieces and the cells' columns."""
-        count = len(report.setting.delta_prime_at_p)
-        lead, to_mass, to_irr, to_dim, to_final, at_p, end = (
-            self.shapes.get(count) or self._lay_out(count, report, verdicts is not None)
-        )
+        lead, *pieces = self._skeleton(report, verdicts is not None)
         ps = list(map(str, ps))
-        cells = [repeat(lead), ps]
-        for piece, column in zip((to_mass, to_irr, to_dim, to_final), columns):
-            cells += [repeat(piece), map(str, column)]
-        cells.append(repeat(at_p[0]))
-        for piece in at_p[1:]:
-            cells += [ps, repeat(piece)]
+        cells = [ps, *(map(str, column) for column in columns),
+                 *repeat(ps, len(report.setting.delta_prime_at_p))]
         if verdicts is not None:
             cells.append(map(self._oracle_cell, verdicts))
-        cells.append(repeat(end))
-        return list(map("".join, zip(*cells)))
-
-    def _lay_out(self, shape: int | str, report: BoundReport | None,
-                 oracle: bool = False) -> tuple:
-        # a success record's pieces around its places at p are kept as one
-        # tuple, joined by p; without an oracle cell the last piece ends it
-        pieces = self._skeleton(report, oracle)
-        if report is not None:
-            if not oracle:
-                pieces.append("")
-            pieces[5:-1] = [tuple(pieces[5:-1])]
-        self.shapes[shape] = pieces = tuple(pieces)
-        return pieces
+        parts = [repeat(lead)]
+        for column, piece in zip(cells, pieces):
+            parts += [column, repeat(piece)]
+        return list(map("".join, zip(*parts)))
 
 
 def _place_doc(v: Place, prime) -> dict:
@@ -414,14 +363,14 @@ def _place_doc(v: Place, prime) -> dict:
 
 class _JsonText(_RecordText):
     """A record's text in the document render_json lays out, one level
-    deep.  The skeleton is the record's document through _json_at, with
+    deep.  A skeleton is the record's document through _json_at, with
     _SLOT in each per-record string and None (null) in each per-record
-    number or object."""
+    number or object.  An error's cells are its code and its message, as
+    json.dumps escapes it."""
 
     __slots__ = ("echo",)
 
     def __init__(self, config: RunConfig):
-        super().__init__()
         if config.field.is_rational:
             field_doc = {"kind": "rational"}
         else:
@@ -435,35 +384,42 @@ class _JsonText(_RecordText):
             "N": config.level,
             "p": None,
         }
-
-    def _skeleton(self, report: BoundReport | None, oracle: bool) -> list[str]:
-        if report is None:
-            doc = {"input": self.echo, "error": None}
-        else:
-            setting = report.setting
-            doc = {
-                "input": self.echo,
-                "zeta_F": [_frac_str(z) for z in report.zeta_values],
-                "C_B": _frac_str(report.constant),
-                "level_group_order": str(report.level_group_order),
-                "mass": _SLOT,
-                "irr_count": _SLOT,
-                "dim_bound": _SLOT,
-                "final_bound": _SLOT,
-                "asymptotic_exponent": report.asymptotic_exponent,
-                "delta_prime": {
-                    "at_p": [_place_doc(v, None) for v in setting.delta_prime_at_p],
-                    "away": [_place_doc(v, v.residue_prime)
-                             for v in setting.delta_prime_away],
-                },
-            }
-            if oracle:
-                doc["oracle"] = None
-        return ("  " + _json_at(doc, 1)).replace("null", _JSON_SLOT).split(_JSON_SLOT)
+        super().__init__()
 
     @staticmethod
-    def _error_cell(error: SettingError) -> str:
-        return _json_at({"code": error.code, "message": str(error)}, 2)
+    def _pieces(doc: dict) -> list[str]:
+        return ("  " + _json_at(doc, 1)).replace("null", _JSON_SLOT).split(_JSON_SLOT)
+
+    def _error_skeleton(self) -> list[str]:
+        return self._pieces({"input": self.echo, "error": {"code": _SLOT, "message": _SLOT}})
+
+    def _skeleton(self, report: BoundReport, oracle: bool) -> list[str]:
+        setting = report.setting
+        doc = {
+            "input": self.echo,
+            "zeta_F": [_frac_str(z) for z in report.zeta_values],
+            "C_B": _frac_str(report.constant),
+            "level_group_order": str(report.level_group_order),
+            "mass": _SLOT,
+            "irr_count": _SLOT,
+            "dim_bound": _SLOT,
+            "final_bound": _SLOT,
+            "asymptotic_exponent": report.asymptotic_exponent,
+            "delta_prime": {
+                "at_p": [_place_doc(v, None) for v in setting.delta_prime_at_p],
+                "away": [_place_doc(v, v.residue_prime)
+                         for v in setting.delta_prime_away],
+            },
+        }
+        if oracle:
+            doc["oracle"] = None
+        return self._pieces(doc)
+
+    @staticmethod
+    def _error_cells(error: SettingError) -> tuple[str, str]:
+        # escaped as json.dumps(..., indent=2) escapes it, by the same C
+        # function, without building the indented encoder for each error
+        return error.code, json.dumps(str(error))[1:-1]
 
     @staticmethod
     def _oracle_cell(verdict: dict) -> str:
@@ -517,33 +473,33 @@ class _CsvText(_RecordText):
     __slots__ = ("writerow",)
 
     def __init__(self):
-        super().__init__()
         self.writerow = _csv_writerow()
+        super().__init__()
 
-    def _skeleton(self, report: BoundReport | None, oracle: bool) -> list[str]:
-        if report is None:
-            row = [_SLOT, _SLOT] + [""] * (len(_CSV_COLUMNS) - 2)
-        else:
-            setting = report.setting
-            row = [
-                _SLOT,
-                "",
-                ";".join(_frac_str(z) for z in report.zeta_values),
-                _frac_str(report.constant),
-                report.level_group_order,
-                _SLOT, _SLOT, _SLOT, _SLOT,  # mass, irr_count, dim_bound, final_bound
-                report.asymptotic_exponent,
-                ";".join(f"{_SLOT}^{v.residue_degree}"
-                         for v in setting.delta_prime_at_p),
-                ";".join(f"{v.residue_prime}^{v.residue_degree}"
-                         for v in setting.delta_prime_away),
-                _SLOT if oracle else "",
-            ]
+    def _error_skeleton(self) -> list[str]:
+        return self.writerow([_SLOT, _SLOT] + [""] * (len(_CSV_COLUMNS) - 2)).split(_SLOT)
+
+    def _skeleton(self, report: BoundReport, oracle: bool) -> list[str]:
+        setting = report.setting
+        row = [
+            _SLOT,
+            "",
+            ";".join(_frac_str(z) for z in report.zeta_values),
+            _frac_str(report.constant),
+            report.level_group_order,
+            _SLOT, _SLOT, _SLOT, _SLOT,  # mass, irr_count, dim_bound, final_bound
+            report.asymptotic_exponent,
+            ";".join(f"{_SLOT}^{v.residue_degree}"
+                     for v in setting.delta_prime_at_p),
+            ";".join(f"{v.residue_prime}^{v.residue_degree}"
+                     for v in setting.delta_prime_away),
+            _SLOT if oracle else "",
+        ]
         return self.writerow(row).split(_SLOT)
 
     @staticmethod
-    def _error_cell(error: SettingError) -> str:
-        return error.code
+    def _error_cells(error: SettingError) -> tuple[str]:
+        return (error.code,)
 
     @staticmethod
     def _oracle_cell(verdict: dict) -> str:
@@ -741,7 +697,7 @@ def _run(args: argparse.Namespace) -> tuple[str, int]:
     with _unlimited_int_digits():
         as_json = args.format == "json"
         render = _JsonText(config) if as_json else _CsvText()
-        texts, status = compute_records(config, args.oracle_check, args.verbose, render)
+        texts, status = compute_records(config, render, args.oracle_check, args.verbose)
         return render_json(texts) if as_json else render_csv(texts), status
 
 

@@ -10,7 +10,7 @@ from itertools import repeat
 from operator import mul, sub
 
 from .arith import factorize
-from .numberfield import ShimuraSetting, _places_over
+from .numberfield import ShimuraSetting, splitting
 
 __all__ = [
     "gl_order",
@@ -66,19 +66,19 @@ def level_group_order(setting: ShimuraSetting) -> int:
     one similitude unit shared by all places over ell.  The lift exponent
     per extra power of ell is the relative dimension 2m^2 + m of the
     symplectic factor, which is smooth at primes coprime to the
-    discriminant data (enforced by validation).  The primes of N are
-    proven by factorize's trial division, so they are split without a
-    second primality test.
+    discriminant data (enforced by validation).  The places over ell
+    share one residue degree, so their product is one place's factor to
+    the power of their count.  The primes of N are proven by factorize's
+    trial division, so they are split without a second primality test.
     """
     m = setting.m
     lift_dim = 2 * m * m + m
     order = 1
     for ell, a in factorize(setting.level):
-        local = ell ** (a - 1) * (ell - 1)
-        for w in _places_over(setting.field, ell):
-            qw = w.residue_cardinality
-            local *= sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
-        order *= local
+        count, degree, _ = splitting(setting.field, ell)
+        qw = ell**degree
+        place = sp_order(m, qw) * qw ** ((a - 1) * lift_dim)
+        order *= ell ** (a - 1) * (ell - 1) * place**count
     return order
 
 

@@ -99,18 +99,39 @@ def _ref_input_echo(config, p):
     }
 
 
-def reference_documents(config, records):
+def _trial_division_prime(n):
+    # a sweep's reference primes: is_prime answers from the window the
+    # sweep itself sieved, so it would check the sweep against itself
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _reference_primes(config):
+    if config.sweep is None:
+        return [config.single_p]
+    lo, hi = config.sweep
+    return [p for p in range(lo, hi + 1) if _trial_division_prime(p)]
+
+
+def reference_documents(config, verdict=None):
+    """The document of each record of config's run, each built on its
+    own: a fresh datum (with no per-level values and no zeta values kept
+    by an earlier prime), then validate_setting and final_bound at its
+    prime, and verdict(setting), when given, for the oracle cell."""
     docs = []
-    for record in records:
-        echo = _ref_input_echo(config, record.p)
-        if record.error is not None:
+    for p in _reference_primes(config):
+        echo = _ref_input_echo(config, p)
+        try:
+            quaternion = QuaternionData.from_ramification(
+                config.field, config.ramification, config.m
+            )
+            setting = validate_setting(quaternion, config.level, p)
+            report = final_bound(setting)
+        except SettingError as exc:
             docs.append({
                 "input": echo,
-                "error": {"code": record.error.code, "message": str(record.error)},
+                "error": {"code": exc.code, "message": str(exc)},
             })
             continue
-        report = record.report
-        setting = report.setting
         doc = {
             "input": echo,
             "zeta_F": [_ref_frac(z) for z in report.zeta_values],
@@ -126,8 +147,8 @@ def reference_documents(config, records):
                 "away": [_ref_place_doc(v) for v in setting.delta_prime_away],
             },
         }
-        if record.oracle is not None:
-            doc["oracle"] = record.oracle
+        if verdict is not None:
+            doc["oracle"] = verdict(setting)
         docs.append(doc)
     return docs
 
@@ -175,6 +196,13 @@ def run_cli(tmp_path, doc, *args):
     out = tmp_path / "out.txt"
     status = main([str(cfg), "--output", str(out), *args])
     return status, out.read_text()
+
+
+def rendered_records(config, oracle_check=False, verbose=False):
+    """The documents of a run's records, as the CLI writes them in JSON,
+    and its exit status."""
+    texts, status = compute_records(config, cli_mod._JsonText(config), oracle_check, verbose)
+    return json.loads(render_json(texts)), status
 
 
 def test_single_record_values(tmp_path):
@@ -543,8 +571,8 @@ def test_field_discriminant_is_proven_once(monkeypatch):
 
     monkeypatch.setattr(arith_mod, "factorize", counted)
     doc = dict(SIEGEL_DOC, field={"kind": "real_quadratic", "disc": 5}, m=3, p=7)
-    records, status = compute_records(parse_config(doc))
-    assert status == EXIT_OK and len(records[0].report.zeta_values) == 3
+    records, status = rendered_records(parse_config(doc))
+    assert status == EXIT_OK and len(records[0]["zeta_F"]) == 3
     assert calls == [5]
 
 
@@ -558,7 +586,7 @@ def test_each_ramification_entry_is_proven_once():
         arith_mod.primes_between(2, 3)  # keep no window that holds the entries
         config = parse_config(doc)
         (records, status), calls = _profiled_calls(
-            (arith_mod.is_prime,), lambda: compute_records(config)
+            (arith_mod.is_prime,), lambda: rendered_records(config)
         )
         assert status == EXIT_OK
         counts.append(calls["is_prime"])
@@ -582,9 +610,9 @@ def test_each_swept_prime_is_proven_once(monkeypatch):
     primes = arith_mod.primes_between(*config.sweep)
     sieve_calls, calls[0] = calls[0], 0
     arith_mod.primes_between(2, 3)
-    records, status = compute_records(config)
+    records, status = rendered_records(config)
     assert status == EXIT_OK
-    assert [r.p for r in records] == primes and len(primes) > 20
+    assert [r["input"]["p"] for r in records] == primes and len(primes) > 20
     assert 0 < calls[0] <= sieve_calls
 
 
@@ -619,9 +647,9 @@ def test_run_where_every_record_fails_builds_no_level_part():
     watched = (bounds_mod.bound_constant, groups_mod.level_group_order,
                arith_mod.zeta_special_value)
     config = parse_config(doc)
-    (records, status), counts = _profiled_calls(watched, lambda: compute_records(config))
+    (records, status), counts = _profiled_calls(watched, lambda: rendered_records(config))
     assert status == EXIT_ALL_FAILED
-    assert [(r.p, r.error.code) for r in records] == [
+    assert [(r["input"]["p"], r["error"]["code"]) for r in records] == [
         (2, "p_divides_level"), (3, "level_not_coprime"), (5, "p_ramified_in_field"),
         (7, "level_not_coprime"), (11, "p_divides_level"),
     ] + [(p, "level_not_coprime") for p in (13, 17, 19, 23, 29)]
@@ -629,7 +657,7 @@ def test_run_where_every_record_fails_builds_no_level_part():
                       "zeta_special_value": 0}
     # at N = 6 the same datum builds the part once, on its first record
     config = parse_config(dict(doc, N=6))
-    (records, status), counts = _profiled_calls(watched, lambda: compute_records(config))
+    (records, status), counts = _profiled_calls(watched, lambda: rendered_records(config))
     assert status == EXIT_OK
     assert counts == {"bound_constant": 1, "level_group_order": 1,
                       "zeta_special_value": 2}
@@ -645,24 +673,34 @@ def _one_irreducible_too_many(monkeypatch, at=lambda p: True):
     )
 
 
-def test_rendered_sweep_builds_one_setting_and_report_per_shape():
+@pytest.mark.parametrize("oracle_check", [False, True], ids=["plain", "oracle"])
+def test_rendered_sweep_builds_one_setting_and_report_per_shape(oracle_check):
     # Q(sqrt13) up to 20 000: split and inert primes, and the error records
     # of p = 2 and 3 (they divide N) and 13 (it ramifies in the field); a
     # rendered sweep builds a setting and a report for one skeleton per
-    # shape, and none per record
+    # shape, and none per record; with the oracle, which reads a setting,
+    # it builds one setting per passing prime and still no report per record
     doc = {"field": {"kind": "real_quadratic", "disc": 13}, "m": 2, "N": 6,
            "p_sweep": {"from": 2, "to": 20_000}}
     config = parse_config(doc)
     watched = (numberfield_mod.ShimuraSetting.__init__, bounds_mod.BoundReport.__init__)
-    (texts, status), counts = _profiled_calls(
-        watched, lambda: compute_records(config, render=cli_mod._JsonText(config))
-    )
-    assert status == EXIT_OK and len(texts) > 2_000
-    records = json.loads(render_json(texts))
+    # the verdict is fixed, so the oracle's own cost stays out of the test
+    with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
+                           lambda setting: dict(_VERDICTS[0])):
+        (records, status), counts = _profiled_calls(
+            watched, lambda: rendered_records(config, oracle_check)
+        )
+    assert status == EXIT_OK and len(records) > 2_000
     assert {r["error"]["code"] for r in records if "error" in r} == {
         "p_divides_level", "p_ramified_in_field"}
-    assert {len(r["delta_prime"]["at_p"]) for r in records if "error" not in r} == {0, 2}
-    assert counts["ShimuraSetting.__init__"] <= 2 and counts["BoundReport.__init__"] <= 2
+    passing = [r for r in records if "error" not in r]
+    assert {len(r["delta_prime"]["at_p"]) for r in passing} == {0, 2}
+    assert all(("oracle" in r) == oracle_check for r in passing)
+    assert counts["BoundReport.__init__"] <= 2
+    if oracle_check:
+        assert counts["ShimuraSetting.__init__"] == len(passing)
+    else:
+        assert counts["ShimuraSetting.__init__"] <= 2
 
 
 @pytest.mark.parametrize("flip", ["irr_count", "zeta"])
@@ -733,11 +771,11 @@ def test_quadratic_field_config(tmp_path):
 
 def test_render_helpers_round_trip():
     config = parse_config(SIEGEL_DOC)
-    records, status = compute_records(config)
+    texts, status = compute_records(config, cli_mod._JsonText(config))
     assert status == EXIT_OK
-    texts = list(map(cli_mod._JsonText(config), records))
-    assert json.loads(render_json(texts)) == reference_documents(config, records)
-    rows = list(map(cli_mod._CsvText(), records))
+    assert json.loads(render_json(texts)) == reference_documents(config)
+    rows, status = compute_records(config, cli_mod._CsvText())
+    assert status == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(render_csv(rows))))
     assert rows[0]["final_bound"] == "192"
 
@@ -779,26 +817,29 @@ _EDGE_WINDOWS = {
 def test_streamed_output_matches_the_reference_layout(tmp_path, capsys, name, fmt):
     doc, flags = _EDGE_WINDOWS[name]
     config = parse_config(doc)
-    records, status = compute_records(config, "--oracle-check" in flags)
-    docs = reference_documents(config, records)
+    oracle_check = "--oracle-check" in flags
+    records, status = rendered_records(config, oracle_check)
+    docs = reference_documents(
+        config, oracle_mod.verify_setting_with_oracle if oracle_check else None
+    )
     want = reference_json(docs) if fmt == "json" else reference_csv(docs)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     assert main([str(cfg), "--format", fmt, *flags]) == status
     assert capsys.readouterr().out == want
     if name == "errors_first":
-        assert [r.error is None for r in records[:3]] == [False, False, True]
+        assert ["error" not in r for r in records[:3]] == [False, False, True]
     elif name == "no_prime":
         assert records == [] and status == EXIT_ALL_FAILED
         assert want == ("[]\n" if fmt == "json" else want.splitlines()[0] + "\n")
     elif name == "datum_fails":
         assert status == EXIT_ALL_FAILED
-        assert {r.error.code for r in records} == {"ramified_prime_not_prime"}
+        assert {r["error"]["code"] for r in records} == {"ramified_prime_not_prime"}
     elif name == "oracle_check":
         assert status == EXIT_OK
-        assert [r.oracle for r in records if r.report] == [{"verified": True}] * 3
+        assert [r["oracle"] for r in records if "error" not in r] == [{"verified": True}] * 3
     elif name == "quadratic_split_inert":
-        at_p = {len(r.report.setting.delta_prime_at_p) for r in records if r.report}
+        at_p = {len(r["delta_prime"]["at_p"]) for r in records if "error" not in r}
         assert at_p == {0, 2}
 
 
@@ -842,10 +883,10 @@ def test_csv_writer_calls_do_not_grow_with_the_records(tmp_path):
     )
     assert done.returncode == EXIT_OK, done.stderr
     config = parse_config(doc)
-    records, _ = compute_records(config)
-    assert done.stdout == reference_csv(reference_documents(config, records))
-    errors = [r for r in records if r.error is not None]
-    at_p = {len(r.report.setting.delta_prime_at_p) for r in records if r.report}
+    assert done.stdout == reference_csv(reference_documents(config))
+    records, _ = rendered_records(config)
+    errors = [r for r in records if "error" in r]
+    at_p = {len(r["delta_prime"]["at_p"]) for r in records if "error" not in r}
     # p = 2 and 3 divide N and 5 ramifies in the field; split and inert p
     assert len(errors) == 3 and at_p == {0, 2}
     assert len(records) - len(errors) == 43
@@ -853,20 +894,56 @@ def test_csv_writer_calls_do_not_grow_with_the_records(tmp_path):
     assert calls == 1 + len(at_p) + 1
 
 
+def test_json_encoder_builds_do_not_grow_with_the_error_records(tmp_path, monkeypatch, capsys):
+    # json.dumps(..., indent=2) builds the pure-Python encoder's closures
+    # (_make_iterencode) on every call; a record fills the skeleton of its
+    # shape, so the encoder is built once per skeleton: each count of
+    # places over p, and the error records
+    doc = {"field": {"kind": "real_quadratic", "disc": 13}, "m": 2, "N": 6,
+           "p_sweep": {"from": 2, "to": 2000}}
+    builds = [0]
+    real = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        builds[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([str(cfg)]) == EXIT_OK
+    calls = builds[0]
+    out = capsys.readouterr().out
+    records = json.loads(out)
+    errors = [r for r in records if "error" in r]
+    at_p = {len(r["delta_prime"]["at_p"]) for r in records if "error" not in r}
+    # p = 2 and 3 divide N and 13 ramifies in the field; split and inert p
+    assert len(errors) == 3 and at_p == {0, 2}
+    assert calls == len(at_p) + 1
+    assert out == reference_json(reference_documents(parse_config(doc)))
+
+
+def _setting_errors():
+    return {id(o) for o in gc.get_objects() if isinstance(o, SettingError)}
+
+
 def test_error_records_hold_no_traceback_and_no_cycle():
     # a caught SettingError's traceback holds the frame of compute_records,
-    # whose locals hold every record: kept with it, the whole result is
-    # cyclic garbage that only the collector frees
-    for doc in (dict(SWEEP_DOC, N=6), _DATUM_FAILS_DOC):
+    # whose locals hold the error and every text: kept with it, the whole
+    # result is cyclic garbage that only the collector frees, so with the
+    # collector off the error outlives the run; a per-prime error is still
+    # held by that frame when it is the window's last record
+    for doc in (dict(SWEEP_DOC, N=6), dict(SWEEP_DOC, N=6, p_sweep={"from": 2, "to": 3}),
+                _DATUM_FAILS_DOC):
         config = parse_config(doc)
         gc.collect()
         gc.disable()
         try:
-            records, _ = compute_records(config)
-            errors = [r.error for r in records if r.error is not None]
-            assert errors and all(e.__traceback__ is None for e in errors)
-            del records, errors
-            assert not any(isinstance(o, cli_mod.Record) for o in gc.get_objects())
+            before = _setting_errors()
+            records, _ = rendered_records(config)
+            assert any("error" in r for r in records)
+            del records
+            assert not _setting_errors() - before
         finally:
             gc.enable()
 
@@ -1225,9 +1302,8 @@ def test_p_independent_work_happens_once_per_run(monkeypatch):
         "p_sweep": {"from": 2, "to": 50},
     }
     config = parse_config(doc)
-    records, status = compute_records(config)
+    records, status = rendered_records(config)
     assert status == EXIT_OK
-    records = json.loads(render_json(list(map(cli_mod._JsonText(config), records))))
     assert sum("error" not in r for r in records) == 13
     assert sorted(calls) == [2, 4]
     # |G(Z/3Z)| once per run: 3 is inert in Q(sqrt5), one place over 3
@@ -1323,12 +1399,6 @@ def test_ramification_error_is_recorded_for_every_prime(tmp_path, capsys):
 _FIELDS = (1, 5, 8, 13)
 
 
-def _trial_division_prime(n):
-    # a sweep's reference primes: is_prime answers from the window the
-    # sweep itself sieved, so it would check the sweep against itself
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 @st.composite
 def _sweep_configs(draw):
     disc = draw(st.sampled_from(_FIELDS))
@@ -1362,8 +1432,7 @@ def _sweep_configs(draw):
 @given(_sweep_configs())
 def test_shared_datum_matches_fresh_per_prime_records(doc):
     config = parse_config(doc)
-    records, _ = compute_records(config)
-    records = json.loads(render_json(list(map(cli_mod._JsonText(config), records))))
+    records, _ = rendered_records(config)
     lo, hi = config.sweep
     assert [r["input"]["p"] for r in records] == [
         p for p in range(lo, hi + 1) if _trial_division_prime(p)
@@ -1417,24 +1486,21 @@ _VERDICTS = (
 @example(dict(SWEEP_DOC, p_sweep={"from": 24, "to": 28}), False, [_VERDICTS[0]], False)
 @example(dict(SWEEP_DOC, N=6, p_sweep={"from": 2, "to": 3}), True, [_VERDICTS[2]], True)
 def test_renderers_match_the_reference_layout(doc, oracle_check, verdicts, verbose):
-    # the verdicts are fixed, so the oracle's own cost stays out of the test;
-    # each pass over the window starts them afresh
+    # the verdicts are fixed, so the oracle's own cost stays out of the test:
+    # the primes of the window take them in turn, each the same verdict in
+    # the run and in the reference
     config = parse_config(doc)
+    at = dict(zip(_reference_primes(config), itertools.cycle(verdicts)))
 
-    def records(render=None):
-        answers = itertools.cycle(verdicts)
-        with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
-                               lambda setting: dict(next(answers))):
-            return compute_records(config, oracle_check, verbose, render)[0]
+    def verdict(setting):
+        return dict(at[setting.p])
 
-    listed = records()
-    docs = reference_documents(config, listed)
-    texts = list(map(cli_mod._JsonText(config), listed))
-    assert render_json(texts) == reference_json(docs)
-    assert render_csv(list(map(cli_mod._CsvText(), listed))) == reference_csv(docs)
-    # streamed, as the CLI renders: each record to its text as it is produced
-    assert render_json(records(cli_mod._JsonText(config))) == reference_json(docs)
-    assert render_csv(records(cli_mod._CsvText())) == reference_csv(docs)
+    docs = reference_documents(config, verdict if oracle_check else None)
+    with mock.patch.object(oracle_mod, "verify_setting_with_oracle", verdict):
+        texts = compute_records(config, cli_mod._JsonText(config), oracle_check, verbose)[0]
+        assert render_json(texts) == reference_json(docs)
+        rows = compute_records(config, cli_mod._CsvText(), oracle_check, verbose)[0]
+        assert render_csv(rows) == reference_csv(docs)
 
 
 def test_unexpected_exception_is_an_internal_fault(tmp_path, monkeypatch, capsys):
@@ -1582,12 +1648,11 @@ def test_sweep_error_records_follow_the_documented_order(datum, lo, width):
         "p_sweep": {"from": lo, "to": lo + width},
     }
     config = parse_config(doc)
-    records, status = compute_records(config)
-    assert [r.p for r in records] == [
-        p for p in range(lo, lo + width + 1) if _trial_division_prime(p)
-    ]
-    codes = [r.error.code if r.error else None for r in records]
-    assert codes == [_reference_code(fld, ram, level, r.p) for r in records]
+    records, status = rendered_records(config)
+    ps = [r["input"]["p"] for r in records]
+    assert ps == [p for p in range(lo, lo + width + 1) if _trial_division_prime(p)]
+    codes = [r["error"]["code"] if "error" in r else None for r in records]
+    assert codes == [_reference_code(fld, ram, level, p) for p in ps]
     if records:
         assert status == (EXIT_OK if None in codes else EXIT_ALL_FAILED)
 
@@ -1751,31 +1816,30 @@ def test_shape_path_matches_a_record_by_record_reference(seed):
     config = parse_config(doc)
     fld = config.field
     places = resolve_ramification(fld, config.ramification)
-    records, status = compute_records(config)
+    records, status = rendered_records(config)
     if config.sweep is None:
         primes = [config.single_p]
     else:
         primes = [p for p in range(config.sweep[0], config.sweep[1] + 1)
                   if _trial_division_prime(p)]
-    assert [r.p for r in records] == primes
-    for r in records:
+    assert [r["input"]["p"] for r in records] == primes
+    for p, r in zip(primes, records):
         if len(places) % 2:
             want_code = "odd_ramification_set"
         else:
-            want_code = _reference_code(fld, places, config.level, r.p)
-        got = (r.error.code if r.error else None,)
-        if r.error is None:
-            report = r.report
-            assert report.setting.p == r.p
-            got += (report.mass, report.irr_count, report.dim_bound, report.final_bound)
+            want_code = _reference_code(fld, places, config.level, p)
+        got = (r["error"]["code"] if "error" in r else None,)
+        if "error" not in r:
+            got += tuple(int(r[key]) for key in
+                         ("mass", "irr_count", "dim_bound", "final_bound"))
         want = (want_code,)
         if want_code is None:
-            want += _reference_counts(fld, places, config.m, config.level, r.p)
-        assert got == want, (doc, r.p)
-    codes = [r.error is None for r in records]
+            want += _reference_counts(fld, places, config.m, config.level, p)
+        assert got == want, (doc, p)
+    codes = ["error" not in r for r in records]
     if records:
         assert status == (EXIT_OK if any(codes) else EXIT_ALL_FAILED)
-    docs = reference_documents(config, records)
+    docs = reference_documents(config)
     for flags, want in (((), reference_json(docs)), (("--format", "csv"), reference_csv(docs))):
         out = io.StringIO()
         with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
