@@ -48,8 +48,8 @@ class _Value:
     hashed.  Equality with another class is NotImplemented, the hash is
     that of the tuple of _fields, and the repr lists every field by name,
     _fields first.  A read-only subclass sets its fields in __init__
-    through object.__setattr__, or through each slot's own __set__, and
-    takes _read_only as its __setattr__ and __delattr__.
+    through object.__setattr__ and takes _read_only as its __setattr__
+    and __delattr__.
     """
 
     __slots__ = ()

@@ -147,14 +147,11 @@ def _level_part(setting: ShimuraSetting) -> _LevelPart:
         return part
 
 
-def superspecial_masses(setting: ShimuraSetting, ps, part: _LevelPart | None = None
-                        ) -> list[int]:
+def superspecial_masses(setting: ShimuraSetting, ps) -> list[int]:
     """superspecial_mass at each prime of ps, primes that split in F as
     setting.p does, at setting's datum and level: one map pass per factor
-    of the closed form over all of them.  part is the setting's per-level
-    part, when the caller has read it already."""
-    if part is None:
-        part = _level_part(setting)
+    of the closed form over all of them."""
+    part = _level_part(setting)
     qs, count, eps = _residue_cardinalities(setting, ps)
     factors = list(map(add, qs, repeat(eps)))
     qj = qs
@@ -164,7 +161,7 @@ def superspecial_masses(setting: ShimuraSetting, ps, part: _LevelPart | None = N
     return _positive_integers(part.scale, _over_places(factors, count), "superspecial mass")
 
 
-def superspecial_mass(setting: ShimuraSetting, part: _LevelPart | None = None) -> int:
+def superspecial_mass(setting: ShimuraSetting) -> int:
     """Cardinality of the superspecial locus at the given level:
 
         C * |G(Z/NZ)| * prod_{j=1}^{m} prod_{v | p, f_v odd} (q_v^j + (-1)^j)
@@ -177,7 +174,7 @@ def superspecial_mass(setting: ShimuraSetting, part: _LevelPart | None = None) -
     anything else raises InternalCheckError.  The one-prime case of
     superspecial_masses.
     """
-    return superspecial_masses(setting, (setting.p,), part)[0]
+    return superspecial_masses(setting, (setting.p,))[0]
 
 
 def _final_bound_column(setting: ShimuraSetting, part: _LevelPart, ps) -> list[int]:
@@ -211,7 +208,7 @@ def final_bounds(setting: ShimuraSetting, ps) -> tuple[list[int], ...]:
     closed form, with every check of final_bound at every prime."""
     part = _level_part(setting)
     bounds = _final_bound_column(setting, part, ps)
-    masses = superspecial_masses(setting, ps, part)
+    masses = superspecial_masses(setting, ps)
     irrs = irr_counts(setting, ps)
     dims = dim_bounds(setting, ps)
     _check_identity(bounds, masses, irrs, dims)
@@ -238,7 +235,7 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     (bound,) = _final_bound_column(setting, part, (setting.p,))
     # through the one-prime functions, not final_bounds: a sweep calls this
     # once per shape, and perfbench's traced spans of each must see it
-    mass = superspecial_mass(setting, part)
+    mass = superspecial_mass(setting)
     irr = irr_count(setting)
     dim = dim_bound(setting)
     _check_identity((bound,), (mass,), (irr,), (dim,))

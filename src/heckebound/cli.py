@@ -230,8 +230,10 @@ def compute_records(
     final_bounds computes the p-factors of all its primes as integer
     columns, with every check at every prime; and render fills the
     shape's skeleton from the columns.  Only the oracle builds a setting
-    for every prime.  An error is kept without its traceback: that would
-    hold this frame, and with it every text, in a reference cycle."""
+    for every prime, and it checks the irr_count and dim_bound columns,
+    the counts the records print.  An error is kept without its
+    traceback: that would hold this frame, and with it every text, in a
+    reference cycle."""
     if oracle_check:
         from . import oracle as oracle_mod
     # an error in the datum does not depend on p: it is recorded for every
@@ -276,7 +278,8 @@ def compute_records(
         verdicts = None
         if oracle_check:
             settings = [setting, *(ShimuraSetting(quaternion, level, p) for p in ps[1:])]
-            verdicts = list(map(oracle_mod.verify_setting_with_oracle, settings))
+            verdicts = list(map(oracle_mod.verify_setting_with_oracle, settings,
+                                columns[1], columns[2]))
             if any(not v["verified"] and "skipped" not in v for v in verdicts):
                 fault = True
         for position, text in zip(positions, render.fill(report, ps, columns, verdicts)):

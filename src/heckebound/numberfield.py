@@ -118,22 +118,18 @@ class Place(_Value):
 
     def __init__(self, residue_prime: int, residue_degree: int, index: int = 0,
                  ramified: bool = False):
-        # each slot's own setter: a place over p is built for every setting,
-        # and object.__setattr__ would look each name up again
-        _set_prime(self, residue_prime)
-        _set_degree(self, residue_degree)
-        _set_index(self, index)
-        _set_ramified(self, ramified)
-        _set_cardinality(self, residue_prime**residue_degree)
+        setter = object.__setattr__
+        setter(self, "residue_prime", residue_prime)
+        setter(self, "residue_degree", residue_degree)
+        setter(self, "index", index)
+        setter(self, "ramified", ramified)
+        setter(self, "residue_cardinality", residue_prime**residue_degree)
 
     def __repr__(self) -> str:
         tag = "r" if self.ramified else str(self.index)
         return f"Place({self.residue_prime}^{self.residue_degree},{tag})"
 
 
-(_set_prime, _set_degree, _set_index, _set_ramified, _set_cardinality) = (
-    getattr(Place, name).__set__ for name in Place.__slots__
-)
 _place_order = attrgetter(*Place._fields)
 
 

@@ -14,13 +14,16 @@ and the residual group is assembled from that pool by columns: each
 factor r's elements are one zip of the pool's row columns, scaled
 through one row table and indexed per place.  One column kernel,
 _ring_sums, does the table arithmetic on whole rows: sum_k c_k * column_k
-for every entry at once, digit plane by digit plane.  A table ring adds
+for every entry at once, as bytes of ring elements.  A table ring adds
 its elements' base-n digits mod n with no carry, so on plane d each term
 is one bytes.translate of its column through x -> digit d of c_k x, and
 the k terms add as little-endian integers; no byte carries while
-k (n - 1) <= 255, which the kernel checks.  The pairing masks AND each
-plane's digit masks, and a row table recombines the planes reduced
-mod n.  A group multiplies only in one closure walk, which maps all its
+k (n - 1) <= 255, which the kernel checks; one translate per plane then
+reduces it mod n and weights it by n^d.  A row table zips the kernel's
+bytes into image rows, and a pairing mask is one translate of them per
+value.  The oracle's verdict on a setting compares the enumerated group
+with the irreducible count and Sylow bound it is given, the ones a
+record prints.  A group multiplies only in one closure walk, which maps all its
 elements through a generator g in one pass: each row's column of values
 goes through a table of the block of g that holds the row, built over
 the distinct rows at the block's positions.  Candidate generators come
@@ -47,7 +50,6 @@ from math import gcd
 from types import SimpleNamespace
 
 from .arith import InternalCheckError, factorize, is_prime
-from .groups import dim_bound, irr_count
 from .numberfield import ShimuraSetting, _proven_prime
 
 __all__ = [
@@ -253,18 +255,21 @@ def _plane_tables(n: int, e: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]
 
 def _ring_sums(ring, columns):
     """The column kernel over a table ring of order at most 256: sums(c)
-    gives sum_k c[k] * columns[k][t] for every t at once, as the ring's e
-    digit planes, each bytes with entry t the plane's digit sum before
-    reduction mod n.
+    gives sum_k c[k] * columns[k][t] for every t at once, as bytes of
+    ring elements.
 
     Every table ring adds digit by digit mod n with no carry between
-    digits, so each plane is summed on its own: the term c_k * column_k
-    on plane d is one bytes.translate of the column through the 256-byte
-    table x -> digit d of mul[c_k][x], and the terms add as little-endian
-    integers.  A byte of the sum is at most k (n - 1) for k terms, so no
-    byte carries into the next while k (n - 1) <= 255; a larger k is an
-    internal fault, as is a ring whose elements are not bytes.  The
-    budgets stay far inside: the most is 2 * 55, for GSp_2(Z/56)."""
+    digits, so each digit plane is summed on its own: the term
+    c_k * column_k on plane d is one bytes.translate of the column through
+    the 256-byte table x -> digit d of mul[c_k][x], and the terms add as
+    little-endian integers.  A byte of the sum is at most k (n - 1) for k
+    terms, so no byte carries into the next while k (n - 1) <= 255; a
+    larger k is an internal fault, as is a ring whose elements are not
+    bytes.  The budgets stay far inside: the most is 2 * 55, for
+    GSp_2(Z/56).  Each plane is then reduced mod n and weighted by n^d in
+    one translate, and the weighted planes add as integers into the
+    elements: their bytes sum to at most n^e - 1 <= 255, so they do not
+    carry either."""
     order, n, e = ring.order, ring.base, ring.e
     if order > 256:
         raise InternalCheckError(f"the column kernel needs a ring of order at most 256, "
@@ -275,20 +280,21 @@ def _ring_sums(ring, columns):
     columns = [bytes(col) for col in columns]
     size = len(columns[0])
     pad = bytes(256 - order)
-    digit_tables = _plane_tables(n, e)[0]
+    digit_tables, weighted = _plane_tables(n, e)
 
     @functools.cache
     def planes(c):  # x -> digit d of c * x, one table per plane d
         products = bytes(ring.mul[c])
         return [products.translate(t) + pad for t in digit_tables]
 
-    def sums(coeffs) -> list[bytes]:
+    def sums(coeffs) -> bytes:
         total = [0] * e
         for c, col in zip(coeffs, columns, strict=True):
             if c:
                 for d, table in enumerate(planes(c)):
                     total[d] += int.from_bytes(col.translate(table), "little")
-        return [t.to_bytes(size, "little") for t in total]
+        return sum(int.from_bytes(t.to_bytes(size, "little").translate(w), "little")
+                   for t, w in zip(total, weighted)).to_bytes(size, "little")
 
     return sums
 
@@ -296,21 +302,12 @@ def _ring_sums(ring, columns):
 def _row_table(ring, block, rows) -> dict:
     """row -> row * block over a commutative table ring, for each of the
     given distinct rows: one kernel sum over the rows' columns per column
-    of the block.  Each plane is reduced mod n and weighted by n^d in one
-    translate, and the weighted planes add as integers into the values:
-    their bytes sum to at most n^e - 1 <= 255, so they do not carry.
-    An image equal to one of the given rows is that row object, so a
-    lookup of an image in a dict keyed by those rows matches by identity
-    and never compares entries; any other image is a new tuple."""
+    of the block.  An image equal to one of the given rows is that row
+    object, so a lookup of an image in a dict keyed by those rows matches
+    by identity and never compares entries; any other image is a new
+    tuple."""
     sums = _ring_sums(ring, tuple(zip(*rows)))
-    weighted = _plane_tables(ring.base, ring.e)[1]
-
-    def values(coeffs) -> bytes:
-        total = sum(int.from_bytes(plane.translate(t), "little")
-                    for plane, t in zip(sums(coeffs), weighted))
-        return total.to_bytes(len(rows), "little")
-
-    images = list(zip(*map(values, zip(*block))))
+    images = list(zip(*map(sums, zip(*block))))
     stored = dict(zip(rows, rows))
     return dict(zip(rows, map(stored.get, images, images)))
 
@@ -558,31 +555,20 @@ def _pairing_masks(left, right, ring, values):
     right[j][k] over a table ring.  Returns masks, a list indexed by ring
     element: masks[s][i] has bit j set for every j != i with <i, j> = s,
     for each s in values (None elsewhere), and a generator that fills
-    them.  Row i is one column-kernel sum over right's columns, whose
-    planes are read without reduction: per plane d and per digit v that
-    some value has there, one translate to the binary digits of the
-    entries equal to v mod n gives the bitmask of plane d's digit v, and
-    masks[s][i] is the AND of s's digits' masks over the planes.  i is
-    yielded once its own row is done."""
+    them.  Row i is one column-kernel sum over right's columns, and
+    masks[s][i] is one translate of its reversed value bytes to the binary
+    digits of the entries equal to s.  i is yielded once its own row is
+    done."""
     sums = _ring_sums(ring, tuple(zip(*right)))
-    n, e = ring.base, ring.e
     masks = [[0] * len(left) if s in values else None for s in range(ring.order)]
-    digits = [[s // n**d % n for d in range(e)] for s in values]
-    # per plane, the digit 1 at the entries of value v mod n, 0 elsewhere
-    picks = [{v: bytes(b"01"[x % n == v] for x in range(256)) for v in set(plane)}
-             for plane in zip(*digits)]
-    wanted = [(masks[s], list(enumerate(ds))) for s, ds in zip(values, digits)]
+    picks = [(masks[s], bytes(b"01"[x == s] for x in range(256))) for s in values]
 
     def rows():
         for i, u in enumerate(left):
-            hits = [{v: int(plane.translate(pick), 2) for v, pick in by_digit.items()}
-                    for plane, by_digit in zip((p[::-1] for p in sums(u)), picks)]
+            reversed_values = sums(u)[::-1]
             others = ~(1 << i)
-            for hit, ds in wanted:
-                mask = others
-                for d, v in ds:
-                    mask &= hits[d][v]
-                hit[i] = mask
+            for hit, pick in picks:
+                hit[i] = int(reversed_values.translate(pick), 2) & others
             yield i
 
     return masks, rows()
@@ -856,9 +842,11 @@ def sylow_p_order(group: FqMatrixGroup, p: int) -> int:
     return result
 
 
-def verify_setting_with_oracle(setting: ShimuraSetting) -> dict:
-    """Cross-check the closed-form irreducible count and Sylow dimension
-    bound against the enumerated residual group of the setting.
+def verify_setting_with_oracle(setting: ShimuraSetting, irr_count: int,
+                               dim_bound: int) -> dict:
+    """Cross-check irr_count and dim_bound, the closed-form irreducible
+    count and Sylow dimension bound at the setting, against its enumerated
+    residual group: its p-regular class count and its Sylow p-order.
 
     Returns {"verified": bool} on a completed check, or
     {"verified": False, "skipped": reason} when the instance does not
@@ -868,7 +856,7 @@ def verify_setting_with_oracle(setting: ShimuraSetting) -> dict:
     except StateSpaceError as exc:
         return {"verified": False, "skipped": str(exc)}
     ok = (
-        p_regular_class_count(group, setting.p) == irr_count(setting)
-        and sylow_p_order(group, setting.p) == dim_bound(setting)
+        p_regular_class_count(group, setting.p) == irr_count
+        and sylow_p_order(group, setting.p) == dim_bound
     )
     return {"verified": ok}

@@ -116,7 +116,8 @@ def reference_documents(config, verdict=None):
     """The document of each record of config's run, each built on its
     own: a fresh datum (with no per-level values and no zeta values kept
     by an earlier prime), then validate_setting and final_bound at its
-    prime, and verdict(setting), when given, for the oracle cell."""
+    prime, and verdict(setting, irr_count, dim_bound) on the report's
+    counts, when given, for the oracle cell."""
     docs = []
     for p in _reference_primes(config):
         echo = _ref_input_echo(config, p)
@@ -148,7 +149,7 @@ def reference_documents(config, verdict=None):
             },
         }
         if verdict is not None:
-            doc["oracle"] = verdict(setting)
+            doc["oracle"] = verdict(setting, report.irr_count, report.dim_bound)
         docs.append(doc)
     return docs
 
@@ -408,11 +409,30 @@ def test_oracle_check_csv_cells(tmp_path):
 
 
 def test_oracle_disagreement_exits_with_fault_code(tmp_path, monkeypatch):
-    real = oracle_mod.irr_count
-    monkeypatch.setattr(oracle_mod, "irr_count", lambda s: real(s) + 1)
+    # the enumeration side disagrees: one p-regular class too many
+    real = oracle_mod.p_regular_class_count
+    monkeypatch.setattr(oracle_mod, "p_regular_class_count", lambda g, p: real(g, p) + 1)
     status, text = run_cli(tmp_path, SIEGEL_DOC, "--oracle-check")
     assert status == EXIT_FAULT
     assert json.loads(text)[0]["oracle"] == {"verified": False}
+
+
+def test_oracle_checks_the_counts_the_record_prints(tmp_path, monkeypatch):
+    # the irr_count and final_bound columns doubled after bounds checked
+    # them: final = mass * irr * dim still holds, so only the oracle, which
+    # compares its enumeration with the printed counts, can see it
+    real = cli_mod.final_bounds
+
+    def doubled(setting, ps):
+        masses, irrs, dims, bounds = real(setting, ps)
+        return masses, [2 * c for c in irrs], dims, [2 * b for b in bounds]
+
+    monkeypatch.setattr(cli_mod, "final_bounds", doubled)
+    status, text = run_cli(tmp_path, SIEGEL_DOC, "--oracle-check")
+    assert status == EXIT_FAULT
+    (record,) = json.loads(text)
+    assert (record["irr_count"], record["final_bound"]) == ("48", "384")
+    assert record["oracle"] == {"verified": False}
 
 
 def test_oracle_fault_exits_with_fault_code(tmp_path, monkeypatch, capsys):
@@ -686,7 +706,7 @@ def test_rendered_sweep_builds_one_setting_and_report_per_shape(oracle_check):
     watched = (numberfield_mod.ShimuraSetting.__init__, bounds_mod.BoundReport.__init__)
     # the verdict is fixed, so the oracle's own cost stays out of the test
     with mock.patch.object(oracle_mod, "verify_setting_with_oracle",
-                           lambda setting: dict(_VERDICTS[0])):
+                           lambda setting, irr, dim: dict(_VERDICTS[0])):
         (records, status), counts = _profiled_calls(
             watched, lambda: rendered_records(config, oracle_check)
         )
@@ -1492,7 +1512,7 @@ def test_renderers_match_the_reference_layout(doc, oracle_check, verdicts, verbo
     config = parse_config(doc)
     at = dict(zip(_reference_primes(config), itertools.cycle(verdicts)))
 
-    def verdict(setting):
+    def verdict(setting, irr, dim):
         return dict(at[setting.p])
 
     docs = reference_documents(config, verdict if oracle_check else None)

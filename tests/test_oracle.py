@@ -34,6 +34,7 @@ from heckebound.oracle import (
     _hermitian_matrices,
     _iter_bits,
     _pairing_masks,
+    _ring_sums,
     _ring_tables,
     _row_table,
     _symplectic_bases,
@@ -57,6 +58,11 @@ R13 = FieldSpec.real_quadratic(13)
 
 def setting(fld, m, level, p):
     return validate_setting(QuaternionData(fld, (), m), level, p)
+
+
+def verify(s):
+    # the oracle's verdict on the closed-form counts, as a record gives them
+    return verify_setting_with_oracle(s, irr_count(s), dim_bound(s))
 
 
 def mat_mul(f, a: tuple, b: tuple) -> tuple:
@@ -652,6 +658,51 @@ def test_pairing_masks_of_the_alternating_form(p, e, n, m):
     check_pairing_masks(twisted, vectors, ring, values, value_row)
 
 
+# every table ring the oracle builds: the fields up to F_49 and Z/n up to
+# Z/56, the largest level the budgets admit (GSp_2(Z/56))
+_FIELD_ORDERS = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (7, 2))
+_TABLE_RINGS = {**{f"F_{p**e}": (p, e) for p, e in _FIELD_ORDERS},
+                **{f"Z/{n}": (n, None) for n in range(2, 57)}}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_RINGS))
+def test_ring_sums_against_the_scalar_tables(name):
+    # sums(c) is bytes of ring elements, sum_k c_k * col_k entry by entry,
+    # against one table lookup per term and entry: zero coefficients mixed
+    # in, term counts up to the kernel's limit 255 // (n - 1), and at that
+    # limit every digit n - 1, where each plane sums to k (n - 1): exactly
+    # 255 for n = 2, 4, 6, 16, 18 and 52, so over F_4 .. F_32 too
+    a, e = _TABLE_RINGS[name]
+    ring = zmod(a) if e is None else small_field(a, e)
+    order, add, mul = ring.order, ring.add, ring.mul
+    limit = 255 // (ring.base - 1)
+    rng = random.Random(name)
+    size = 260  # past one byte's worth of entries
+
+    def reference(coeffs, columns):
+        out = []
+        for t in range(size):
+            total = 0
+            for c, col in zip(coeffs, columns):
+                total = add[total][mul[c][col[t]]]
+            out.append(total)
+        return bytes(out)
+
+    for terms in sorted({1, 2, min(limit, 6), limit}):
+        columns = [[rng.randrange(order) for _ in range(size)] for _ in range(terms)]
+        sums = _ring_sums(ring, columns)
+        for _ in range(3):
+            coeffs = [rng.randrange(order) if rng.random() < 0.7 else 0
+                      for _ in range(terms)]
+            got = sums(coeffs)
+            assert type(got) is bytes and got == reference(coeffs, columns), (terms, coeffs)
+        assert sums([0] * terms) == bytes(size)
+    top = [[order - 1] * size] * limit  # every digit n - 1
+    coeffs = [1] * limit
+    assert _ring_sums(ring, top)(coeffs) == reference(coeffs, top)
+
+
 @pytest.mark.parametrize("ring", [
     zmod(56), small_field(7, 2), small_field(2, 3), small_field(2, 4), small_field(3, 3),
     small_field(2, 5), _ring_tables(4, 2, (1, 1)),
@@ -761,8 +812,13 @@ def test_hermitian_search_charges_its_inner_nodes(monkeypatch):
 
 
 def test_oracle_verification_helper():
-    assert verify_setting_with_oracle(setting(Q, 1, 3, 5)) == {"verified": True}
-    skipped = verify_setting_with_oracle(setting(Q, 1, 3, 11))
+    s = setting(Q, 1, 3, 5)
+    assert verify(s) == {"verified": True}
+    # the verdict compares the enumeration with the counts it is given
+    assert verify_setting_with_oracle(s, 24, 1) == {"verified": True}
+    assert verify_setting_with_oracle(s, 48, 1) == {"verified": False}
+    assert verify_setting_with_oracle(s, 24, 5) == {"verified": False}
+    skipped = verify(setting(Q, 1, 3, 11))
     assert skipped["verified"] is False and "skipped" in skipped
 
 
@@ -770,7 +826,7 @@ def test_oracle_verification_helper():
 def test_oversized_residual_group_skips_fast(fld):
     # |GL_2(F_49)| * 6 and |U_2(F_7)|^2 * 6 both exceed the element limit
     t0 = time.monotonic()
-    result = verify_setting_with_oracle(setting(fld, 2, 3, 7))
+    result = verify(setting(fld, 2, 3, 7))
     assert time.monotonic() - t0 < 5.0
     assert result["verified"] is False
     assert "element limit" in result["skipped"]
@@ -781,7 +837,7 @@ def test_oversized_gl_factor_skips_before_enumerating(fld, level):
     # |GL_3(F_4)| = 181 440: the count is checked before any matrix is
     # stored or its determinant taken
     t0 = time.monotonic()
-    result = verify_setting_with_oracle(setting(fld, 3, level, 2))
+    result = verify(setting(fld, 3, level, 2))
     assert time.monotonic() - t0 < 0.2
     assert result == {
         "verified": False,
@@ -796,7 +852,7 @@ def test_oversized_gl_factor_skips_before_enumerating(fld, level):
 ])
 def test_hermitian_search_skips_before_its_work(fld, m, level, p, reason):
     t0 = time.monotonic()
-    result = verify_setting_with_oracle(setting(fld, m, level, p))
+    result = verify(setting(fld, m, level, p))
     assert time.monotonic() - t0 < 1.0
     assert result["verified"] is False
     assert reason in result["skipped"]
@@ -985,7 +1041,7 @@ def test_p_regular_count_reads_the_classes_once_per_group(monkeypatch):
     groups = [enumerate_gl(2, 3), enumerate_unitary(2, 2)]
     assert [p_regular_class_count(group, 2) for group in groups] == [2, 6]
     assert calls == groups
-    assert verify_setting_with_oracle(setting(Q, 1, 3, 5)) == {"verified": True}
+    assert verify(setting(Q, 1, 3, 5)) == {"verified": True}
     assert len(calls) == 3
 
 
@@ -1064,7 +1120,7 @@ def _oracle_verifies_or_skips(fld, m_and_p, level):
         s = setting(fld, m, level, p)
     except SettingError:
         reject()
-    result = verify_setting_with_oracle(s)
+    result = verify(s)
     assert result == {"verified": True} or (
         set(result) == {"verified", "skipped"}
         and result["verified"] is False and result["skipped"]

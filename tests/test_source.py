@@ -100,3 +100,19 @@ def test_cli_import_loads_no_dataclasses_oracle_or_csv():
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
     )
     assert done.stdout.strip() == "[]", done.stderr
+
+
+def test_oracle_imports_nothing_from_groups_or_bounds():
+    # the oracle checks the closed forms of groups and bounds, so it must
+    # not compute them: it is given the counts a record prints
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    modules = set()  # each imported module's last dotted name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module.rpartition(".")[2])
+        elif isinstance(node, ast.ImportFrom):  # from . import name
+            modules.update(alias.name for alias in node.names)
+    assert {"arith", "numberfield"} <= modules
+    assert modules & {"groups", "bounds"} == set()
