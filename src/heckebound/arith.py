@@ -43,9 +43,10 @@ class _Value:
     """Base of the package's value types, which are __slots__ classes.
 
     The constructor takes the per-class tuple _fields, which equality and
-    the hash read; the fields in _derived, which the constructor derives
-    from them, follow them in the repr but are neither compared nor
-    hashed.  Equality with another class is NotImplemented, the hash is
+    the hash read (a class whose constructor takes them in another form
+    overrides __reduce__); the fields in _derived, which the constructor
+    derives from them, follow them in the repr but are neither compared
+    nor hashed.  Equality with another class is NotImplemented, the hash is
     that of the tuple of _fields, and the repr lists every field by name,
     _fields first.  A read-only subclass sets its fields in __init__
     through object.__setattr__ and takes _read_only as its __setattr__

@@ -15,12 +15,12 @@ from operator import add, floordiv, mod, mul, ne, sub
 
 from .arith import InternalCheckError, _Value, balanced_product, bernoulli, factorize
 from .groups import (
+    _irr_column,
     _over_places,
     _residue_cardinalities,
     dim_bound,
     dim_bounds,
     irr_count,
-    irr_counts,
     level_group_order,
     sp_order,
 )
@@ -82,7 +82,7 @@ def _positive_integers(scale: Fraction, factors, what: str) -> list[int]:
     if denominator == 1 or not any(map(mod, factors, repeat(denominator))):
         quotients = factors if denominator == 1 else map(floordiv, factors, repeat(denominator))
         counts = list(map(mul, quotients, repeat(numerator)))
-        if min(counts) > 0:
+        if min(counts, default=1) > 0:
             return counts
     value = next(x for x in map(mul, factors, repeat(scale)) if x <= 0 or x.denominator != 1)
     raise InternalCheckError(f"{what} came out {value}, not a positive integer")
@@ -151,8 +151,12 @@ def superspecial_masses(setting: ShimuraSetting, ps) -> list[int]:
     """superspecial_mass at each prime of ps, primes that split in F as
     setting.p does, at setting's datum and level: one map pass per factor
     of the closed form over all of them."""
-    part = _level_part(setting)
-    qs, count, eps = _residue_cardinalities(setting, ps)
+    return _mass_column(setting, _level_part(setting), *_residue_cardinalities(setting, ps))
+
+
+def _mass_column(setting: ShimuraSetting, part: _LevelPart, qs, count: int,
+                 eps: int) -> list[int]:
+    # superspecial_masses at primes whose _residue_cardinalities are known
     factors = list(map(add, qs, repeat(eps)))
     qj = qs
     for j in range(2, setting.m + 1):
@@ -177,9 +181,9 @@ def superspecial_mass(setting: ShimuraSetting) -> int:
     return superspecial_masses(setting, (setting.p,))[0]
 
 
-def _final_bound_column(setting: ShimuraSetting, part: _LevelPart, ps) -> list[int]:
+def _final_bound_column(setting: ShimuraSetting, part: _LevelPart, ps, qs,
+                        count: int, eps: int) -> list[int]:
     # final_bound's closed form at each prime of ps, by its own passes
-    qs, count, eps = _residue_cardinalities(setting, ps)
     local = list(map(sub, qs, repeat(eps)))
     for j in range(1, setting.m + 1):
         qj = qs if j == 1 else map(pow, qs, repeat(j))
@@ -205,11 +209,14 @@ def final_bounds(setting: ShimuraSetting, ps) -> tuple[list[int], ...]:
     """(masses, irr_counts, dim_bounds, final bounds) at each prime of ps,
     primes that split in F as setting.p does, at setting's datum and
     level: final_bound's quantities as integer columns, each by its own
-    closed form, with every check of final_bound at every prime."""
+    closed form, with every check of final_bound at every prime.  A prime
+    of ps that splits otherwise raises ValueError; the columns share one
+    check of that, and no primes give empty columns."""
     part = _level_part(setting)
-    bounds = _final_bound_column(setting, part, ps)
-    masses = superspecial_masses(setting, ps)
-    irrs = irr_counts(setting, ps)
+    cards = _residue_cardinalities(setting, ps)
+    bounds = _final_bound_column(setting, part, ps, *cards)
+    masses = _mass_column(setting, part, *cards)
+    irrs = _irr_column(setting, ps, *cards)
     dims = dim_bounds(setting, ps)
     _check_identity(bounds, masses, irrs, dims)
     return masses, irrs, dims, bounds
@@ -232,7 +239,8 @@ def final_bound(setting: ShimuraSetting) -> BoundReport:
     through the one-prime functions.
     """
     part = _level_part(setting)
-    (bound,) = _final_bound_column(setting, part, (setting.p,))
+    ps = (setting.p,)
+    (bound,) = _final_bound_column(setting, part, ps, *_residue_cardinalities(setting, ps))
     # through the one-prime functions, not final_bounds: a sweep calls this
     # once per shape, and perfbench's traced spans of each must see it
     mass = superspecial_mass(setting)

@@ -240,9 +240,7 @@ def compute_records(
     # prime, ahead of the per-p checks
     quaternion, quaternion_error = None, None
     try:
-        quaternion = QuaternionData.from_ramification(
-            config.field, config.ramification, config.m
-        )
+        quaternion = QuaternionData(config.field, config.ramification, config.m)
     except SettingError as exc:
         quaternion_error = exc.with_traceback(None)
     level = config.level

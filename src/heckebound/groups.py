@@ -7,9 +7,9 @@ Sylow dimension bound.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul, sub
+from operator import mul, ne, sub
 
-from .arith import factorize
+from .arith import factorize, kronecker
 from .numberfield import ShimuraSetting, splitting
 
 __all__ = [
@@ -84,7 +84,17 @@ def level_group_order(setting: ShimuraSetting) -> int:
 
 def _residue_cardinalities(setting: ShimuraSetting, ps) -> tuple[list, int, int]:
     """(q_v = p^f for each p of ps, the count of places over p, and
-    eps = (-1)^f) for primes ps that split in F as setting.p does."""
+    eps = (-1)^f) for primes ps that split in F as setting.p does.  A
+    prime that splits otherwise raises ValueError naming it: over Q
+    every prime splits one way, and over a quadratic field the check is
+    one Kronecker symbol per prime."""
+    fld = setting.field
+    if fld.degree == 2:
+        d = fld.discriminant
+        chi = kronecker(d, setting.p)
+        if any(map(ne, map(kronecker, repeat(d), ps), repeat(chi))):
+            p = next(p for p in ps if kronecker(d, p) != chi)
+            raise ValueError(f"p = {p} does not split in F as p = {setting.p} does")
     places = setting.places_over_p
     f = places[0].residue_degree
     qs = ps if f == 1 else list(map(pow, ps, repeat(f)))
@@ -101,7 +111,11 @@ def irr_counts(setting: ShimuraSetting, ps) -> list[int]:
     """irr_count at each prime of ps, primes that split in F as setting.p
     does, in setting's datum: one map pass per factor of the closed form
     over all of them."""
-    qs, count, eps = _residue_cardinalities(setting, ps)
+    return _irr_column(setting, ps, *_residue_cardinalities(setting, ps))
+
+
+def _irr_column(setting: ShimuraSetting, ps, qs, count: int, eps: int) -> list[int]:
+    # irr_counts at primes whose _residue_cardinalities are already known
     quaternion = setting.quaternion
     center = map(mul, map(sub, ps, repeat(1)), _over_places(map(sub, qs, repeat(eps)), count))
     rank = quaternion.field.degree * (quaternion.m - 1)

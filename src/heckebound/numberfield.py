@@ -171,67 +171,41 @@ class QuaternionData(_Value):
     """A totally indefinite quaternion algebra over the field, given by
     its finite ramified places, kept sorted, and the module rank m.
 
+    The constructor takes the user's (prime, residue degree) pairs, as
+    resolve_ramification does: it resolves them to places, which proves
+    each entry's prime once and re-derives its splitting, and then runs
+    the checks that read no single place.  Listing (ell, 1) twice gives
+    both places over a split prime.  Pickling and copying go through the
+    constructor, with each place as its pair.
+
     Besides its three fields it holds what validation reads of it:
     ramified_primes, the residue primes of the ramified places, and
     bad_product, the field discriminant times the residue prime of each
     ramified place; the cached zeta_values (hence the __dict__ slot);
     and _levels, an empty dict in which bounds keeps the bound's
-    per-level part.  None of these is compared, hashed or shown.
-
-    The constructor proves each ramified place's residue prime and
-    re-derives its splitting; from_ramification builds the datum from
-    the user's (prime, residue degree) pairs, which resolve_ramification
-    has already checked that way."""
+    per-level part.  None of these is compared, hashed or shown."""
 
     __slots__ = ("field", "ramified_places", "m", "ramified_primes", "bad_product",
                  "_levels", "__dict__")
     _fields = ("field", "ramified_places", "m")
     __setattr__ = __delattr__ = _read_only
 
-    def __init__(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
-        _check_rank_and_count(field, ramified_places, m)
-        for v in ramified_places:
-            if not _proven_prime(
-                v.residue_prime, "ramified prime", "ramified_prime_too_large"
-            ):
-                _fail(
-                    "ramified_prime_not_prime",
-                    f"{v.residue_prime} is not prime",
-                )
-            # re-derive the splitting so stale residue degrees cannot slip in
-            if v not in _places_over(field, v.residue_prime):
-                _fail(
-                    "residue_degree_mismatch",
-                    f"{v!r} is not a place of the field",
-                )
-        self._set_fields(field, ramified_places, m)
-
-    @classmethod
-    def from_ramification(
-        cls, field: FieldSpec, pairs: list[tuple[int, int]], m: int
-    ) -> "QuaternionData":
-        """The datum of resolve_ramification(field, pairs) and m, with the
-        same errors in the same order as QuaternionData(field,
-        resolve_ramification(field, pairs), m); each entry's prime is
-        proven once, by resolve_ramification."""
-        places = resolve_ramification(field, pairs)
-        _check_rank_and_count(field, places, m)
-        datum = cls.__new__(cls)
-        datum._set_fields(field, places, m)
-        return datum
-
-    def _set_fields(self, field: FieldSpec, ramified_places: tuple[Place, ...], m: int):
+    def __init__(self, field: FieldSpec, ramification: list[tuple[int, int]], m: int):
+        places = resolve_ramification(field, ramification)
+        _check_rank_and_count(field, len(places), m)
         setter = object.__setattr__
         setter(self, "field", field)
         # one key per place: its fields in turn
-        setter(self, "ramified_places",
-               tuple(sorted(ramified_places, key=_place_order)))
+        setter(self, "ramified_places", tuple(sorted(places, key=_place_order)))
         setter(self, "m", m)
-        setter(self, "ramified_primes",
-               frozenset(v.residue_prime for v in ramified_places))
+        setter(self, "ramified_primes", frozenset(v.residue_prime for v in places))
         setter(self, "bad_product", field.discriminant
-               * balanced_product(v.residue_prime for v in ramified_places))
+               * balanced_product(v.residue_prime for v in places))
         setter(self, "_levels", {})
+
+    def __reduce__(self):
+        pairs = [(v.residue_prime, v.residue_degree) for v in self.ramified_places]
+        return type(self), (self.field, pairs, self.m)
 
     @cached_property
     def zeta_values(self) -> tuple[Fraction, ...]:
@@ -240,9 +214,7 @@ class QuaternionData(_Value):
         return tuple(zeta_special_value(self.field, j) for j in range(1, self.m + 1))
 
 
-def _check_rank_and_count(
-    field: FieldSpec, ramified_places: tuple[Place, ...], m: int
-) -> None:
+def _check_rank_and_count(field: FieldSpec, count: int, m: int) -> None:
     # the datum's checks that read no single place, in their documented order
     if m < 1:
         _fail("m_not_positive", f"module rank m must be >= 1, got {m}")
@@ -260,14 +232,12 @@ def _check_rank_and_count(
             "m_too_large",
             f"module rank m must be <= {limit} for this field, got {m}",
         )
-    if len(ramified_places) % 2 != 0:
+    if count % 2 != 0:
         _fail(
             "odd_ramification_set",
             "a totally indefinite quaternion algebra is ramified at an "
-            f"even number of finite places, got {len(ramified_places)}",
+            f"even number of finite places, got {count}",
         )
-    if len(set(ramified_places)) != len(ramified_places):
-        _fail("duplicate_place", "ramified places must be pairwise distinct")
 
 
 def resolve_ramification(
@@ -367,11 +337,12 @@ def check_setting(quaternion: QuaternionData, level: int, p: int) -> None:
     bad_product.  Per p this proves p prime (for a p in the window
     arith.primes_between sieved last, is_prime reads the sieve's proof)
     and tests p against N, the field discriminant and the ramified
-    places.  The p-independent checks, including that every ramified
-    place is a place of the field, ran once when the QuaternionData was
-    built (codes m_not_positive, m_too_large, odd_ramification_set,
-    duplicate_place, ramified_prime_too_large, ramified_prime_not_prime,
-    residue_degree_mismatch).  A sweep runs this alone for each p.
+    places.  The p-independent checks ran once, when the QuaternionData
+    was built: first each entry's, as it resolves to a place of the
+    field (codes ramified_prime_too_large, ramified_prime_not_prime,
+    residue_degree_mismatch), then the datum's (m_not_positive,
+    m_too_large, odd_ramification_set).  A sweep runs this alone for
+    each p.
     """
     if level < 3:
         _fail("level_too_small", f"level must be >= 3, got {level}")

@@ -33,7 +33,6 @@ from heckebound.numberfield import (
     FieldSpec,
     QuaternionData,
     SettingError,
-    resolve_ramification,
     validate_setting,
 )
 from heckebound.oracle import (
@@ -52,8 +51,7 @@ R8 = FieldSpec.real_quadratic(8)
 
 
 def setting(fld, m, level, p, ram=()):
-    places = resolve_ramification(fld, list(ram))
-    return validate_setting(QuaternionData(fld, places, m), level, p)
+    return validate_setting(QuaternionData(fld, list(ram), m), level, p)
 
 
 def prime_sweep(fld, m, level, pmax, ram=()):

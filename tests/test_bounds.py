@@ -19,16 +19,17 @@ from heckebound.bounds import (
     bound_constant,
     detect_p_degree,
     final_bound,
+    final_bounds,
     siegel_bound,
     superspecial_mass,
+    superspecial_masses,
 )
-from heckebound.groups import dim_bound, irr_count, level_group_order
+from heckebound.groups import dim_bound, dim_bounds, irr_count, irr_counts, level_group_order
 from heckebound.numberfield import (
     FieldSpec,
     QuaternionData,
     SettingError,
     ShimuraSetting,
-    resolve_ramification,
     split_prime,
     validate_setting,
 )
@@ -39,8 +40,7 @@ R8 = FieldSpec.real_quadratic(8)
 
 
 def setting(fld, m, level, p, ram=()):
-    places = resolve_ramification(fld, list(ram))
-    return validate_setting(QuaternionData(fld, places, m), level, p)
+    return validate_setting(QuaternionData(fld, list(ram), m), level, p)
 
 
 def sweep(fld, m, level, pmax, ram=()):
@@ -160,6 +160,28 @@ def test_factorization_identity_violation_is_an_internal_fault(monkeypatch):
         InternalCheckError, match=r"^factorization identity violated: bound 192 != "
     ):
         final_bound(setting(Q, 1, 3, 5))
+
+
+def test_no_primes_give_empty_columns():
+    for s in (setting(Q, 1, 3, 5), setting(R5, 2, 3, 2), setting(R5, 2, 3, 11)):
+        assert final_bounds(s, []) == ([], [], [], [])
+        assert superspecial_masses(s, []) == irr_counts(s, []) == dim_bounds(s, []) == []
+
+
+def test_a_prime_split_otherwise_than_the_settings_is_refused():
+    # over Q(sqrt5) 11 splits and 7 is inert: the columns of the split
+    # shape at p = 7 would give 165 888, not final_bound's 172 800
+    s = setting(R5, 1, 3, 11)
+    assert final_bound(setting(R5, 1, 3, 7)).final_bound == 172_800
+    assert final_bounds(s, [11, 19])[3] == [final_bound(setting(R5, 1, 3, q)).final_bound
+                                          for q in (11, 19)]
+    message = "^p = 7 does not split in F as p = 11 does$"
+    for column in (final_bounds, superspecial_masses, irr_counts):
+        with pytest.raises(ValueError, match=message):
+            column(s, [11, 19, 7, 29])
+    # the prime under the place that ramifies in F has a shape of its own
+    with pytest.raises(ValueError, match="^p = 5 does not split in F as p = 7 does$"):
+        final_bounds(setting(R5, 1, 3, 7), [5])
 
 
 def test_non_positive_constant_is_an_internal_fault(monkeypatch):
@@ -325,11 +347,12 @@ def _random_datum(draw):
         v for ell in _SMALL_PRIMES if gcd(ell, level * disc) == 1
         for v in split_prime(fld, ell)
     ]
-    ram = ()
+    ram = []
     if draw(st.booleans()) and len(places) >= 2:
-        ram = tuple(draw(st.lists(st.sampled_from(places), min_size=2, max_size=2,
-                                  unique=True)))
-    return QuaternionData(fld, ram, draw(st.integers(1, 6))), level
+        ram = draw(st.lists(st.sampled_from(places), min_size=2, max_size=2, unique=True))
+    # two pairs (ell, 1) give both places over a split ell
+    pairs = [(v.residue_prime, v.residue_degree) for v in ram]
+    return QuaternionData(fld, pairs, draw(st.integers(1, 6))), level
 
 
 def _next_settings(datum, level, start, count, degree_one=False):
@@ -370,7 +393,7 @@ def test_random_settings_satisfy_the_exact_identities(datum_and_level, start):
 # places over 11) and at p = 11 (split), and Q at p = 5
 @settings(max_examples=50, deadline=None)
 @given(_random_datum(), st.integers(2, 10**6))
-@example((QuaternionData(R5, resolve_ramification(R5, [(11, 1), (11, 1)]), 2), 3), 2)
+@example((QuaternionData(R5, [(11, 1), (11, 1)], 2), 3), 2)
 @example((QuaternionData(R5, (), 3), 3), 11)
 @example((QuaternionData(Q, (), 2), 3), 5)
 def test_mass_and_closed_form_are_the_per_place_products(datum_and_level, start):
@@ -417,7 +440,7 @@ def test_bound_constant_is_the_direct_product(disc, picks, m):
               for v in split_prime(fld, ell)]
     ram = [places[k % len(places)] for k in picks]
     ram = tuple(dict.fromkeys(ram))[: len(set(ram)) // 2 * 2]
-    datum = QuaternionData(fld, ram, m)
+    datum = QuaternionData(fld, [(v.residue_prime, v.residue_degree) for v in ram], m)
     p = next(q for q in range(101, 200) if is_prime(q) and disc % q)
     constant = bound_constant(ShimuraSetting(datum, 3, p))
     assert constant == _direct_bound_constant(datum) > 0

@@ -122,9 +122,7 @@ def reference_documents(config, verdict=None):
     for p in _reference_primes(config):
         echo = _ref_input_echo(config, p)
         try:
-            quaternion = QuaternionData.from_ramification(
-                config.field, config.ramification, config.m
-            )
+            quaternion = QuaternionData(config.field, config.ramification, config.m)
             setting = validate_setting(quaternion, config.level, p)
             report = final_bound(setting)
         except SettingError as exc:
@@ -573,10 +571,10 @@ def test_datum_sorts_its_places_with_one_key_each(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(numberfield_mod.Place, "_key", counted)
-    datum = QuaternionData.from_ramification(FieldSpec(1), pairs, 1)
+    datum = QuaternionData(FieldSpec(1), pairs, 1)
     assert [v.residue_prime for v in datum.ramified_places] == primes
-    # the hashes of resolve_ramification's used set and of the duplicate check
-    assert calls[0] <= 4 * len(primes), calls[0]
+    # the hashes of resolve_ramification's used set: one lookup and one add
+    assert calls[0] <= 2 * len(primes), calls[0]
 
 
 def test_field_discriminant_is_proven_once(monkeypatch):
@@ -686,10 +684,10 @@ def test_run_where_every_record_fails_builds_no_level_part():
 def _one_irreducible_too_many(monkeypatch, at=lambda p: True):
     # the irr_count column of the shape path, one too high at the primes
     # `at` picks: final = mass * irr * dim breaks there
-    real = bounds_mod.irr_counts
+    real = bounds_mod._irr_column
     monkeypatch.setattr(
-        bounds_mod, "irr_counts",
-        lambda s, ps: [c + at(p) for c, p in zip(real(s, ps), ps)],
+        bounds_mod, "_irr_column",
+        lambda s, ps, *cards: [c + at(p) for c, p in zip(real(s, ps, *cards), ps)],
     )
 
 
@@ -1462,11 +1460,7 @@ def test_shared_datum_matches_fresh_per_prime_records(doc):
         # a fresh reference: a new datum starts with no per-level values,
         # so nothing cached by the run above is reused
         try:
-            quaternion = QuaternionData(
-                config.field,
-                resolve_ramification(config.field, config.ramification),
-                config.m,
-            )
+            quaternion = QuaternionData(config.field, config.ramification, config.m)
             report = final_bound(validate_setting(quaternion, config.level, p))
         except SettingError as exc:
             assert record["error"]["code"] == exc.code
@@ -1561,14 +1555,14 @@ def test_m_past_limit_is_a_coded_error_not_a_slow_record(tmp_path):
 
 # Validation codes against an in-test transcription of the eight per-p
 # checks, in their documented order.  The reference works from the
-# datum's field and places alone.
+# datum's field and ramification pairs alone.
 
 _PSI_12 = 318_665_857_834_031_151_167_461
 _CODE_FIELDS = (1, 5, 8, 12, 13, 17, 21, 24)
 _SMALL_PRIMES = [q for q in range(2, 1000) if is_prime(q)]
 
 
-def _reference_code(fld, places, level, p):
+def _reference_code(fld, pairs, level, p):
     if level < 3:
         return "level_too_small"
     if level > 10**12:
@@ -1581,11 +1575,11 @@ def _reference_code(fld, places, level, p):
         return "p_divides_level"
     if fld.discriminant % p == 0:
         return "p_ramified_in_field"
-    if any(v.residue_prime == p for v in places):
+    if any(ell == p for ell, _ in pairs):
         return "p_in_ramification_set"
     bad = fld.discriminant
-    for v in places:
-        bad *= v.residue_prime
+    for ell, _ in pairs:
+        bad *= ell
     if gcd(level, bad) != 1:
         return "level_not_coprime"
     return None
@@ -1602,9 +1596,10 @@ def _small_places(fld):
 @st.composite
 def _datum_and_level(draw):
     fld = FieldSpec(draw(st.sampled_from(_CODE_FIELDS)))
-    ram = draw(st.lists(st.sampled_from(_small_places(fld)), max_size=4, unique=True))
-    ram = tuple(ram[: len(ram) // 2 * 2])
-    bad_primes = sorted({v.residue_prime for v in ram} | set(_disc_primes(fld)))
+    places = draw(st.lists(st.sampled_from(_small_places(fld)), max_size=4, unique=True))
+    # as pairs: two pairs (ell, 1) give both places over a split ell
+    ram = [(v.residue_prime, v.residue_degree) for v in places[: len(places) // 2 * 2]]
+    bad_primes = sorted({ell for ell, _ in ram} | set(_disc_primes(fld)))
     shared = (
         st.builds(lambda ell, k: ell * k, st.sampled_from(bad_primes), st.integers(1, 60))
         if bad_primes else st.integers(3, 400)
@@ -1624,7 +1619,7 @@ def _primes_to_try(draw, fld, ram, level):
     small_level = [q for q in range(2, 60) if level > 0 and level % q == 0]
     return draw(st.one_of(
         st.sampled_from([q for q in _SMALL_PRIMES if q < 200]),
-        st.sampled_from([v.residue_prime for v in ram] or [2]),
+        st.sampled_from([ell for ell, _ in ram] or [2]),
         st.integers(-2, 200),
         st.sampled_from(_disc_primes(fld) or [3]),
         st.sampled_from(small_level or [5]),
@@ -1660,8 +1655,7 @@ def test_sweep_error_records_follow_the_documented_order(datum, lo, width):
             else {"kind": "real_quadratic", "disc": fld.discriminant}
         ),
         "quaternion_ramification": [
-            {"prime": v.residue_prime, "residue_degree": v.residue_degree}
-            for v in ram
+            {"prime": ell, "residue_degree": f} for ell, f in ram
         ],
         "m": 1,
         "N": level,
@@ -1847,7 +1841,7 @@ def test_shape_path_matches_a_record_by_record_reference(seed):
         if len(places) % 2:
             want_code = "odd_ramification_set"
         else:
-            want_code = _reference_code(fld, places, config.level, p)
+            want_code = _reference_code(fld, config.ramification, config.level, p)
         got = (r["error"]["code"] if "error" in r else None,)
         if "error" not in r:
             got += tuple(int(r[key]) for key in

@@ -20,7 +20,7 @@ R8 = FieldSpec.real_quadratic(8)
 
 
 def setting(fld, m, level, p, ram=()):
-    return validate_setting(QuaternionData(fld, tuple(ram), m), level, p)
+    return validate_setting(QuaternionData(fld, list(ram), m), level, p)
 
 
 def test_gl_order_values():

@@ -2,8 +2,6 @@ import itertools
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from heckebound.arith import is_prime, kronecker
 from heckebound.bounds import final_bound
@@ -25,7 +23,7 @@ PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def simple_quaternion(fld, m=1, ram=()):
-    return QuaternionData(field=fld, ramified_places=tuple(ram), m=m)
+    return QuaternionData(field=fld, ramification=list(ram), m=m)
 
 
 def test_split_prime_examples():
@@ -107,9 +105,9 @@ def test_validate_split_quadratic():
         (partial(simple_quaternion, Q), 10, 5, "p_divides_level"),
         (partial(simple_quaternion, R5), 3, 5, "p_ramified_in_field"),
         (partial(simple_quaternion, R5), 5, 2, "level_not_coprime"),
-        (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 21, 5, "level_not_coprime"),
-        (partial(simple_quaternion, Q, ram=[Place(3, 1), Place(7, 1)]), 5, 7, "p_in_ramification_set"),
-        (partial(simple_quaternion, Q, ram=[Place(3, 2), Place(7, 1)]), 5, 11, "residue_degree_mismatch"),
+        (partial(simple_quaternion, Q, ram=[(3, 1), (7, 1)]), 21, 5, "level_not_coprime"),
+        (partial(simple_quaternion, Q, ram=[(3, 1), (7, 1)]), 5, 7, "p_in_ramification_set"),
+        (partial(simple_quaternion, Q, ram=[(3, 2), (7, 1)]), 5, 11, "residue_degree_mismatch"),
         (partial(simple_quaternion, Q), 10**12 + 1, 5, "level_too_large"),
         (partial(simple_quaternion, Q), 3, PSI_12, "p_too_large"),  # passes is_prime
         pytest.param(partial(simple_quaternion, Q), 3, 10**4000, "p_too_large",
@@ -132,14 +130,40 @@ def test_largest_prime_below_psi_12_validates():
 
 def test_quaternion_invariants():
     with pytest.raises(SettingError) as err:
-        QuaternionData(Q, (Place(3, 1),), 1)
+        QuaternionData(Q, [(3, 1)], 1)
     assert err.value.code == "odd_ramification_set"
     with pytest.raises(SettingError) as err:
-        QuaternionData(Q, (Place(3, 1), Place(3, 1)), 1)
-    assert err.value.code == "duplicate_place"
-    with pytest.raises(SettingError) as err:
-        QuaternionData(Q, (), 0)
+        QuaternionData(Q, [], 0)
     assert err.value.code == "m_not_positive"
+
+
+@pytest.mark.parametrize("fld,pairs", [
+    (Q, [(3, 1), (3, 1)]),  # one place over 3
+    (R5, [(7, 2), (7, 2)]),  # 7 is inert: one place
+    (R5, [(11, 1), (11, 1), (11, 1), (19, 1)]),  # 11 splits: two places
+    (R5, [(5, 1), (5, 1)]),  # 5 ramifies: one place
+], ids=["rational", "inert", "split", "ramified"])
+def test_a_pair_listed_more_often_than_its_places_is_a_degree_mismatch(fld, pairs):
+    # each entry takes an unused place, so the datum never holds one twice
+    with pytest.raises(SettingError) as err:
+        QuaternionData(fld, pairs, 1)
+    assert err.value.code == "residue_degree_mismatch"
+    assert str(err.value).startswith(f"no unused place over {pairs[0][0]} ")
+
+
+def test_the_entries_are_checked_before_the_datum():
+    # resolve_ramification's codes come first, then those on m and the count
+    for fld, pairs, m, code in (
+        (Q, [(4, 1)], 0, "ramified_prime_not_prime"),
+        (Q, [(4, 1), (7, 1)], 0, "ramified_prime_not_prime"),
+        (R5, [(7, 2), (7, 2)], 1, "residue_degree_mismatch"),
+        (R5, [(7, 1)], 0, "residue_degree_mismatch"),
+        (Q, [(3, 1)], 0, "m_not_positive"),
+        (Q, [(3, 1)], 51, "m_too_large"),
+    ):
+        with pytest.raises(SettingError) as err:
+            QuaternionData(fld, pairs, m)
+        assert err.value.code == code, (fld, pairs, m)
 
 
 @pytest.mark.parametrize("disc,limit", [
@@ -150,29 +174,30 @@ def test_quaternion_invariants():
 ])
 def test_m_limit_per_field(disc, limit):
     fld = FieldSpec(disc)
-    assert QuaternionData(fld, (), limit).m == limit
+    assert QuaternionData(fld, [], limit).m == limit
     with pytest.raises(SettingError) as err:
-        QuaternionData(fld, (), limit + 1)
+        QuaternionData(fld, [], limit + 1)
     assert err.value.code == "m_too_large"
     assert str(err.value) == (
         f"module rank m must be <= {limit} for this field, got {limit + 1}"
     )
     # every ramified place must be a place of the field, checked once here
     with pytest.raises(SettingError) as err:
-        QuaternionData(Q, (Place(3, 2), Place(7, 1)), 1)
+        QuaternionData(Q, [(3, 2), (7, 1)], 1)
     assert err.value.code == "residue_degree_mismatch"
     with pytest.raises(SettingError) as err:
-        QuaternionData(Q, (Place(4, 1), Place(9, 1)), 1)
+        QuaternionData(Q, [(4, 1), (9, 1)], 1)
     assert err.value.code == "ramified_prime_not_prime"
 
 
 def test_quaternion_datum_does_not_depend_on_the_order_of_its_places():
+    pairs = [(2, 2), (3, 2), (11, 1), (11, 1)]
     places = (Place(2, 2), Place(3, 2), Place(11, 1, index=0), Place(11, 1, index=1))
-    data = {QuaternionData(R5, order, 1) for order in itertools.permutations(places)}
+    data = {QuaternionData(R5, order, 1) for order in itertools.permutations(pairs)}
     assert len(data) == 1
     (datum,) = data
     assert datum.ramified_places == places
-    s = validate_setting(QuaternionData(R5, places[::-1], 1), 7, 13)
+    s = validate_setting(QuaternionData(R5, pairs[::-1], 1), 7, 13)
     assert s.quaternion == datum
     assert s.delta_prime_away == places
 
@@ -186,9 +211,9 @@ def test_ramified_primes_from_psi_12_on_are_refused():
         assert err.value.code == "ramified_prime_too_large"
         assert str(err.value) == f"ramification entry must be < {PSI_12}, got {ell}"
         with pytest.raises(SettingError) as err:
-            QuaternionData(Q, (Place(7, 1), Place(ell, 1)), 1)
+            QuaternionData(Q, [(7, 1), (ell, 1)], 1)
         assert err.value.code == "ramified_prime_too_large"
-        assert str(err.value) == f"ramified prime must be < {PSI_12}, got {ell}"
+        assert str(err.value) == f"ramification entry must be < {PSI_12}, got {ell}"
         with pytest.raises(ValueError, match=f"^ell must be < {PSI_12}, got {ell}$") as err:
             split_prime(Q, ell)
         assert err.value.code == "prime_too_large"
@@ -219,7 +244,7 @@ def test_validate_idempotent():
 
 
 def test_primes_of_one_datum_share_one_level_data():
-    quaternion = simple_quaternion(R5, m=2, ram=resolve_ramification(R5, [(11, 1), (11, 1)]))
+    quaternion = simple_quaternion(R5, m=2, ram=[(11, 1), (11, 1)])
     # what validation reads is the datum's own, fixed when it is built
     assert quaternion.ramified_primes == {11}
     assert quaternion.bad_product == 5 * 11 * 11
@@ -231,7 +256,7 @@ def test_primes_of_one_datum_share_one_level_data():
     assert final_bound(s13).constant is c7
     # another level, or an equal datum built afresh, has its own
     assert final_bound(validate_setting(quaternion, 7, 13)).constant is not c7
-    fresh = simple_quaternion(R5, m=2, ram=quaternion.ramified_places)
+    fresh = simple_quaternion(R5, m=2, ram=[(11, 1), (11, 1)])
     assert fresh == quaternion
     assert final_bound(validate_setting(fresh, 6, 7)).constant is not c7
 
@@ -264,27 +289,4 @@ def test_field_spec_validation():
         with pytest.raises(SettingError) as err:
             FieldSpec.real_quadratic(disc)
         assert err.value.code == "disc_too_large"
-
-
-def _datum_outcome(build):
-    try:
-        datum = build()
-    except SettingError as exc:
-        return exc.code, str(exc)
-    return datum, datum.ramified_primes, datum.bad_product
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from((Q, R5, R8, FieldSpec(13))),
-    st.lists(st.tuples(st.sampled_from((2, 3, 4, 5, 7, 9, 11, 13, 17, 19, PSI_12)),
-                       st.integers(1, 3)), max_size=6),
-    st.integers(-1, 52),
-)
-def test_datum_from_ramification_is_the_datum_of_the_resolved_places(fld, pairs, m):
-    # the same datum, or the same first error, as resolving the pairs and
-    # building the datum from the places
-    assert _datum_outcome(lambda: QuaternionData.from_ramification(fld, pairs, m)) == (
-        _datum_outcome(lambda: QuaternionData(fld, resolve_ramification(fld, pairs), m))
-    )
 

@@ -2,6 +2,7 @@
 fields that equality and hashing use, the order in which a quaternion
 datum sorts its places, read-only fields, reprs and pickling."""
 
+import copy
 import inspect
 import pickle
 
@@ -14,7 +15,6 @@ from heckebound.numberfield import (
     Place,
     QuaternionData,
     ShimuraSetting,
-    resolve_ramification,
     validate_setting,
 )
 
@@ -24,7 +24,7 @@ RAM = ((11, 1), (11, 1))
 
 def _datum():
     # a fresh datum each call: equal to every other one, with its own per-level memo
-    return QuaternionData(R5, resolve_ramification(R5, list(RAM)), 2)
+    return QuaternionData(R5, list(RAM), 2)
 
 
 def _fields_of(value, names):
@@ -42,7 +42,7 @@ REPORT_FIELDS = ("setting", "zeta_values", "constant", "level_group_order", "mas
     (Place, [("residue_prime", inspect.Parameter.empty),
              ("residue_degree", inspect.Parameter.empty), ("index", 0), ("ramified", False)]),
     (QuaternionData, [(name, inspect.Parameter.empty)
-                      for name in ("field", "ramified_places", "m")]),
+                      for name in ("field", "ramification", "m")]),
     (ShimuraSetting, [(name, inspect.Parameter.empty) for name in SETTING_FIELDS[:3]]),
     (BoundReport, [(name, inspect.Parameter.empty) for name in REPORT_FIELDS]),
 ])
@@ -81,11 +81,11 @@ def test_datum_compares_on_field_places_and_m():
     final_bound(validate_setting(a, 3, 19))  # fills a's per-level memo
     b = _datum()
     assert a == b and hash(a) == hash((R5, a.ramified_places, 2))
-    assert a != QuaternionData(R5, a.ramified_places, 1)
-    assert a != QuaternionData(FieldSpec(8), (), 2)
-    # the places are kept sorted, whatever order they were given in
-    places = a.ramified_places
-    assert QuaternionData(R5, places[::-1], 2).ramified_places == places
+    assert a != QuaternionData(R5, list(RAM), 1)
+    assert a != QuaternionData(FieldSpec(8), [], 2)
+    # the places are kept sorted, whatever order their pairs were given in
+    places = (Place(2, 2), Place(3, 2), Place(11, 1), Place(11, 1, index=1))
+    assert QuaternionData(R5, [(11, 1), (3, 2), (11, 1), (2, 2)], 2).ramified_places == places
 
 
 def test_reports_compare_on_every_field():
@@ -118,7 +118,8 @@ def test_place_ordering_is_by_prime_degree_index_then_ramified():
     # 19 makes the count even, as a datum requires)
     chain = (Place(2, 2), Place(5, 1, ramified=True), Place(7, 2), Place(11, 1),
              Place(11, 1, index=1), Place(19, 1))
-    assert QuaternionData(R5, chain[::-1], 1).ramified_places == chain
+    pairs = [(v.residue_prime, v.residue_degree) for v in chain[::-1]]
+    assert QuaternionData(R5, pairs, 1).ramified_places == chain
     # places themselves compare for equality only
     with pytest.raises(TypeError):
         Place(7, 1) < Place(5, 1)
@@ -175,10 +176,23 @@ def test_reprs():
 def test_values_survive_pickling():
     s = validate_setting(_datum(), 3, 19)
     for value in (QuadraticCharacter(5), R5, Place(11, 1, 1), s.quaternion, s, final_bound(s)):
-        copy = pickle.loads(pickle.dumps(value))
-        assert copy == value and type(copy) is type(value)
-        assert repr(copy) == repr(value)
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin == value and type(twin) is type(value)
+        assert repr(twin) == repr(value)
     assert R5.__reduce__() == (FieldSpec, (5,))
+    # both places over the split 11, the inert 2 and the place over 5,
+    # which ramifies in F: the datum is rebuilt from its places' pairs
+    datum = QuaternionData(R5, [(11, 1), (2, 2), (5, 1), (11, 1)], 1)
+    pairs = [(2, 2), (5, 1), (11, 1), (11, 1)]
+    assert datum.__reduce__() == (QuaternionData, (R5, pairs, 1))
+    for twin in (pickle.loads(pickle.dumps(datum)), copy.copy(datum), copy.deepcopy(datum)):
+        assert twin is not datum and twin == datum and hash(twin) == hash(datum)
+        assert repr(twin) == repr(datum)
+        assert twin.ramified_places == datum.ramified_places
+        assert (twin.ramified_primes, twin.bad_product) == ({2, 5, 11}, 5 * 2 * 5 * 11 * 11)
+        assert twin.zeta_values == datum.zeta_values
+        assert final_bound(validate_setting(twin, 3, 19)) == (
+            final_bound(validate_setting(datum, 3, 19)))
     assert pickle.loads(pickle.dumps(R5)).quadratic_character == QuadraticCharacter(5)
     assert pickle.loads(pickle.dumps(FieldSpec(1))).quadratic_character is None
 
